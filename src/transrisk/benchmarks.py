@@ -44,14 +44,7 @@ from .portfolio import (
     sharpe_optimize,
     sharpe_ratio,
 )
-from .regression import (
-    RegressionDataset,
-    Standardizer,
-    concat_datasets,
-    evaluate,
-    pretrain_source,
-    ridge_fit,
-)
+from .regression import RegressionDataset, concat_datasets, evaluate, ridge_transfer
 from .signature import windowed_signature_features
 
 
@@ -220,25 +213,26 @@ def simulate_price_volume(rng: np.random.Generator, n_periods: int,
     return np.column_stack([log_price, log_volume])
 
 
-def signature_dataset(log_pv: np.ndarray, lag: int, order: int) -> RegressionDataset:
-    """Windowed signature features paired with next-period log returns."""
+class SignatureDataset(NamedTuple):
+    """Windowed signature features of one asset and the regression they feed."""
+
+    features: np.ndarray        # one row per window
+    data: RegressionDataset     # every window but the last, with its next log return
+    end_dates: list             # the window-end date of each row of ``data``
+
+
+def signature_dataset(log_pv: np.ndarray, lag: int, order: int,
+                      dates=None) -> SignatureDataset:
+    """Windowed signature features paired with next-period log returns.
+
+    The feature row of the window ending at t predicts the return over
+    (t, t+1].  ``dates``, one per row of ``log_pv``, gives the rows'
+    window-end dates; without it ``end_dates`` is empty.
+    """
     features = windowed_signature_features(log_pv, lag, order)
-    log_price = log_pv[:, 0]
-    # feature row ending at t predicts the return over (t, t+1]
-    y = np.diff(log_price)[lag - 1:]
-    return RegressionDataset(features[:-1], y)
-
-
-def _standardize_split(train: RegressionDataset, test: RegressionDataset):
-    feat_std = Standardizer(train.features)
-    y_mean = float(train.targets.mean())
-    y_std = float(train.targets.std())
-    if y_std <= 1e-12:
-        y_std = 1.0
-    def conv(ds: RegressionDataset) -> RegressionDataset:
-        return RegressionDataset(feat_std.transform(ds.features),
-                                 (ds.targets - y_mean) / y_std)
-    return conv(train), conv(test), feat_std
+    y = np.diff(log_pv[:, 0])[lag - 1:]
+    end_dates = [] if dates is None else dates[lag - 1:len(dates) - 1]
+    return SignatureDataset(features, RegressionDataset(features[:-1], y), end_dates)
 
 
 def ridge_transfer_study(n_seeds: int = 50, *, n_source_assets: int = 4,
@@ -259,28 +253,17 @@ def ridge_transfer_study(n_seeds: int = 50, *, n_source_assets: int = 4,
         source_sets = []
         for _ in range(n_source_assets):
             pv = simulate_price_volume(rng, source_len)
-            source_sets.append(signature_dataset(pv, lag, order))
+            source_sets.append(signature_dataset(pv, lag, order).data)
         target_pv = simulate_price_volume(rng, target_train_len + target_test_len + 1)
-        target = signature_dataset(target_pv, lag, order)
+        target = signature_dataset(target_pv, lag, order).data
         split = target_train_len - lag
         train = RegressionDataset(target.features[:split], target.targets[:split])
         test = RegressionDataset(target.features[split:], target.targets[split:])
 
-        pooled = concat_datasets(source_sets)
-        pooled_std, _, src_std = _standardize_split(pooled, pooled)
-        train_std, test_std, tgt_std = _standardize_split(train, test)
-        if src_std.n_kept != tgt_std.n_kept:
-            raise ValueError("source and target standardizers dropped different columns")
-
-        theta_source = pretrain_source(pooled_std, lambda_source, fit_intercept=True)
-        theta_direct = ridge_fit(train_std, lambda_source, fit_intercept=True)
-        theta_transfer = ridge_fit(train_std, lambda_transfer, anchor=theta_source,
-                                   fit_intercept=True)
-        cells.append(RidgeStudyCell(
-            seed,
-            evaluate(theta_direct, test_std).mse,
-            evaluate(theta_transfer, test_std).mse,
-        ))
+        fit = ridge_transfer(concat_datasets(source_sets), train, test,
+                             lambda_source, lambda_transfer)
+        cells.append(RidgeStudyCell(seed, evaluate(fit.direct, fit.test).mse,
+                                    evaluate(fit.transfer, fit.test).mse))
     return cells
 
 

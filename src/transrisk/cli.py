@@ -65,7 +65,7 @@ from .gaussian import (
     pushforward_affine,
     w2_gaussian_sq,
 )
-from .benchmarks import run_property_sweeps
+from .benchmarks import run_property_sweeps, signature_dataset
 from .mc import SeededStream, kl_quadrature_1d, mc_loss_gap, mc_w2_1d
 from .portfolio import (
     ReturnsDataset,
@@ -76,15 +76,13 @@ from .portfolio import (
 )
 from .regression import (
     RegressionDataset,
-    Standardizer,
     concat_datasets,
     evaluate,
     predict as predict_with,
-    pretrain_source,
-    ridge_fit,
+    ridge_transfer,
 )
 from .risk import OFFICE31_COMBINER, OFFICE31_TABLE, OFFICE31_TABLE_TOL, RiskPair, poly_risk
-from .signature import signature_dim, windowed_signature_features, write_features_csv
+from .signature import signature_dim, write_features_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -325,32 +323,9 @@ def cmd_office_table(args) -> int:
 
 # --- predict ---------------------------------------------------------------
 
-def _asset_signature_dataset(path: str, lag: int, order: int):
-    """Features, next-period log returns, and window-end dates for one asset."""
-    dates, closes, volumes = read_price_volume_csv(path)
-    log_pv = np.column_stack([np.log(closes), np.log(volumes)])
-    features = windowed_signature_features(log_pv, lag, order)
-    returns = np.diff(log_pv[:, 0])
-    y = returns[lag - 1:]
-    end_dates = dates[lag - 1:len(dates) - 1]
-    return RegressionDataset(features[:-1], y), end_dates
-
-
-def _split_by_date(data: RegressionDataset, end_dates, split_date):
-    train_mask = np.array([d < split_date for d in end_dates])
-    if not train_mask.any() or train_mask.all():
-        raise ValidationError(
-            f"split date {split_date} leaves an empty train or test side")
-    return (RegressionDataset(data.features[train_mask], data.targets[train_mask]),
-            RegressionDataset(data.features[~train_mask], data.targets[~train_mask]))
-
-
-def _standardized(train: RegressionDataset, other: RegressionDataset,
-                  feat_std: Standardizer, y_mean: float, y_std: float):
-    return (RegressionDataset(feat_std.transform(train.features),
-                              (train.targets - y_mean) / y_std),
-            RegressionDataset(feat_std.transform(other.features),
-                              (other.targets - y_mean) / y_std))
+def _rows(data: RegressionDataset, mask: np.ndarray, dim: int) -> RegressionDataset:
+    """The rows of ``data`` picked by ``mask``, with its first ``dim`` feature columns."""
+    return RegressionDataset(data.features[:, :dim][mask], data.targets[mask])
 
 
 def _metrics_doc(theta, test: RegressionDataset) -> dict:
@@ -371,65 +346,64 @@ def cmd_predict(args) -> int:
         split_date = _dt.date.fromisoformat(doc["split_date"])
     except ValueError:
         raise SpecFileError(f"split_date {doc['split_date']!r} is not ISO-8601") from None
-    lags = doc["lag"] if isinstance(doc["lag"], list) else [doc["lag"]]
-    orders = doc["order"] if isinstance(doc["order"], list) else [doc["order"]]
+    lags = sorted(set(doc["lag"] if isinstance(doc["lag"], list) else [doc["lag"]]))
+    orders = sorted(set(doc["order"] if isinstance(doc["order"], list) else [doc["order"]]))
     lam_s = float(doc.get("lambda_source", 1.0))
     lam_t = float(doc.get("lambda_transfer", 5.0))
 
+    # Each CSV is read once, and each (asset, lag) gets one feature matrix
+    # at the top order: order m is its first signature_dim(3, m) columns,
+    # since level m of a Chen product uses only levels <= m.
+    series: dict = {}    # path -> (dates, log close and volume)
+    at_lag: dict = {}    # path -> (signature dataset, rows before split) at this lag
+
+    def windows(path: str, lag: int):
+        if path not in at_lag:
+            if path not in series:
+                dates, closes, volumes = read_price_volume_csv(path)
+                series[path] = dates, np.column_stack([np.log(closes), np.log(volumes)])
+            dates, log_pv = series[path]
+            sig = signature_dataset(log_pv, lag, orders[-1], dates)
+            at_lag[path] = sig, np.array([d < split_date for d in sig.end_dates])
+        return at_lag[path]
+
     grid = []
-    target_period = None
-    for lag in sorted(set(lags)):
-        for order in sorted(set(orders)):
-            source_trains = []
-            for path in doc["source_csvs"]:
-                data, end_dates = _asset_signature_dataset(path, lag, order)
-                mask = np.array([d < split_date for d in end_dates])
-                if not mask.any():
-                    raise ValidationError(f"{path}: no source rows before split date")
-                source_trains.append(
-                    RegressionDataset(data.features[mask], data.targets[mask]))
-            target_data, target_dates = _asset_signature_dataset(
-                doc["target_csv"], lag, order)
-            if target_period is None:
-                raw_dates, _, _ = read_price_volume_csv(doc["target_csv"])
-                target_period = infer_period_days(raw_dates)
-            train, test = _split_by_date(target_data, target_dates, split_date)
+    target_features = None
+    for lag in lags:
+        at_lag.clear()
+        sources = []
+        for path in doc["source_csvs"]:
+            sig, before = windows(path, lag)
+            if not before.any():
+                raise ValidationError(f"{path}: no source rows before split date")
+            sources.append((sig.data, before))
+        target, before = windows(doc["target_csv"], lag)
+        if not before.any() or before.all():
+            raise ValidationError(
+                f"split date {split_date} leaves an empty train or test side")
+        if args.features_out and target_features is None:
+            target_features = target.features
 
-            pooled = concat_datasets(source_trains)
-            src_std = Standardizer(pooled.features)
-            src_y_mean = float(pooled.targets.mean())
-            src_y_std = float(pooled.targets.std()) or 1.0
-            pooled_std, _ = _standardized(pooled, pooled, src_std, src_y_mean, src_y_std)
-
-            tgt_std = Standardizer(train.features)
-            y_mean = float(train.targets.mean())
-            y_std = float(train.targets.std()) or 1.0
-            train_std, test_std = _standardized(train, test, tgt_std, y_mean, y_std)
-            if src_std.n_kept != tgt_std.n_kept:
-                raise ValidationError(
-                    "source and target standardizers dropped different feature columns")
-
-            theta_source = pretrain_source(pooled_std, lam_s, fit_intercept=True)
-            theta_direct = ridge_fit(train_std, lam_s, fit_intercept=True)
-            theta_transfer = ridge_fit(train_std, lam_t, anchor=theta_source,
-                                       fit_intercept=True)
+        for order in orders:
+            dim = signature_dim(3, order)
+            train = _rows(target.data, before, dim)
+            test = _rows(target.data, ~before, dim)
+            fit = ridge_transfer(concat_datasets(_rows(d, m, dim) for d, m in sources),
+                                 train, test, lam_s, lam_t)
             grid.append({
                 "lag": lag,
                 "order": order,
-                "feature_dim": signature_dim(3, order),
+                "feature_dim": dim,
                 "train_rows": train.n_rows,
                 "test_rows": test.n_rows,
-                "direct": _metrics_doc(theta_direct, test_std),
-                "transfer": _metrics_doc(theta_transfer, test_std),
-                "target_standardization": {"mean": y_mean, "std": y_std},
+                "direct": _metrics_doc(fit.direct, fit.test),
+                "transfer": _metrics_doc(fit.transfer, fit.test),
+                "target_standardization": {"mean": fit.y_mean, "std": fit.y_std},
             })
 
     if args.features_out:
-        lag, order = sorted(set(lags))[0], sorted(set(orders))[0]
-        dates, closes, volumes = read_price_volume_csv(doc["target_csv"])
-        feats = windowed_signature_features(
-            np.column_stack([np.log(closes), np.log(volumes)]), lag, order)
-        write_features_csv(args.features_out, feats, 3, order)
+        write_features_csv(args.features_out,
+                           target_features[:, :signature_dim(3, orders[0])], 3, orders[0])
 
     report = {
         "version": 1,
@@ -437,7 +411,7 @@ def cmd_predict(args) -> int:
         "inputs": doc,
         "results": {
             "grid": grid,
-            "target_period_days": target_period,
+            "target_period_days": infer_period_days(series[doc["target_csv"]][0]),
             "note": "metrics are computed on targets standardized by "
                     "target-train statistics",
         },
@@ -542,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mc-samples", type=int, default=200_000,
                    help="Monte-Carlo sample count for --verify")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="upper bound on internal parallelism (currently 1 process)")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_gaussian_risk)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import functools
 import json
 import math
 from typing import Any
@@ -245,6 +246,21 @@ REPORT_SCHEMA = {
 }
 
 
+@functools.cache
+def _validator(name: str):
+    """The validator of one schema, built and checked against its
+    metaschema on first use."""
+    schema = REPORT_SCHEMA if name == "report" else _SPEC_SCHEMAS[name]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _first_error(name: str, doc: Any):
+    """The error ``jsonschema.validate`` would raise for ``doc``, or None."""
+    return jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+
+
 def validate_spec(doc: Any) -> str:
     """Validate a task-spec document; returns its kind."""
     if not isinstance(doc, dict):
@@ -254,10 +270,9 @@ def validate_spec(doc: Any) -> str:
     if schema is None:
         raise SpecFileError(
             f"unknown spec kind {kind!r}; expected one of {sorted(_SPEC_SCHEMAS)}")
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise SpecFileError(f"spec failed validation: {exc.message}") from None
+    error = _first_error(kind, doc)
+    if error is not None:
+        raise SpecFileError(f"spec failed validation: {error.message}")
     return kind
 
 
@@ -274,10 +289,9 @@ def _check_finite(obj: Any, path: str = "$") -> None:
 
 def validate_report(doc: Any) -> None:
     """Validate a report document against the published schema."""
-    try:
-        jsonschema.validate(doc, REPORT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(f"report failed validation: {exc.message}") from None
+    error = _first_error("report", doc)
+    if error is not None:
+        raise ValidationError(f"report failed validation: {error.message}")
     _check_finite(doc)
 
 

@@ -9,14 +9,13 @@ downstream users can re-verify any number they get.
 
 Randomness: a single documented generator, ``SeededStream``, built on
 the Philox 4x64 counter-based engine with normals drawn by inverting
-the Gaussian CDF through a rational approximation (max abs error of the
-inverse below 1.2e-9).  One seed gives the same stream on every run on
-one machine; across machines only the first draws are pinned, to 1e-15
-(``test_frozen_values``).  The inverse CDF goes through libm ``exp`` and
-``log`` and scipy's ``ndtr``, whose last bits may differ between builds,
-so an oracle value, and a pass or fail decided by it, may change on
-another machine.  Substreams are split by (seed, index) keying so
-parallel shards never overlap.
+the Gaussian CDF with scipy's ``ndtri``.  One seed gives the same
+stream on every run on one machine; across machines only the first
+draws are pinned, to 1e-15 (``test_frozen_values``).  ``ndtri`` goes
+through libm ``log`` and ``sqrt``, whose last bits may differ between
+builds, so an oracle value, and a pass or fail decided by it, may
+change on another machine.  Substreams are split by (seed, index)
+keying so parallel shards never overlap.
 
 All stochastic estimates come back with a standard error; tolerance
 checks elsewhere are phrased in standard-error units, not absolute
@@ -30,66 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from .errors import DimensionMismatch, NotOneDimensional, SingularReference
 from .gaussian import AffineModel, GaussianDist, GaussianJointTask, cholesky_with_jitter
 
 STREAM_ALGORITHM = "philox4x64/inverse-cdf"
-
-# Rational approximation of the inverse standard-normal CDF (Acklam's
-# coefficients); max absolute error ~1.15e-9 over (0, 1).
-_ICDF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ICDF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-           6.680131188771972e+01, -1.328068155288572e+01)
-_ICDF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-           -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-           3.754408661907416e+00)
-_ICDF_LOW = 0.02425
-
-
-def normal_icdf(p: np.ndarray) -> np.ndarray:
-    """Inverse standard-normal CDF, vectorized.
-
-    Rational initial approximation (relative error ~1.1e-9) followed by
-    one Halley correction against the exact CDF, leaving both absolute
-    and relative error around 1e-15, far inside the documented 1.2e-9
-    budget.  Fully deterministic: no rejection, no branching on data
-    beyond the fixed region split.
-    """
-    from scipy.special import ndtr
-
-    p = np.asarray(p, dtype=float)
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-
-    # fold into (0, 0.5]: 1 - p is exact for p >= 0.5 (Sterbenz), and the
-    # CDF keeps full relative precision in the lower tail, which the
-    # Halley correction needs
-    flip = p > 0.5
-    q_all = np.where(flip, 1.0 - p, p)
-    out = np.empty_like(q_all)
-
-    tail = q_all < _ICDF_LOW
-    mid = ~tail
-    if np.any(mid):
-        q = q_all[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        out[mid] = num * q / den
-    if np.any(tail):
-        q = np.sqrt(-2.0 * np.log(q_all[tail]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-        out[tail] = num / den
-
-    # one Halley step: e = Phi(x) - q, x <- x - u / (1 + x u / 2)
-    err = ndtr(out) - q_all
-    u = err * np.sqrt(2.0 * np.pi) * np.exp(0.5 * out * out)
-    out = out - u / (1.0 + 0.5 * out * u)
-    return np.where(flip, -out, out)
-
 
 @dataclass(frozen=True)
 class SeededStream:
@@ -122,7 +67,7 @@ class SeededStream:
         return np.clip(u, 1e-15, 1.0 - 1e-15)
 
     def normals(self, n: int) -> np.ndarray:
-        return normal_icdf(self.uniforms(n))
+        return ndtri(self.uniforms(n))
 
 
 def sample_joint(task: GaussianJointTask, n: int, stream: SeededStream) -> np.ndarray:
@@ -217,24 +162,28 @@ def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int, stream: SeededStream,
     estimator never touches the Bures formula it is checked against.
     (Sorting two independent samples instead would add the empirical
     W2² between them, about 6–8·σ²/m for m points per shard.)  The n
-    draws are split into ``shards`` equal shards, each from its own
-    substream, and the shard mean comes back with its batch-means
-    standard error.
+    draws are split into ``shards`` shards, each from its own substream;
+    the first n mod shards shards take one draw more than the rest.  The
+    mean over all n draws comes back with the batch-means standard error
+    of the shard means.
     """
     if p.dim != 1 or q.dim != 1:
         raise NotOneDimensional("sampled W2 oracle is 1-D only")
     if n < shards * 2:
         raise DimensionMismatch(f"need n >= {shards * 2}")
-    per = n // shards
+    sizes = np.full(shards, n // shards)
+    sizes[:n % shards] += 1
     sd_p = math.sqrt(max(p.cov[0, 0], 0.0))
     sd_q = math.sqrt(max(q.cov[0, 0], 0.0))
     estimates = np.empty(shards)
     for k in range(shards):
-        z = stream.substream(k).normals(per)
+        z = stream.substream(k).normals(int(sizes[k]))
         a = p.mean[0] + sd_p * z
         b = q.mean[0] + sd_q * z
         estimates[k] = float(np.mean((a - b) ** 2))
-    return float(np.mean(estimates)), float(np.std(estimates, ddof=1) / math.sqrt(shards))
+    # shard weights m_k·shards/n are exactly 1.0 when the shards are equal
+    mean = float(np.mean(estimates * (sizes * shards / n)))
+    return mean, float(np.std(estimates, ddof=1) / math.sqrt(shards))
 
 
 def kl_quadrature_1d(p: GaussianDist, q: GaussianDist) -> float:

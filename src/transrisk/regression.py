@@ -167,6 +167,52 @@ def pretrain_source(pooled: RegressionDataset, lam_source: float = DEFAULT_SOURC
     return ridge_fit(pooled, lam_source, anchor=None, fit_intercept=fit_intercept)
 
 
+class TransferFit(NamedTuple):
+    """Direct and anchored fits of one target; ``test`` and the metrics
+    on it are in units of the target-train standardization."""
+
+    direct: np.ndarray
+    transfer: np.ndarray
+    test: RegressionDataset
+    y_mean: float
+    y_std: float
+
+
+def _standardized(fit: RegressionDataset, *others: RegressionDataset):
+    """``fit`` and ``others`` standardized by ``fit``'s column and target
+    statistics; a target std at or below 1e-12 is taken as 1."""
+    columns = Standardizer(fit.features)
+    y_mean = float(fit.targets.mean())
+    y_std = float(fit.targets.std())
+    if y_std <= 1e-12:
+        y_std = 1.0
+    return columns, y_mean, y_std, [
+        RegressionDataset(columns.transform(d.features), (d.targets - y_mean) / y_std)
+        for d in (fit, *others)]
+
+
+def ridge_transfer(source: RegressionDataset, train: RegressionDataset,
+                   test: RegressionDataset, lam_source: float = DEFAULT_SOURCE_LAMBDA,
+                   lam_transfer: float = DEFAULT_TRANSFER_LAMBDA) -> TransferFit:
+    """Standardize, pretrain on the pooled source, then fit the target
+    directly and anchored to the pretrained parameter.
+
+    The source is standardized by its own statistics, the target train
+    and test sets by the target train's.  The direct fit uses
+    ``lam_source``; every fit has an unpenalized intercept.
+    """
+    src_columns, _, _, (source_std,) = _standardized(source)
+    tgt_columns, y_mean, y_std, (train_std, test_std) = _standardized(train, test)
+    if src_columns.n_kept != tgt_columns.n_kept:
+        raise ValidationError(
+            "source and target standardizers dropped different feature columns")
+    theta_source = pretrain_source(source_std, lam_source, fit_intercept=True)
+    return TransferFit(
+        ridge_fit(train_std, lam_source, fit_intercept=True),
+        ridge_fit(train_std, lam_transfer, anchor=theta_source, fit_intercept=True),
+        test_std, y_mean, y_std)
+
+
 def predict(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Apply a fitted parameter; a (d+1)-length θ implies an intercept."""
     features = np.asarray(features, dtype=float)

@@ -136,30 +136,45 @@ class TruncatedSignature:
 
 
 def _segment_levels(delta: np.ndarray, order: int) -> list[np.ndarray]:
-    """Levels of one linear segment: Δ^⊗m / m!."""
-    levels: list[np.ndarray] = [np.array(1.0)]
+    """Levels of one linear segment per column of ``delta`` (c × W):
+    Δ^⊗m / m!, each level flattened to a (cᵐ, W) array."""
+    paths = delta.shape[1]
+    levels = [np.ones((1, paths))]
     for m in range(1, order + 1):
-        levels.append(np.multiply.outer(levels[-1], delta) / m)
+        levels.append((levels[-1][:, None, :] * delta[None, :, :]).reshape(-1, paths) / m)
     return levels
 
 
 def _chen_levels(a: list[np.ndarray], b: list[np.ndarray], order: int) -> list[np.ndarray]:
-    """Truncated tensor product: level m is Σ_{i+j=m} aᵢ ⊗ bⱼ."""
-    channels = a[1].shape[0] if order >= 1 else 0
-    out: list[np.ndarray] = []
-    for m in range(order + 1):
-        acc = np.zeros((channels,) * m)
+    """Column-wise truncated tensor product: level m is Σ_{i+j=m} aᵢ ⊗ bⱼ,
+    summed from zeros in the order i = 0..m."""
+    out = [a[0] * b[0]]
+    for m in range(1, order + 1):
+        acc = np.zeros((a[m].shape[0] * b[0].shape[0], a[m].shape[1]))
         for i in range(m + 1):
-            acc = acc + np.multiply.outer(a[i], b[m - i])
+            block = acc.reshape(a[i].shape[0], b[m - i].shape[0], -1)
+            block += a[i][:, None, :] * b[m - i][None, :, :]
         out.append(acc)
     return out
 
 
-def _levels_to_signature(levels: list[np.ndarray], channels: int, order: int) -> TruncatedSignature:
-    # level 0 stays exactly 1.0 through every operation (1·1 sums once);
-    # the type's validator enforces it rather than papering over drift
-    flat = np.concatenate([np.atleast_1d(level).ravel() for level in levels])
-    return TruncatedSignature(order, channels, flat)
+def _signature_rows(increments: np.ndarray, order: int) -> np.ndarray:
+    """Signatures of W piecewise-linear paths at once.
+
+    ``increments`` is (S, c, W): segment s of path w is column w of
+    ``increments[s]``.  Each path's segments are concatenated left to
+    right by Chen's identity.  Levels are kept as (cᵐ, W) arrays so that
+    the inner loops run over the paths; row w of the (W, dim) result
+    holds path w's flat coefficients.
+    """
+    levels = _segment_levels(increments[0], order)
+    for delta in increments[1:]:
+        levels = _chen_levels(levels, _segment_levels(delta, order), order)
+    return np.ascontiguousarray(np.concatenate(levels).T)
+
+
+def _flat_levels(sig: TruncatedSignature) -> list[np.ndarray]:
+    return [sig.level(m).reshape(-1, 1) for m in range(sig.order + 1)]
 
 
 def signature_of_path(path: PiecewisePath, order: int) -> TruncatedSignature:
@@ -170,20 +185,18 @@ def signature_of_path(path: PiecewisePath, order: int) -> TruncatedSignature:
     tensor algebra.
     """
     order = _check_order(order)
-    increments = np.diff(path.values, axis=0)
-    levels = _segment_levels(increments[0], order)
-    for delta in increments[1:]:
-        levels = _chen_levels(levels, _segment_levels(delta, order), order)
-    return _levels_to_signature(levels, path.channels, order)
+    increments = np.diff(path.values, axis=0)[:, :, None]
+    # level 0 stays exactly 1.0 through every operation (1·1 sums once);
+    # the type's validator enforces it rather than papering over drift
+    return TruncatedSignature(order, path.channels, _signature_rows(increments, order)[0])
 
 
 def chen_product(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignature:
     """Signature of the concatenated path from the two halves' signatures."""
     if a.channels != b.channels or a.order != b.order:
         raise DimensionMismatch("signatures must share channels and order")
-    levels = _chen_levels([a.level(m) for m in range(a.order + 1)],
-                          [b.level(m) for m in range(b.order + 1)], a.order)
-    return _levels_to_signature(levels, a.channels, a.order)
+    levels = _chen_levels(_flat_levels(a), _flat_levels(b), a.order)
+    return TruncatedSignature(a.order, a.channels, np.concatenate(levels)[:, 0])
 
 
 def windowed_signature_features(series: np.ndarray, lag: int, order: int) -> np.ndarray:
@@ -195,6 +208,14 @@ def windowed_signature_features(series: np.ndarray, lag: int, order: int) -> np.
     leak absolute position across windows; rescaling is harmless by
     reparametrization invariance).  Output shape:
     (T − lag + 1) × signature_dim(n + 1, order).
+
+    All W windows go through the Chen recurrence together, as one
+    (cᵐ, W) array per level, batching over paths as Signatory (Kidger &
+    Lyons, arXiv:2001.00706) and iisignature (Reizenstein & Graham,
+    arXiv:1802.08252) do.  Row t equals ``signature_of_path`` of its
+    window bit for bit: the increments and the order of every operation
+    are the same.  The first ``signature_dim(n + 1, m)`` columns are the
+    order-m features for every m < order.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim == 1:
@@ -210,15 +231,13 @@ def windowed_signature_features(series: np.ndarray, lag: int, order: int) -> np.
         raise WindowTooLong(f"lag {lag} exceeds series length {t_len}")
     order = _check_order(order)
 
-    time_channel = np.linspace(0.0, 1.0, lag)
-    grid = np.arange(lag, dtype=float)
-    rows = []
-    for end in range(lag - 1, t_len):
-        window = series[end - lag + 1:end + 1]
-        values = np.column_stack([time_channel, window])
-        sig = signature_of_path(PiecewisePath(grid, values), order)
-        rows.append(sig.coeffs)
-    return np.vstack(rows)
+    windows = t_len - lag + 1
+    steps = np.diff(series, axis=0)
+    increments = np.empty((lag - 1, n + 1, windows))
+    increments[:, 0, :] = np.diff(np.linspace(0.0, 1.0, lag))[:, None]
+    for s in range(lag - 1):
+        increments[s, 1:, :] = steps[s:s + windows].T
+    return _signature_rows(increments, order)
 
 
 def write_features_csv(path, features: np.ndarray, channels: int, order: int) -> None:

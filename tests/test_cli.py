@@ -281,6 +281,28 @@ class TestPredict:
         header = feat_path.read_text().splitlines()[0]
         assert header.split(",")[0] == "S"
 
+    def test_each_csv_read_once(self, prediction_job, tmp_path, monkeypatch):
+        """A lag x order grid with a file used twice reads each distinct
+        file once, and --features-out reuses the target's features."""
+        from transrisk import cli
+
+        src_path, job = prediction_job
+        job = dict(job, source_csvs=job["source_csvs"][:2] + [job["target_csv"]],
+                   lag=[2, 3, 5], order=[1, 2, 3])
+        spec = write_spec(src_path, job, "reads_job.json")
+        reads = []
+        read = cli.read_price_volume_csv
+
+        def counting(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(cli, "read_price_volume_csv", counting)
+        code = main(["predict", spec, "--out", str(tmp_path / "r.json"),
+                     "--features-out", str(tmp_path / "f.csv")])
+        assert code == 0
+        assert sorted(reads) == sorted(set(job["source_csvs"]))
+
     def test_split_outside_range_exit_2(self, prediction_job):
         tmp_path, job = prediction_job
         job = dict(job, split_date="2030-01-01")

@@ -119,6 +119,51 @@ class TestReportValidation:
             })
 
 
+class TestValidationMessages:
+    """The prebuilt validators report the error ``jsonschema.validate``
+    would raise, word for word."""
+
+    @staticmethod
+    def stock_message(doc, schema):
+        import jsonschema
+
+        with pytest.raises(jsonschema.ValidationError) as info:
+            jsonschema.validate(doc, schema)
+        return info.value.message
+
+    @pytest.mark.parametrize("bad", [
+        dict(GOOD_SPEC, extra="nope"),
+        dict(GOOD_SPEC, case="sideways"),
+        dict(GOOD_SPEC, source=dict(GOOD_SPEC["source"], dim_x=0)),
+        {k: v for k, v in GOOD_SPEC.items() if k != "target"},
+    ])
+    def test_bad_spec(self, bad):
+        from transrisk.docio import GAUSSIAN_PAIR_SCHEMA
+
+        with pytest.raises(SpecFileError) as info:
+            validate_spec(bad)
+        expected = self.stock_message(bad, GAUSSIAN_PAIR_SCHEMA)
+        assert str(info.value) == f"spec failed validation: {expected}"
+
+    @pytest.mark.parametrize("change", [
+        {"oops": 1},
+        {"kind": "mystery_report"},
+        {"provenance": {"tool": "other", "tool_version": "0.1.0", "seed": None}},
+        {"oracle_check": {"entries": [{"name": "x"}], "all_within": True}},
+    ])
+    def test_bad_report(self, change):
+        from transrisk.docio import REPORT_SCHEMA
+
+        bad = dict({"version": 1, "kind": "office_table_report", "inputs": {},
+                    "results": {}, "provenance": {"tool": "transrisk",
+                                                  "tool_version": "0.1.0", "seed": None}},
+                   **change)
+        with pytest.raises(ValidationError) as info:
+            validate_report(bad)
+        expected = self.stock_message(bad, REPORT_SCHEMA)
+        assert str(info.value) == f"report failed validation: {expected}"
+
+
 class TestCSVIngestion:
     def test_price_volume_round_trip(self, tmp_path):
         path = tmp_path / "asset.csv"

@@ -1,5 +1,5 @@
-"""Oracle infrastructure: stream determinism, inverse-CDF accuracy,
-sampler moments, and estimator consistency ladders."""
+"""Oracle infrastructure: stream determinism, sampler moments, and
+estimator consistency ladders."""
 
 import math
 
@@ -21,7 +21,6 @@ from transrisk import (
     w2_gaussian_sq,
 )
 from transrisk.errors import NotOneDimensional, SingularReference
-from transrisk.mc import normal_icdf
 
 
 class TestSeededStream:
@@ -55,23 +54,6 @@ class TestSeededStream:
         np.testing.assert_allclose(
             got, [0.6869828763671509, 0.3952018636067077, 0.9561872707588699],
             rtol=0, atol=1e-15)
-
-
-class TestNormalICDF:
-    def test_against_scipy(self):
-        """Rational approximation within 1.2e-9 of the exact inverse CDF."""
-        from scipy.special import ndtri
-
-        p = np.concatenate([
-            np.linspace(1e-12, 0.5, 20001),
-            1.0 - np.geomspace(1e-12, 0.5, 20001),
-        ])
-        err = np.abs(normal_icdf(p) - ndtri(p))
-        assert err.max() < 1.2e-9
-
-    def test_symmetry(self):
-        p = np.linspace(1e-9, 0.5 - 1e-9, 10001)
-        np.testing.assert_allclose(normal_icdf(p), -normal_icdf(1.0 - p), atol=5e-9)
 
 
 class TestSampleJoint:
@@ -161,6 +143,29 @@ class TestMCW2:
         p = GaussianDist(np.zeros(2), np.eye(2))
         with pytest.raises(NotOneDimensional):
             mc_w2_1d(p, p, 1000, SeededStream(0))
+
+    @pytest.mark.parametrize("n", [40 * 25 + 1, 40 * 25 + 17, 40 * 25 + 39])
+    def test_uses_all_draws(self, n, monkeypatch):
+        """n = 40·m + r: the first r shards draw m + 1, and the estimate is
+        the mean over all n draws."""
+        p = GaussianDist([0.3], [[1.3]])
+        q = GaussianDist([-0.5], [[0.6]])
+        drawn = []
+        normals = SeededStream.normals
+
+        def counting(self, k):
+            z = normals(self, k)
+            drawn.append(z)
+            return z
+
+        monkeypatch.setattr(SeededStream, "normals", counting)
+        est, _ = mc_w2_1d(p, q, n, SeededStream(5))
+        assert [len(z) for z in drawn] == [26] * (n - 1000) + [25] * (1040 - n)
+        z = np.concatenate(drawn)
+        a = 0.3 + math.sqrt(1.3) * z
+        b = -0.5 + math.sqrt(0.6) * z
+        np.testing.assert_allclose(est, np.mean((a - b) ** 2), rtol=1e-13)
+        assert est != mc_w2_1d(p, q, 1000, SeededStream(5))[0]
 
     def test_consistency_ladder(self):
         """Error and standard error both shrink as n grows 10^3 → 10^5.

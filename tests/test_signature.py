@@ -215,6 +215,43 @@ class TestWindowedFeatures:
                                     order)
             np.testing.assert_array_equal(feats[t - lag + 1], sig.coeffs)
 
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("lag", [2, 3, 7])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_batched_windows_bit_identical(self, channels, lag, order):
+        """All windows at once give each window's own signature bit for
+        bit, and the same bits as the test-local oracles, which add the
+        Chen terms i = 0..m in turn."""
+        rng = np.random.default_rng(100 * channels + 10 * lag + order)
+        series = np.cumsum(rng.normal(size=(16, channels)), axis=0)
+        series[4:9] = series[4]     # flat stretch: zero increments
+        feats = windowed_signature_features(series, lag, order)
+        time_channel = np.linspace(0.0, 1.0, lag)
+        for t in range(lag - 1, 16):
+            window = np.column_stack([time_channel, series[t - lag + 1:t + 1]])
+            sig = signature_of_path(PiecewisePath(np.arange(float(lag)), window), order)
+            np.testing.assert_array_equal(feats[t - lag + 1], sig.coeffs)
+            steps = np.diff(window, axis=0)
+            levels = segment_levels_oracle(steps[0], order)
+            for delta in steps[1:]:
+                levels = tensor_concat_oracle(levels, segment_levels_oracle(delta, order),
+                                              order)
+            np.testing.assert_array_equal(
+                feats[t - lag + 1], np.concatenate([lv.ravel() for lv in levels]))
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_lower_orders_are_leading_columns(self, channels):
+        """Order-M features cut to signature_dim(c, m) columns are the
+        order-m features exactly."""
+        rng = np.random.default_rng(11 + channels)
+        series = rng.normal(size=(25, channels))
+        for lag in (2, 5):
+            top = windowed_signature_features(series, lag, 6)
+            for m in range(1, 6):
+                np.testing.assert_array_equal(
+                    top[:, :signature_dim(channels + 1, m)],
+                    windowed_signature_features(series, lag, m))
+
     def test_window_too_long(self):
         with pytest.raises(WindowTooLong):
             windowed_signature_features(np.zeros((4, 2)), lag=5, order=2)
