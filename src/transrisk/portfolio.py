@@ -2,14 +2,19 @@
 
 The source task maximizes μ'φ / √(φ'Σφ) over the unit simplex; the
 transfer task maximizes the same objective minus a quadratic pull
-penalty·‖φ − anchor‖² toward a pretrained portfolio.  The solver is
-projected gradient ascent with Euclidean simplex projection: base step
-1e-2, halving backtracking whenever a step would decrease the
-objective, convergence when the step-normalized projected gradient
-drops below 1e-8, hard cap of 1e5 iterations.  Multi-start from the
-uniform portfolio, every vertex, and (when present) the anchor, keeping
-the best objective; since steps never decrease the objective, the
-returned portfolio always scores at least the anchor and the uniform.
+penalty·‖φ − anchor‖² toward a pretrained portfolio.
+
+Solver policy.  Unanchored with a positive definite Σ = LL': exact, as
+y ≥ 0 minimizing ½y'Σy − μ'y solves the NNLS problem ‖L'y − L⁻¹μ‖
+(Lawson–Hanson) and φ = y / Σy is the long-only tangency portfolio, or
+the best vertex when y = 0 (no positive mean).  Anchored, or Σ without
+a Cholesky factor: monotone spectral projected gradient ascent (Birgin,
+Martínez & Raydan, SIAM J. Optim. 2000), Barzilai–Borwein steps clamped
+to [1e-10, 1e6], Armijo backtracking on increases measured from the step
+(not as rounded differences of values), until ‖P(w + 1e-2∇f) − w‖ / 1e-2
+is below 1e-8 or after 1e5 iterations, from the uniform portfolio, every
+vertex and the anchor, keeping the best.  Steps never decrease the
+objective, so the result scores at least the anchor and the uniform.
 
 Sharpe convention: standard deviation in the denominator.  (Dividing by
 the variance instead changes the argmax off rays; the square-root form
@@ -29,6 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.optimize import nnls
 
 from .errors import (
     DegenerateVariance,
@@ -41,9 +48,11 @@ from .errors import (
 from .gaussian import GaussianDist, w2_gaussian_sq
 
 VARIANCE_FLOOR = 1e-14
-STEP = 1e-2
+STEP = 1e-2  # step of the stationarity test ‖P(w + STEP·∇f) − w‖ / STEP
 GRAD_TOL = 1e-8
 MAX_ITER = 100_000
+BB_MIN, BB_MAX = 1e-10, 1e6  # Barzilai–Borwein step clamp; 1/BB_MIN > 2·penalty up to 5e9
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -114,10 +123,8 @@ def estimate_moments(data: ReturnsDataset) -> tuple[np.ndarray, np.ndarray]:
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the unit simplex (sorted-threshold rule).
 
-    The threshold scan runs in plain Python: the solver calls this tens
-    of thousands of times on vectors of a handful of assets, where numpy
-    dispatch overhead would dominate the arithmetic.
-    """
+    The scan runs in plain Python, which beats numpy's dispatch overhead
+    on a handful of assets."""
     v = np.asarray(v, dtype=float)
     css = 0.0
     theta = 0.0
@@ -159,27 +166,19 @@ class _Objective:
         self.penalty = penalty
 
     def value(self, w: np.ndarray) -> float:
-        sig_w = self.sigma @ w
-        var = float(w @ sig_w)
-        if var <= VARIANCE_FLOOR:
-            if float(self.mu @ w) > 0.0:
-                raise DegenerateVariance(
-                    "a feasible zero-variance portfolio with positive mean exists; "
-                    "the Sharpe objective is unbounded")
-            return -math.inf
-        value = float(self.mu @ w) / math.sqrt(var)
-        if self.anchor is not None:
-            diff = w - self.anchor
-            value -= self.penalty * float(diff @ diff)
-        return value
+        return self.value_and_gradient(w)[0]
 
     def value_and_gradient(self, w: np.ndarray) -> tuple[float, np.ndarray]:
         """One fused evaluation; the hot path of the ascent loop."""
         sig_w = self.sigma @ w
         var = float(w @ sig_w)
-        if var <= VARIANCE_FLOOR:
-            return self.value(w), np.zeros_like(w)
         mean = float(self.mu @ w)
+        if var <= VARIANCE_FLOOR:
+            if mean > 0.0:
+                raise DegenerateVariance(
+                    "a feasible zero-variance portfolio with positive mean exists; "
+                    "the Sharpe objective is unbounded")
+            return -math.inf, np.zeros_like(w)
         sd = math.sqrt(var)
         value = mean / sd
         grad = self.mu / sd - (mean / (sd * var)) * sig_w
@@ -189,47 +188,61 @@ class _Objective:
             grad -= (2.0 * self.penalty) * diff
         return value, grad
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient(w)[1]
+    def gain(self, w: np.ndarray, new: np.ndarray) -> float:
+        """f(new) − f(w) from the step, free of the rounding of f(w)."""
+        new_var = float(new @ self.sigma @ new)
+        if new_var <= VARIANCE_FLOOR:
+            return self.value(new)
+        step = new - w
+        step -= step.mean()  # off the simplex's plane only by rounding; ignore that part
+        sig_w = self.sigma @ w
+        sd, new_sd = math.sqrt(float(w @ sig_w)), math.sqrt(new_var)
+        d_sd = float(step @ (2.0 * sig_w + self.sigma @ step)) / (sd + new_sd)
+        gain = (float(self.mu @ step) * sd - float(self.mu @ w) * d_sd) / (sd * new_sd)
+        if self.anchor is not None:
+            gain -= self.penalty * float(step @ (2.0 * (w - self.anchor) + step))
+        return gain
 
 
-_STALL_LIMIT = 500  # plateau iterations tolerated without strict improvement
-
-
-def _ascend(obj: _Objective, start: np.ndarray) -> tuple[np.ndarray, float]:
-    w = project_simplex(start)
-    value = obj.value(w)
-    if not math.isfinite(value):
-        return w, value
-    prev_key = w.tobytes()
-    stalled = 0
+def _spg(obj: _Objective, w: np.ndarray) -> np.ndarray:
+    """Monotone spectral projected gradient ascent from a feasible w."""
+    grad = obj.value_and_gradient(w)[1]
+    alpha = STEP
     for _ in range(MAX_ITER):
-        value, grad = obj.value_and_gradient(w)
-        candidate = project_simplex(w + STEP * grad)
-        move = candidate - w
-        if math.sqrt(float(move @ move)) / STEP <= GRAD_TOL:
+        moved = project_simplex(w + STEP * grad) - w
+        if math.sqrt(float(moved @ moved)) / STEP <= GRAD_TOL:
             break
-        step = STEP
-        cand_value = obj.value(candidate)
-        while cand_value < value and step > 1e-16:
-            step *= 0.5
-            candidate = project_simplex(w + step * grad)
-            cand_value = obj.value(candidate)
-        if cand_value < value:
-            break  # no nondecreasing point along the ray at float resolution
-        key = candidate.tobytes()
-        w_key = w.tobytes()
-        if key == w_key or key == prev_key:
-            break  # fixed point or two-cycle on the float plateau
-        if cand_value == value:
-            stalled += 1
-            if stalled > _STALL_LIMIT:
+        direction = project_simplex(w + alpha * grad) - w
+        slope = ARMIJO * float(grad @ direction)
+        for lam in (0.5 ** k for k in range(54)):
+            candidate = w + lam * direction
+            candidate /= candidate.sum()  # rounding must not drift off the simplex
+            gain = obj.gain(w, candidate)
+            if gain > 0.0 and gain >= lam * slope:
                 break
         else:
-            stalled = 0
-        prev_key = w_key
-        w = candidate
-    return w, obj.value(w)
+            return w  # no increase along the direction, down to λ = 2⁻⁵³
+        step = candidate - w
+        new_grad = obj.value_and_gradient(candidate)[1]
+        curvature = float(step @ (grad - new_grad))
+        ratio = float(step @ step) / curvature if curvature > 0.0 else BB_MAX
+        alpha = min(max(ratio, BB_MIN), BB_MAX)
+        w, grad = candidate, new_grad
+    return w
+
+
+def _tangency(mu: np.ndarray, sigma: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Exact unanchored optimum for Σ = LL' by NNLS (see the module docstring)."""
+    y = nnls(chol.T, solve_triangular(chol, mu, lower=True))[0]
+    if y.sum() > 0.0:
+        w = y / y.sum()
+    else:  # no positive mean: the Sharpe ratio is quasi-convex, a vertex wins
+        sd = np.sqrt(np.diag(sigma))
+        ratios = np.where(sd > math.sqrt(VARIANCE_FLOOR), mu / sd, -math.inf)
+        w = np.eye(mu.shape[0])[int(np.argmax(ratios))]
+    if float(w @ sigma @ w) <= VARIANCE_FLOOR:
+        raise DegenerateVariance("the maximum-Sharpe portfolio has zero variance")
+    return w
 
 
 def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
@@ -237,10 +250,10 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
                     penalty: float = 0.0) -> Portfolio:
     """Maximize the (optionally anchored) Sharpe objective on the simplex.
 
-    Multi-start projected gradient ascent; see the module docstring for
-    the exact solver policy.  The result is feasible, scores at least
-    the anchor and the uniform portfolio, and satisfies first-order
-    stationarity (projected gradient below 1e-7).
+    Exact NNLS tangency portfolio without an anchor, multi-start spectral
+    projected gradient otherwise (module docstring).  The result is
+    feasible, scores at least the anchor and the uniform portfolio, and
+    satisfies first-order stationarity (projected gradient below 1e-7).
     """
     mu = np.asarray(mu, dtype=float)
     sigma = _validate_sigma(sigma)
@@ -259,18 +272,20 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
             "an asset with zero variance and positive mean makes the Sharpe "
             "objective unbounded")
 
-    obj = _Objective(mu, sigma, None if anchor is None else anchor.weights, penalty)
-    starts = [np.full(d, 1.0 / d)]
-    starts.extend(np.eye(d))
-    if anchor is not None:
-        starts.append(anchor.weights.copy())
+    if anchor is None:
+        try:
+            chol = cholesky(sigma, lower=True)
+        except LinAlgError:
+            pass  # singular Σ: the iterative routine below
+        else:
+            return Portfolio(_tangency(mu, sigma, chol))
 
-    best_w, best_value = None, -math.inf
-    for start in starts:
-        w, value = _ascend(obj, start)
-        if value > best_value:
-            best_w, best_value = w, value
-    if best_w is None or not math.isfinite(best_value):
+    obj = _Objective(mu, sigma, None if anchor is None else anchor.weights, penalty)
+    starts = [np.full(d, 1.0 / d), *np.eye(d)]
+    if anchor is not None:
+        starts.append(anchor.weights)
+    best_w = max((_spg(obj, start) for start in starts), key=obj.value)
+    if not math.isfinite(obj.value(best_w)):
         raise DegenerateVariance("no feasible portfolio with positive variance found")
     return Portfolio(best_w)
 

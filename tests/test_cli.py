@@ -86,6 +86,29 @@ class TestGaussianRisk:
         assert results["kl"]["total"] <= 1e-12
         assert abs(results["regret"]) <= 1e-12
 
+    def test_verify_evaluates_each_closed_form_once(self, tmp_path, capsys, monkeypatch):
+        """The oracle entries take their closed-form sides from the results
+        block, so --verify costs no second evaluation of any basic form."""
+        from transrisk import cli
+
+        calls = {}
+        for name in ("basic_output_risk_w", "regret_risk_identity", "basic_output_risk_kl"):
+            def counting(pair, _name=name, _fn=getattr(cli, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(pair)
+            monkeypatch.setattr(cli, name, counting)
+        spec = write_spec(tmp_path, BASIC_SPEC)
+        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify", "--seed", "7",
+                                           "--mc-samples", "20000"])
+        assert code == 0
+        assert calls == {"basic_output_risk_w": 1, "regret_risk_identity": 1,
+                         "basic_output_risk_kl": 1}
+        closed = {e["name"]: e["closed_form"] for e in report["oracle_check"]["entries"]}
+        results = report["results"]
+        assert closed == {"kl_vs_quadrature": results["kl"]["total"],
+                          "w2_vs_sampling": results["w"]["total"],
+                          "regret_vs_loss_gap": results["regret"]}
+
     def test_verify_within_sigma(self, tmp_path, capsys):
         spec = write_spec(tmp_path, BASIC_SPEC)
         code, report = run_report(capsys, [
@@ -372,6 +395,22 @@ class TestPortfolio:
         spec_far = self.make_job(tmp_path, seed=21, shift=0.01)
         _, far = run_report(capsys, ["portfolio", spec_far])
         assert far["results"]["prescreen_risk_sq"] > near["results"]["prescreen_risk_sq"]
+
+    def test_rank_deficient_source_exit_3(self, tmp_path, capsys):
+        """Three periods of four assets: the sample covariance has rank 2
+        and a long-only portfolio with zero variance and positive mean
+        exists, so the Sharpe objective is unbounded.  The run must stop
+        with exit 3, not report a Sharpe ratio in the hundreds of thousands."""
+        rng = np.random.default_rng(0)
+        for n in (2, 2, 2, 2, 3, 3, 3, 3):
+            short = rng.normal(size=(n, 4)) * 0.1 + 0.01
+        ok = rng.normal(scale=0.01, size=(60, 4)) + 0.001
+        source = write_returns_csv(tmp_path / "short.csv", short)
+        target = write_returns_csv(tmp_path / "ok.csv", ok)
+        job = {"version": 1, "kind": "portfolio_job", "source_csv": source,
+               "target_train_csv": target, "target_test_csv": target}
+        assert main(["portfolio", write_spec(tmp_path, job, "short.json")]) == 3
+        assert "numerical error" in capsys.readouterr().err
 
     def test_mismatched_asset_counts_exit_2(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -1,5 +1,8 @@
 """Sharpe optimization on the simplex, moments, and the prescreen risk."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +113,38 @@ class TestSharpeRatio:
             sharpe_ratio(port, np.ones(2), np.diag([0.0, 1.0]))
 
 
+def best_sharpe_by_supports(mu, sigma):
+    """Largest Sharpe ratio on the simplex, by trying every support.
+
+    On a support S of two or more assets the only stationary direction
+    is Σ_S⁻¹μ_S; it is a candidate when its weights are nonnegative.
+    Every vertex is a candidate too, which covers markets where no mean
+    is positive.  The optimum is the best candidate.
+    """
+    d = mu.shape[0]
+    candidates = list(np.eye(d))
+    for size in range(2, d + 1):
+        for support in itertools.combinations(range(d), size):
+            s = list(support)
+            z = np.linalg.solve(sigma[np.ix_(s, s)], mu[s])
+            if z.min() >= 0.0 and z.sum() > 0.0:
+                w = np.zeros(d)
+                w[s] = z / z.sum()
+                candidates.append(w)
+    return max(float(mu @ w) / math.sqrt(float(w @ sigma @ w)) for w in candidates)
+
+
+def stationarity(w, mu, sigma, anchor=None, penalty=0.0):
+    """‖P(w + 1e-2·∇f) − w‖ / 1e-2, the step-normalized projected gradient."""
+    grad = _Objective(mu, sigma, anchor, penalty).value_and_gradient(w)[1]
+    return np.linalg.norm(project_simplex(w + 1e-2 * grad) - w) / 1e-2
+
+
+def random_market(rng, d):
+    a = rng.normal(size=(d, d)) * 0.1
+    return a @ a.T + 0.01 * np.eye(d)
+
+
 class TestSharpeOptimize:
     def test_symmetric_problem_centroid(self):
         port = sharpe_optimize(np.array([0.3, 0.3]), np.eye(2))
@@ -135,9 +170,7 @@ class TestSharpeOptimize:
             w = port.weights
             assert w.min() >= -1e-12
             np.testing.assert_allclose(w.sum(), 1.0, atol=1e-9)
-            obj = _Objective(mu, sigma, None, 0.0)
-            moved = project_simplex(w + 1e-2 * obj.gradient(w))
-            assert np.linalg.norm(moved - w) / 1e-2 <= 1e-7
+            assert stationarity(w, mu, sigma) <= 1e-7
 
     def test_penalty_dominated_limit(self):
         rng = np.random.default_rng(7)
@@ -161,6 +194,70 @@ class TestSharpeOptimize:
             assert obj.value(port.weights) >= obj.value(anchor.weights) - 1e-9
             uniform = np.full(d, 1.0 / d)
             assert obj.value(port.weights) >= obj.value(uniform) - 1e-9
+            assert stationarity(port.weights, mu, sigma, anchor.weights, 0.2) <= 1e-7
+
+    def test_stiff_penalty_stationarity(self):
+        """A penalty of 100 makes the anchored objective stiff; the ascent
+        still reaches stationarity 1e-7, because it measures each step's
+        increase directly instead of differencing two rounded values."""
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            d = int(rng.integers(3, 7))
+            mu = rng.uniform(-0.05, 0.2, size=d)
+            sigma = random_market(rng, d) + 0.01 * np.eye(d)
+            anchor = Portfolio(project_simplex(rng.normal(size=d)))
+            port = sharpe_optimize(mu, sigma, anchor=anchor, penalty=100.0)
+            assert stationarity(port.weights, mu, sigma, anchor.weights, 100.0) <= 1e-7
+
+    def test_stationarity_on_reported_market(self):
+        """Rounded moments of a market on which fixed-step projected
+        gradient ascent stopped at stationarity 1.07e-7, above the 1e-7
+        that sharpe_optimize promises."""
+        mu = np.array([1.3672, -0.1813, 0.2449])
+        sigma = np.array([[2.4034, -0.7426, 0.3765],
+                          [-0.7426, 2.5792, -0.3791],
+                          [0.3765, -0.3791, 1.3798]])
+        port = sharpe_optimize(mu, sigma)
+        assert stationarity(port.weights, mu, sigma) <= 1e-7
+        got = sharpe_ratio(port, mu, sigma)
+        assert abs(got - best_sharpe_by_supports(mu, sigma)) <= 1e-12 * got
+
+    @pytest.mark.parametrize("kind", ["interior", "face", "nonpositive"])
+    def test_unanchored_matches_support_enumeration(self, kind):
+        """Interior optima (μ = Σφ for an interior φ), optima on faces
+        (some means negative) and markets with no positive mean, where
+        the answer is the best vertex."""
+        rng = np.random.default_rng({"interior": 16, "face": 17, "nonpositive": 18}[kind])
+        for _ in range(30):
+            d = int(rng.integers(2, 7))
+            sigma = random_market(rng, d)
+            if kind == "interior":
+                mu = sigma @ rng.uniform(0.5, 1.5, size=d)
+            elif kind == "face":
+                mu = rng.uniform(-0.2, 0.2, size=d)
+                mu[0] = abs(mu[0])
+            else:
+                mu = -rng.uniform(0.0, 0.2, size=d)
+            port = sharpe_optimize(mu, sigma)
+            got = sharpe_ratio(port, mu, sigma)
+            best = best_sharpe_by_supports(mu, sigma)
+            assert abs(got - best) <= 1e-12 * abs(best)
+            if kind == "interior":
+                assert port.weights.min() > 0.0
+            elif kind == "nonpositive":
+                assert np.count_nonzero(port.weights) == 1
+            assert stationarity(port.weights, mu, sigma) <= 1e-7
+
+    def test_relabelling_permutes_weights(self):
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            d = int(rng.integers(2, 7))
+            mu = rng.uniform(-0.1, 0.2, size=d)
+            sigma = random_market(rng, d)
+            perm = rng.permutation(d)
+            base = sharpe_optimize(mu, sigma).weights
+            relabelled = sharpe_optimize(mu[perm], sigma[np.ix_(perm, perm)]).weights
+            np.testing.assert_allclose(relabelled, base[perm], rtol=0.0, atol=1e-12)
 
     def test_scale_invariance_of_argmax(self):
         rng = np.random.default_rng(9)
@@ -175,6 +272,31 @@ class TestSharpeOptimize:
     def test_degenerate_variance_rejected(self):
         with pytest.raises(DegenerateVariance):
             sharpe_optimize(np.array([0.1, 0.2]), np.diag([1.0, 0.0]))
+
+    def test_rank_deficient_history_rejected(self):
+        """Three periods of four assets leave a rank-2 covariance with a
+        long-only zero-variance portfolio of positive mean: unbounded."""
+        rng = np.random.default_rng(0)
+        for n in (2, 2, 2, 2, 3, 3, 3, 3):
+            returns = rng.normal(size=(n, 4)) * 0.1 + 0.01
+        for rows in (returns, np.round(returns, 8)):
+            mu, sigma = estimate_moments(ReturnsDataset(rows))
+            with pytest.raises(DegenerateVariance):
+                sharpe_optimize(mu, sigma)
+
+    def test_zero_mean_cash_column_feasible(self):
+        """A constant zero return has zero variance and zero mean: Σ is
+        singular but the Sharpe optimum is finite."""
+        rng = np.random.default_rng(20)
+        returns = np.column_stack([np.zeros(50), rng.normal(0.01, 0.05, size=(50, 3))])
+        mu, sigma = estimate_moments(ReturnsDataset(returns))
+        port = sharpe_optimize(mu, sigma)
+        assert port.weights.min() >= 0.0
+        np.testing.assert_allclose(port.weights.sum(), 1.0, atol=1e-12)
+        got = sharpe_ratio(port, mu, sigma)
+        np.testing.assert_allclose(got, best_sharpe_by_supports(mu[1:], sigma[1:, 1:]),
+                                   rtol=1e-9)
+        assert stationarity(port.weights, mu, sigma) <= 1e-7
 
     def test_non_psd_rejected(self):
         with pytest.raises(NonPSDSigma):
