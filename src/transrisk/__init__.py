@@ -28,7 +28,6 @@ from .risk import (
     OFFICE31_TABLE,
     PolyCombiner,
     RiskPair,
-    RiskReport,
     affine_sup_distance,
     continuity_probe_input,
     continuity_probe_model,

@@ -44,7 +44,6 @@ from .docio import (
     validate_report,
     validate_spec,
 )
-from .divergence import wp_empirical_1d
 from .errors import NumericalError, SpecFileError, ValidationError
 from .gauss_transfer import (
     BasicCasePair,
@@ -78,8 +77,8 @@ from .regression import (
     RegressionDataset,
     concat_datasets,
     evaluate,
-    predict as predict_with,
     ridge_transfer,
+    transfer_output_risk,
 )
 from .risk import OFFICE31_COMBINER, OFFICE31_TABLE, OFFICE31_TABLE_TOL, RiskPair, poly_risk
 from .signature import signature_dim, write_features_csv
@@ -316,8 +315,7 @@ def _metrics_doc(theta, test: RegressionDataset) -> dict:
     m = evaluate(theta, test)
     return {"mse": m.mse, "r2": m.r2, "corr": m.corr,
             "corr_defined": bool(m.corr_defined),
-            "transfer_risk": wp_empirical_1d(predict_with(theta, test.features),
-                                             test.targets, 2.0)}
+            "transfer_risk": transfer_output_risk(theta, test, 2.0)}
 
 
 def cmd_predict(args) -> int:

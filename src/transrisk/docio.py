@@ -11,7 +11,8 @@ Every document kind carries a JSON Schema with
 ``additionalProperties: false`` -- unknown fields are rejected up
 front, before any computation runs.  Reports must be finite
 everywhere: NaN or infinity anywhere in a result is a bug upstream,
-not something to serialize.
+not something to serialize.  jsonschema is imported when the first
+document is validated.
 
 CSV rules: header required, ISO-8601 dates in the first column,
 strictly increasing; the sampling period is inferred from consecutive
@@ -27,8 +28,6 @@ import functools
 import json
 import math
 from typing import Any
-
-import jsonschema
 
 from .errors import SpecFileError, ValidationError
 
@@ -250,6 +249,8 @@ REPORT_SCHEMA = {
 def _validator(name: str):
     """The validator of one schema, built and checked against its
     metaschema on first use."""
+    import jsonschema
+
     schema = REPORT_SCHEMA if name == "report" else _SPEC_SCHEMAS[name]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -258,6 +259,8 @@ def _validator(name: str):
 
 def _first_error(name: str, doc: Any):
     """The error ``jsonschema.validate`` would raise for ``doc``, or None."""
+    import jsonschema
+
     return jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
 
 

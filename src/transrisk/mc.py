@@ -20,6 +20,9 @@ keying so parallel shards never overlap.
 All stochastic estimates come back with a standard error; tolerance
 checks elsewhere are phrased in standard-error units, not absolute
 constants.
+
+scipy's ``ndtri`` and ``quad`` are imported by the functions that call
+them, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtri
 
 from .errors import DimensionMismatch, NotOneDimensional, SingularReference
 from .gaussian import AffineModel, GaussianDist, GaussianJointTask, cholesky_with_jitter
@@ -67,6 +68,8 @@ class SeededStream:
         return np.clip(u, 1e-15, 1.0 - 1e-15)
 
     def normals(self, n: int) -> np.ndarray:
+        from scipy.special import ndtri
+
         return ndtri(self.uniforms(n))
 
 
@@ -192,6 +195,8 @@ def kl_quadrature_1d(p: GaussianDist, q: GaussianDist) -> float:
     Integrates p(x)·log(p(x)/q(x)) over mean ± 12 standard deviations;
     agrees with the closed form to ~1e-10 on well-conditioned pairs.
     """
+    from scipy.integrate import quad
+
     if p.dim != 1 or q.dim != 1:
         raise NotOneDimensional("quadrature oracle is 1-D only")
     vp = float(p.cov[0, 0])

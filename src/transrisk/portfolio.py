@@ -26,6 +26,10 @@ Wasserstein-2 distance between their moment-matched Gaussian
 approximations: cheap to compute before any optimization, and
 correlated (negatively) with the out-of-sample Sharpe a transferred
 portfolio achieves.
+
+scipy's Cholesky, triangular solve and NNLS are imported by the
+unanchored solve that uses them, so importing this module loads numpy
+only.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
-from scipy.optimize import nnls
 
 from .errors import (
     DegenerateVariance,
@@ -233,6 +235,9 @@ def _spg(obj: _Objective, w: np.ndarray) -> np.ndarray:
 
 def _tangency(mu: np.ndarray, sigma: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Exact unanchored optimum for Σ = LL' by NNLS (see the module docstring)."""
+    from scipy.linalg import solve_triangular
+    from scipy.optimize import nnls
+
     y = nnls(chol.T, solve_triangular(chol, mu, lower=True))[0]
     if y.sum() > 0.0:
         w = y / y.sum()
@@ -252,8 +257,12 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
 
     Exact NNLS tangency portfolio without an anchor, multi-start spectral
     projected gradient otherwise (module docstring).  The result is
-    feasible, scores at least the anchor and the uniform portfolio, and
-    satisfies first-order stationarity (projected gradient below 1e-7).
+    feasible and scores at least the anchor and the uniform portfolio.
+    On markets with Sharpe ratios of order one it also satisfies
+    first-order stationarity (projected gradient below 1e-7): of random
+    anchored solves, none of about 2,900 with means scaled by up to 3
+    missed it, but 5 of about 1,300 with means scaled by 10 did, since
+    the gate is absolute and the gradient grows with the ratio.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = _validate_sigma(sigma)
@@ -273,9 +282,11 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
             "objective unbounded")
 
     if anchor is None:
+        from scipy.linalg import cholesky
+
         try:
             chol = cholesky(sigma, lower=True)
-        except LinAlgError:
+        except np.linalg.LinAlgError:
             pass  # singular Σ: the iterative routine below
         else:
             return Portfolio(_tangency(mu, sigma, chol))

@@ -115,13 +115,6 @@ class Standardizer:
                 f"expected {self.kept.shape[0]} columns, got {data.shape[1]}")
         return (data[:, self.kept] - self.mean) / self.std
 
-    def inverse_transform(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=float)
-        if data.shape[1] != self.n_kept:
-            raise DimensionMismatch(
-                f"expected {self.n_kept} standardized columns, got {data.shape[1]}")
-        return data * self.std + self.mean
-
 
 def ridge_fit(data: RegressionDataset, lam: float,
               anchor: np.ndarray | None = None,

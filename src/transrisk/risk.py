@@ -166,33 +166,6 @@ def source_task_distance(input_distance: float, model_distance: float) -> float:
     return input_distance + model_distance
 
 
-@dataclass(frozen=True)
-class RiskReport:
-    """Bundle of everything one run computed about a task pair.
-
-    decomposition, regret and residual are optional because only the
-    Gaussian closed forms produce them; when a decomposition is present
-    its two terms must reassemble the output risk (1e-10 slack).
-    """
-
-    risk_pair: RiskPair
-    combined: float
-    variant: str
-    decomposition: tuple[float, float] | None = None
-    regret: float | None = None
-    residual: float | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("kl", "w"):
-            raise ValidationError(f"variant must be 'kl' or 'w', got {self.variant!r}")
-        if self.decomposition is not None:
-            variance, bias = self.decomposition
-            total = self.risk_pair.output_risk
-            if math.isfinite(total) and abs((variance + bias) - total) > 1e-10 * max(1.0, abs(total)):
-                raise ValidationError(
-                    f"decomposition {variance} + {bias} does not reassemble {total}")
-
-
 # --- continuity probes -------------------------------------------------
 
 def _with_source_mean_x(pair: BasicCasePair, new_mean_x: np.ndarray) -> BasicCasePair:

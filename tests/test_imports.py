@@ -1,0 +1,80 @@
+"""Import surface: scipy and jsonschema load on the first call that needs
+them, not when the package or the CLI is imported.
+
+Each check runs in a fresh interpreter, because the test process has
+long since imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import transrisk
+from test_cli import BASIC_SPEC, write_price_csv, write_returns_csv, write_spec
+
+SRC = str(Path(transrisk.__file__).resolve().parents[1])
+# loaded only by the --verify oracles or the unanchored Sharpe solve
+ORACLE_OR_SOLVER = ("scipy.integrate", "scipy.optimize", "scipy.special")
+
+
+def loaded_after(code: str) -> list[str]:
+    """The scipy and jsonschema modules loaded by running ``code`` in a
+    fresh interpreter, after numpy."""
+    script = (
+        "import sys\nimport numpy\n" + code + "\n"
+        "import json\n"
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'jsonschema'))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def cli_loads(argv: list[str]) -> list[str]:
+    """The modules loaded by one ``cli.main(argv)`` call that exits 0."""
+    return loaded_after(f"from transrisk import cli\nassert cli.main({argv!r}) == 0")
+
+
+def test_package_and_cli_import_load_no_scipy_or_jsonschema():
+    assert loaded_after("import transrisk, transrisk.cli") == []
+
+
+def test_gaussian_risk_without_verify_skips_oracle_modules(tmp_path):
+    spec = write_spec(tmp_path, BASIC_SPEC)
+    loaded = cli_loads(["gaussian-risk", spec, "--out", str(tmp_path / "r.json")])
+    assert not set(ORACLE_OR_SOLVER) & set(loaded)
+    assert "jsonschema" in loaded  # the spec and report are still validated
+
+
+def test_predict_skips_oracle_modules(tmp_path):
+    job = {
+        "version": 1, "kind": "regression_job",
+        "source_csvs": [write_price_csv(tmp_path / "src.csv", seed=100)],
+        "target_csv": write_price_csv(tmp_path / "target.csv", seed=55),
+        "lag": 2, "order": 2, "lambda_source": 1.0, "lambda_transfer": 5.0,
+        "split_date": "2023-04-15",
+    }
+    spec = write_spec(tmp_path, job, "job.json")
+    loaded = cli_loads(["predict", spec, "--out", str(tmp_path / "r.json")])
+    assert not set(ORACLE_OR_SOLVER) & set(loaded)
+
+
+def test_portfolio_skips_quadrature(tmp_path):
+    rng = np.random.default_rng(3)
+    returns = lambda n: rng.normal(0.0005, 0.01, size=(n, 3))
+    job = {"version": 1, "kind": "portfolio_job",
+           "source_csv": write_returns_csv(tmp_path / "source.csv", returns(300)),
+           "target_train_csv": write_returns_csv(tmp_path / "train.csv", returns(120)),
+           "target_test_csv": write_returns_csv(tmp_path / "test.csv", returns(150)),
+           "penalty": 0.2, "seed": 3}
+    spec = write_spec(tmp_path, job, "pjob.json")
+    loaded = cli_loads(["portfolio", spec, "--out", str(tmp_path / "r.json")])
+    assert "scipy.integrate" not in loaded
+    assert "scipy.optimize" in loaded  # the unanchored solves are NNLS

@@ -12,7 +12,6 @@ from transrisk import (
     OFFICE31_TABLE,
     PolyCombiner,
     RiskPair,
-    RiskReport,
     SeededStream,
     affine_sup_distance,
     continuity_probe_input,
@@ -142,18 +141,6 @@ class TestTaskMetrics:
     def test_task_distance_sums(self):
         assert source_task_distance(0.5, 0.3) == 0.8
         assert source_task_distance(0.0, 0.0) == 0.0
-
-
-class TestRiskReport:
-    def test_decomposition_must_reassemble(self):
-        with pytest.raises(ValidationError):
-            RiskReport(RiskPair(0.1, 1.0), combined=1.1, variant="w",
-                       decomposition=(0.3, 0.3))
-
-    def test_valid_report(self):
-        report = RiskReport(RiskPair(0.1, 1.0), combined=1.1, variant="kl",
-                            decomposition=(0.4, 0.6), regret=1.5, residual=0.5)
-        assert report.risk_pair.output_risk == 1.0
 
 
 def bias_dominated_pair():
