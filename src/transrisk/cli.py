@@ -14,8 +14,9 @@ Subcommands:
 * ``verify-props``   the randomized property sweeps, with a pass/fail
   summary on stderr and a machine-readable report on stdout.
 
-Exit codes: 0 success; 2 validation failure (bad spec, bad CSV, broken
-invariant); 3 numerical failure (singular covariance, degenerate
+Exit codes: 0 success; 2 validation failure (bad spec, bad CSV, a spec
+or CSV that cannot be read or is not UTF-8, an unwritable ``--out``,
+broken invariant); 3 numerical failure (singular covariance, degenerate
 objective); 4 verification failure (an oracle gap beyond tolerance, a
 builtin-table deviation, or a failed property sweep).  Reports go to
 stdout unless ``--out`` is given; stderr carries diagnostics only.
@@ -100,20 +101,26 @@ def _emit(report: dict, out_path: str | None) -> None:
     validate_report(report)
     text = canonical_json(report)
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write report {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
 
-def _load_spec(path: str) -> dict:
+def _load_spec(path: str, kind: str) -> dict:
+    """Read, decode, parse and validate the spec at ``path``, which must
+    be of ``kind``."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read spec {path}: {exc}") from None
     doc = parse_document(text)
-    validate_spec(doc)
+    if validate_spec(doc) != kind:
+        raise SpecFileError(f"expected a {kind} spec, got {doc['kind']}")
     return doc
 
 
@@ -145,25 +152,6 @@ def _oracle_entry(name: str, closed: float, oracle: float,
 
 # --- gaussian-risk -------------------------------------------------------
 
-def _basic_results(pair: BasicCasePair, variant: str) -> dict:
-    results: dict = {"case": "basic"}
-    if variant in ("w", "both"):
-        results["w"] = _split_doc(basic_output_risk_w(pair))
-        identity = regret_risk_identity(pair)
-        results["regret"] = identity.regret
-        results["residual"] = identity.residual
-        results["risk_w_le_regret"] = bool(
-            identity.risk_w <= identity.regret + 1e-9 * max(1.0, identity.regret))
-    if variant in ("kl", "both"):
-        kl_split = basic_output_risk_kl(pair)
-        if math.isinf(kl_split.total):
-            results["kl"] = None
-            results["kl_note"] = "infinite: the target output law is degenerate"
-        else:
-            results["kl"] = _split_doc(kl_split)
-    return results
-
-
 def _oracle_entries(results: dict, source, target, inputs,
                     stream: SeededStream, n: int) -> list[dict]:
     """Check the closed forms already in ``results``: KL by quadrature, W2
@@ -187,57 +175,58 @@ def _oracle_entries(results: dict, source, target, inputs,
 
 
 def cmd_gaussian_risk(args) -> int:
-    doc = _load_spec(args.spec)
-    if doc["kind"] != "gaussian_pair":
-        raise SpecFileError(f"gaussian-risk needs a gaussian_pair spec, got {doc['kind']}")
+    doc = _load_spec(args.spec, "gaussian_pair")
     case = doc["case"]
     source = _task_from_doc(doc["source"])
     target = _task_from_doc(doc["target"])
-    stream = SeededStream(args.seed)
-    entries: list[dict] = []
-
+    results: dict = {"case": case}
     if case == "basic":
         pair = BasicCasePair(source, target)
-        results = _basic_results(pair, args.variant)
-        if args.verify:
-            entries = _oracle_entries(results, source, target, target, stream,
-                                      args.mc_samples)
+        basic = {"kl": basic_output_risk_kl, "w": basic_output_risk_w}
+        risk_of = lambda variant: basic[variant](pair)
     elif case == "feature_aug":
-        fpair = FeatureAugmentedPair(source, target)
-        results = {"case": "feature_aug"}
-        if args.variant in ("kl", "both"):
-            split = feature_aug_risk(fpair, "kl")
-            results["kl"] = None if math.isinf(split.total) else _split_doc(split)
-        if args.variant in ("w", "both"):
-            results["w"] = _split_doc(feature_aug_risk(fpair, "w"))
-        if args.verify:
-            entries = _oracle_entries(results, source, target, source, stream,
-                                      args.mc_samples)
+        pair = FeatureAugmentedPair(source, target)
+        risk_of = lambda variant: feature_aug_risk(pair, variant)
     else:  # output_aug
         if "init_model" not in doc:
             raise SpecFileError("output_aug spec requires an init_model")
         init = AffineModel(np.asarray(doc["init_model"]["weight"]),
                            np.asarray(doc["init_model"]["intercept"]))
-        opair = OutputAugmentedPair(source, target, init)
-        results = {"case": "output_aug"}
-        law_t, law_i = output_aug_laws(opair)
+        pair = OutputAugmentedPair(source, target, init)
+        risk_of = lambda variant: output_aug_risk(pair, variant)
+        law_t, law_i = output_aug_laws(pair)
         results["target_law"] = {"mean": law_t.mean.tolist(), "cov": law_t.cov.tolist()}
         results["intermediate_law"] = {"mean": law_i.mean.tolist(),
                                        "cov": law_i.cov.tolist()}
-        if args.variant in ("kl", "both"):
-            split = output_aug_risk(opair, "kl")
-            results["kl"] = None if math.isinf(split.total) else _split_doc(split)
-        if args.variant in ("w", "both"):
-            results["w"] = _split_doc(output_aug_risk(opair, "w"))
-        if args.verify:
-            if results.get("kl") is not None:
-                entries.append(_oracle_entry(
-                    "kl_vs_generic_divergence", results["kl"]["total"],
-                    kl_gaussian(law_t, law_i), None, DIVERGENCE_ORACLE_TOL))
-            if args.variant in ("w", "both"):
-                entries.append(_oracle_entry(
-                    "w2_vs_generic_divergence", results["w"]["total"],
-                    w2_gaussian_sq(law_t, law_i), None, DIVERGENCE_ORACLE_TOL))
+
+    for variant in ("kl", "w") if args.variant == "both" else (args.variant,):
+        split = risk_of(variant)
+        if variant == "kl" and math.isinf(split.total):
+            results["kl"] = None
+            results["kl_note"] = "infinite: the target output law is degenerate"
+        else:
+            results[variant] = _split_doc(split)
+    if case == "basic" and "w" in results:
+        identity = regret_risk_identity(pair)
+        results["regret"] = identity.regret
+        results["residual"] = identity.residual
+        results["risk_w_le_regret"] = bool(
+            identity.risk_w <= identity.regret + 1e-9 * max(1.0, identity.regret))
+
+    entries: list[dict] = []
+    if args.verify and case == "output_aug":
+        if results.get("kl") is not None:
+            entries.append(_oracle_entry(
+                "kl_vs_generic_divergence", results["kl"]["total"],
+                kl_gaussian(law_t, law_i), None, DIVERGENCE_ORACLE_TOL))
+        if "w" in results:
+            entries.append(_oracle_entry(
+                "w2_vs_generic_divergence", results["w"]["total"],
+                w2_gaussian_sq(law_t, law_i), None, DIVERGENCE_ORACLE_TOL))
+    elif args.verify:
+        inputs = target if case == "basic" else source
+        entries = _oracle_entries(results, source, target, inputs,
+                                  SeededStream(args.seed), args.mc_samples)
 
     report = {
         "version": 1,
@@ -321,9 +310,7 @@ def _metrics_doc(theta, test: RegressionDataset) -> dict:
 def cmd_predict(args) -> int:
     import datetime as _dt
 
-    doc = _load_spec(args.job)
-    if doc["kind"] != "regression_job":
-        raise SpecFileError(f"predict needs a regression_job spec, got {doc['kind']}")
+    doc = _load_spec(args.job, "regression_job")
     try:
         split_date = _dt.date.fromisoformat(doc["split_date"])
     except ValueError:
@@ -406,9 +393,7 @@ def cmd_predict(args) -> int:
 # --- portfolio ---------------------------------------------------------------
 
 def cmd_portfolio(args) -> int:
-    doc = _load_spec(args.job)
-    if doc["kind"] != "portfolio_job":
-        raise SpecFileError(f"portfolio needs a portfolio_job spec, got {doc['kind']}")
+    doc = _load_spec(args.job, "portfolio_job")
     penalty = float(doc.get("penalty", 0.2))
     seed = int(doc.get("seed", 0))
 

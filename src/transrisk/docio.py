@@ -14,10 +14,15 @@ everywhere: NaN or infinity anywhere in a result is a bug upstream,
 not something to serialize.  jsonschema is imported when the first
 document is validated.
 
-CSV rules: header required, ISO-8601 dates in the first column,
-strictly increasing; the sampling period is inferred from consecutive
-date deltas and echoed in reports.  A malformed row is a hard error,
-never skipped.
+CSV files are read in one place, ``_csv_rows``: it opens the file as
+UTF-8, requires a header of the reader's shape and gives every data row
+the header's field count.  A file that cannot be opened or decoded is a
+``ValidationError`` like any other malformed input.  The two dated
+readers (price/volume and returns) share one parser on top of it:
+ISO-8601 dates in the first column, strictly increasing, at least two
+rows, finite floats elsewhere; the sampling period is inferred from
+consecutive date deltas and echoed in reports.  A malformed row is a
+hard error, never skipped.
 """
 
 from __future__ import annotations
@@ -323,54 +328,60 @@ def infer_period_days(dates: list[_dt.date]) -> float:
     return float(gaps[len(gaps) // 2])
 
 
-def read_price_volume_csv(path) -> tuple[list[_dt.date], list[float], list[float]]:
-    """Read one asset file with header date,close,volume."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["date", "close", "volume"]:
-            raise ValidationError(f"{path}: header must be exactly date,close,volume")
-        dates, closes, volumes = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            if len(row) != 3:
-                raise ValidationError(f"{where}: expected 3 fields, got {len(row)}")
-            dates.append(_parse_date(row[0], where))
-            close = _parse_float(row[1], where)
-            volume = _parse_float(row[2], where)
-            if close <= 0.0 or volume <= 0.0:
-                raise ValidationError(f"{where}: close and volume must be positive")
-            closes.append(close)
-            volumes.append(volume)
+def _csv_rows(path, header_ok,
+              header_rule: str) -> tuple[list[str], list[tuple[str, list[str]]]]:
+    """The one way a CSV file is read: the header, then each data row
+    with its ``path:line`` location.  ``header_ok`` judges the stripped,
+    lowercased header; ``header_rule`` says what it must be.  Every row
+    must have the header's field count."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            records = list(csv.reader(handle))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    if not records:
+        raise ValidationError(f"{path}: empty file")
+    header = records[0]
+    if not header_ok([h.strip().lower() for h in header]):
+        raise ValidationError(f"{path}: header must be {header_rule}")
+    rows = []
+    for lineno, row in enumerate(records[1:], start=2):
+        where = f"{path}:{lineno}"
+        if len(row) != len(header):
+            raise ValidationError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        rows.append((where, row))
+    return header, rows
+
+
+def _dated_csv(path, header_ok, header_rule: str):
+    """Header, dates and float rows of a file whose first column is a
+    date: at least two rows, dates strictly increasing."""
+    header, rows = _csv_rows(path, header_ok, header_rule)
+    dates = [_parse_date(row[0], where) for where, row in rows]
+    values = [[_parse_float(cell, where) for cell in row[1:]] for where, row in rows]
     if len(dates) < 2:
         raise ValidationError(f"{path}: need at least two rows")
     if any(b <= a for a, b in zip(dates, dates[1:])):
         raise ValidationError(f"{path}: dates must be strictly increasing")
-    return dates, closes, volumes
+    return header, dates, values
+
+
+def read_price_volume_csv(path) -> tuple[list[_dt.date], list[float], list[float]]:
+    """Read one asset file with header date,close,volume."""
+    _, dates, values = _dated_csv(path, lambda cols: cols == ["date", "close", "volume"],
+                                  "exactly date,close,volume")
+    for lineno, (close, volume) in enumerate(values, start=2):
+        if close <= 0.0 or volume <= 0.0:
+            raise ValidationError(f"{path}:{lineno}: close and volume must be positive")
+    return dates, [v[0] for v in values], [v[1] for v in values]
 
 
 def read_returns_csv(path) -> tuple[list[_dt.date], list[str], list[list[float]]]:
     """Read a returns file with header date,<asset>,<asset>,..."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 3 or header[0].strip().lower() != "date":
-            raise ValidationError(
-                f"{path}: header must be date plus at least two asset columns")
-        names = [h.strip() for h in header[1:]]
-        dates, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{where}: expected {len(header)} fields, got {len(row)}")
-            dates.append(_parse_date(row[0], where))
-            rows.append([_parse_float(cell, where) for cell in row[1:]])
-    if len(dates) < 2:
-        raise ValidationError(f"{path}: need at least two rows")
-    if any(b <= a for a, b in zip(dates, dates[1:])):
-        raise ValidationError(f"{path}: dates must be strictly increasing")
-    return dates, names, rows
+    header, dates, rows = _dated_csv(
+        path, lambda cols: len(cols) >= 3 and cols[0] == "date",
+        "date plus at least two asset columns")
+    return dates, [h.strip() for h in header[1:]], rows
 
 
 def read_risk_rows_csv(path) -> list[tuple[str, float, float]]:
@@ -379,30 +390,13 @@ def read_risk_rows_csv(path) -> list[tuple[str, float, float]]:
     Accepts either ``label,input_risk,output_risk`` or the unlabeled
     two-column variant ``input_risk,output_risk``.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        cols = [h.strip().lower() for h in header]
-        if cols == ["label", "input_risk", "output_risk"]:
-            labeled = True
-        elif cols == ["input_risk", "output_risk"]:
-            labeled = False
-        else:
-            raise ValidationError(
-                f"{path}: header must be label,input_risk,output_risk "
-                "or input_risk,output_risk")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            if len(row) != len(cols):
-                raise ValidationError(f"{where}: expected {len(cols)} fields")
-            if labeled:
-                label, ei, eo = row[0].strip(), row[1], row[2]
-            else:
-                label, ei, eo = f"row{lineno - 1}", row[0], row[1]
-            rows.append((label, _parse_float(ei, where), _parse_float(eo, where)))
+    header, rows = _csv_rows(
+        path, lambda cols: cols in (["label", "input_risk", "output_risk"],
+                                    ["input_risk", "output_risk"]),
+        "label,input_risk,output_risk or input_risk,output_risk")
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    return rows
+    labeled = len(header) == 3
+    return [(row[0].strip() if labeled else f"row{i}",
+             _parse_float(row[-2], where), _parse_float(row[-1], where))
+            for i, (where, row) in enumerate(rows, start=1)]

@@ -44,12 +44,12 @@ class SeededStream:
     Identical (seed, index) pairs reproduce identical sequences on one
     machine (see the module docstring for what holds across machines).
     ``substream(i)`` derives an independent shard for parallel work
-    without sharing state with the parent.
+    without sharing state with the parent.  Every stream uses the one
+    algorithm named by ``STREAM_ALGORITHM``.
     """
 
     seed: int
     index: int = 0
-    algorithm: str = STREAM_ALGORITHM
 
     _MIX = 0x9E3779B97F4A7C15  # odd multiplier; keeps nested splits disjoint
 
@@ -59,7 +59,7 @@ class SeededStream:
 
     def substream(self, index: int) -> "SeededStream":
         child = (self.index * self._MIX + index + 1) % (1 << 64)
-        return SeededStream(self.seed, child, self.algorithm)
+        return SeededStream(self.seed, child)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in (0, 1), clipped away from the endpoints so the
@@ -93,33 +93,42 @@ def sample_joint(task: GaussianJointTask, n: int, stream: SeededStream) -> np.nd
 _CHUNK = 1_000_000
 
 
-def mc_loss(model: AffineModel, task: GaussianJointTask, n: int,
-            stream: SeededStream) -> tuple[float, float]:
-    """Monte-Carlo estimate of the expected squared error E‖Y − f(X)‖².
+def _chunked_mean(task: GaussianJointTask, n: int, stream: SeededStream,
+                  per_draw) -> tuple[float, float]:
+    """Mean of ``per_draw(x, y)`` over n joint draws, with its standard error.
 
-    Returns (estimate, standard error).  Evaluated in chunks so n = 10^7
-    does not materialize 10^7×(d+l) doubles at once; chunk k draws from
-    substream k, so the estimate is a pure function of (arguments, seed).
+    Evaluated in chunks so n = 10^7 does not materialize 10^7×(d+l)
+    doubles at once; chunk k draws from substream k, so the estimate is a
+    pure function of (arguments, seed).
     """
     if n < 2:
         raise DimensionMismatch("need n >= 2 for a standard error")
     d = task.dim_x
     total = 0.0
     total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        xy = sample_joint(task, m, stream.substream(chunk_index))
-        resid = xy[:, d:] - model(xy[:, :d])
-        sq = np.einsum("ij,ij->i", resid, resid)
-        total += float(np.sum(sq))
-        total_sq += float(np.sum(sq * sq))
-        done += m
-        chunk_index += 1
+    for chunk_index, start in enumerate(range(0, n, _CHUNK)):
+        xy = sample_joint(task, min(_CHUNK, n - start), stream.substream(chunk_index))
+        values = per_draw(xy[:, :d], xy[:, d:])
+        total += float(np.sum(values))
+        total_sq += float(np.sum(values * values))
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
+
+
+def _squared_error(model: AffineModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    resid = y - model(x)
+    return np.einsum("ij,ij->i", resid, resid)
+
+
+def mc_loss(model: AffineModel, task: GaussianJointTask, n: int,
+            stream: SeededStream) -> tuple[float, float]:
+    """Monte-Carlo estimate of the expected squared error E‖Y − f(X)‖².
+
+    Returns (estimate, standard error), from draws taken in chunks (see
+    ``_chunked_mean``).
+    """
+    return _chunked_mean(task, n, stream, lambda x, y: _squared_error(model, x, y))
 
 
 def mc_loss_gap(model_a: AffineModel, model_b: AffineModel, task: GaussianJointTask,
@@ -131,27 +140,8 @@ def mc_loss_gap(model_a: AffineModel, model_b: AffineModel, task: GaussianJointT
     oracle for regret (loss of the transferred model minus loss of the
     directly learned one).
     """
-    if n < 2:
-        raise DimensionMismatch("need n >= 2 for a standard error")
-    d = task.dim_x
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        xy = sample_joint(task, m, stream.substream(chunk_index))
-        x, y = xy[:, :d], xy[:, d:]
-        ra = y - model_a(x)
-        rb = y - model_b(x)
-        gap = np.einsum("ij,ij->i", ra, ra) - np.einsum("ij,ij->i", rb, rb)
-        total += float(np.sum(gap))
-        total_sq += float(np.sum(gap * gap))
-        done += m
-        chunk_index += 1
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
+    return _chunked_mean(task, n, stream, lambda x, y: (
+        _squared_error(model_a, x, y) - _squared_error(model_b, x, y)))
 
 
 def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int, stream: SeededStream,

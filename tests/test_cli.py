@@ -1,6 +1,7 @@
 """End-to-end command-line tests: reports, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,31 @@ class TestGaussianRisk:
         results = report["results"]
         assert results["kl"]["total"] <= 1e-10
         assert results["w"]["total"] <= 1e-10
+        assert report["oracle_check"]["all_within"]
+
+    def test_output_aug_infinite_kl_note(self, tmp_path, capsys):
+        """The new output is exactly twice the old one, so the target
+        output law is singular against a full-rank intermediate law: KL
+        is infinite and reported as null with its note, as in the basic
+        case, while the W2 entry still runs under --verify."""
+        doc = {
+            "version": 1, "kind": "gaussian_pair", "case": "output_aug",
+            "source": {"dim_x": 2, "dim_y": 1, "mean": [0.0, 0.0, 0.0],
+                       "cov": [[1.0, 0.0, 0.3], [0.0, 1.0, 0.1], [0.3, 0.1, 1.0]]},
+            "target": {"dim_x": 2, "dim_y": 2, "mean": [0.0, 0.0, 0.0, 0.0],
+                       "cov": [[1.0, 0.0, 0.3, 0.6], [0.0, 1.0, 0.1, 0.2],
+                               [0.3, 0.1, 1.0, 2.0], [0.6, 0.2, 2.0, 4.0]]},
+            "init_model": {"weight": [[0.5, 0.5]], "intercept": [0.0]},
+        }
+        spec = write_spec(tmp_path, doc)
+        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify"])
+        assert code == 0
+        results = report["results"]
+        assert results["kl"] is None
+        assert results["kl_note"] == "infinite: the target output law is degenerate"
+        assert results["w"]["total"] > 0.0
+        entries = report["oracle_check"]["entries"]
+        assert [e["name"] for e in entries] == ["w2_vs_generic_divergence"]
         assert report["oracle_check"]["all_within"]
 
     def test_output_aug_requires_init_model(self, tmp_path):
@@ -429,3 +455,64 @@ class TestVerifyProps:
         assert code == 0
         assert report["results"]["all_passed"]
         assert len(report["results"]["sweeps"]) == 4
+
+
+# --- unreadable inputs and unwritable reports --------------------------------
+
+INPUT_ROLES = {
+    "gaussian-risk": ("spec",),
+    "office-table": ("csv",),
+    "predict": ("spec", "source_csv", "target_csv"),
+    "portfolio": ("spec", "source_csv", "target_train_csv", "target_test_csv"),
+}
+BAD_FILE_CASES = [(command, role, fault)
+                  for command, roles in INPUT_ROLES.items() for role in roles
+                  for fault in ("missing", "directory", "not_utf8")]
+BAD_FILE_CASES += [(command, "out", "unwritable") for command in INPUT_ROLES]
+
+
+def good_run(tmp_path, command):
+    """argv of a run of ``command`` that exits 0, and its input files by role."""
+    if command == "gaussian-risk":
+        files = {"spec": write_spec(tmp_path, BASIC_SPEC)}
+        return ["gaussian-risk", files["spec"]], files
+    if command == "office-table":
+        path = tmp_path / "rows.csv"
+        path.write_text("label,input_risk,output_risk\nmine,0.181,0.428\n")
+        return ["office-table", "--csv", str(path)], {"csv": str(path)}
+    if command == "predict":
+        files = {"source_csv": write_price_csv(tmp_path / "src.csv", seed=100),
+                 "target_csv": write_price_csv(tmp_path / "target.csv", seed=55)}
+        job = {"version": 1, "kind": "regression_job",
+               "source_csvs": [files["source_csv"]], "target_csv": files["target_csv"],
+               "lag": 2, "order": 2, "split_date": "2023-04-15"}
+        files["spec"] = write_spec(tmp_path, job, "job.json")
+        return ["predict", files["spec"]], files
+    spec = TestPortfolio.make_job(tmp_path)
+    job = parse_document(Path(spec).read_text())
+    files = {role: job[role] for role in INPUT_ROLES["portfolio"][1:]}
+    files["spec"] = spec
+    return ["portfolio", spec], files
+
+
+@pytest.mark.parametrize("command, role, fault", BAD_FILE_CASES,
+                         ids=["-".join(case) for case in BAD_FILE_CASES])
+def test_bad_file_exit_2(tmp_path, capsys, command, role, fault):
+    """A missing, directory or non-UTF-8 spec or CSV, and an --out that
+    cannot be written, end in exit 2 with one diagnostic line."""
+    argv, files = good_run(tmp_path, command)
+    if fault == "unwritable":
+        argv += ["--out", str(tmp_path)]
+    else:
+        path = Path(files[role])
+        if fault == "not_utf8":
+            path.write_bytes(b"\xff" + path.read_bytes())
+        else:
+            path.unlink()
+            if fault == "directory":
+                path.mkdir()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("validation error: ")
