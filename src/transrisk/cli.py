@@ -15,11 +15,12 @@ Subcommands:
   summary on stderr and a machine-readable report on stdout.
 
 Exit codes: 0 success; 2 validation failure (bad spec, bad CSV, a spec
-or CSV that cannot be read or is not UTF-8, an unwritable ``--out``,
-broken invariant); 3 numerical failure (singular covariance, degenerate
-objective); 4 verification failure (an oracle gap beyond tolerance, a
-builtin-table deviation, or a failed property sweep).  Reports go to
-stdout unless ``--out`` is given; stderr carries diagnostics only.
+or CSV that cannot be read or is not UTF-8, an unwritable ``--out`` or
+``--features-out``, a bad ``--scale``, broken invariant); 3 numerical
+failure (singular covariance, degenerate objective); 4 verification
+failure (an oracle gap beyond tolerance, a builtin-table deviation, or a
+failed property sweep).  Reports go to stdout unless ``--out`` is given;
+stderr carries diagnostics only.
 
 All randomness enters through ``--seed`` and is threaded into
 ``SeededStream``; there are no hidden entropy sources, so reports are
@@ -371,8 +372,11 @@ def cmd_predict(args) -> int:
             })
 
     if args.features_out:
-        write_features_csv(args.features_out,
-                           target_features[:, :signature_dim(3, orders[0])], 3, orders[0])
+        try:
+            write_features_csv(args.features_out,
+                               target_features[:, :signature_dim(3, orders[0])], 3, orders[0])
+        except OSError as exc:
+            raise ValidationError(f"cannot write features {args.features_out}: {exc}") from None
 
     report = {
         "version": 1,
@@ -444,6 +448,8 @@ def cmd_portfolio(args) -> int:
 # --- verify-props --------------------------------------------------------
 
 def cmd_verify_props(args) -> int:
+    if not 0.0 < args.scale < math.inf:
+        raise ValidationError(f"--scale must be finite and positive, got {args.scale}")
     sweeps = run_property_sweeps(args.seed, trials_scale=args.scale)
     rows = []
     for sweep in sweeps:

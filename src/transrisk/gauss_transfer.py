@@ -44,16 +44,16 @@ from .errors import (
     DegeneratePushforward,
     DimensionMismatch,
     InconsistentAugmentation,
-    SingularInputCovariance,
     SingularIntermediateCovariance,
 )
 from .gaussian import (
     AffineModel,
     GaussianDist,
     GaussianJointTask,
-    cholesky_with_jitter,
     chol_solve,
+    explained_variance,
     fit_optimal_affine,
+    optimal_weight,
     pushforward_affine,
     sqrtm_psd,
 )
@@ -126,47 +126,53 @@ def _basic_quadratics(pair: BasicCasePair) -> tuple[float, float, float]:
     mean gap    = μ_TY − μ_SY − w_Sᵀ (μ_TX − μ_SX)
     """
     src, tgt = pair.source, pair.target
-    chol_s = cholesky_with_jitter(src.cov_x, SingularInputCovariance)
-    w_s = chol_solve(chol_s, src.cov_xy)[:, 0]
-    chol_t = cholesky_with_jitter(tgt.cov_x, SingularInputCovariance)
-    w_t = chol_solve(chol_t, tgt.cov_xy)[:, 0]
-
-    numerator = max(float(tgt.cov_xy[:, 0] @ w_t), 0.0)
+    w_s = optimal_weight(src.cov_x, src.cov_xy)[:, 0]
+    numerator = explained_variance(tgt.cov_x, tgt.cov_xy)
     denominator = max(float(w_s @ tgt.cov_x @ w_s), 0.0)
     gap = float(tgt.mean_y[0] - src.mean_y[0] - w_s @ (tgt.mean_x - src.mean_x))
     return numerator, denominator, gap
 
 
-def basic_output_risk_kl(pair: BasicCasePair) -> RiskSplit:
-    """KL output risk of reusing the source model, split variance + bias.
+def _check_variant(variant: str) -> None:
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
-    variance = h(numerator/denominator), bias = gap²/(2·denominator).
-    Requires the intermediate output law to have positive variance
-    (otherwise the optimal target law has no density against it and the
-    KL risk is undefined): denominator ≤ 1e-14 raises
-    DegeneratePushforward.  A zero numerator (uncorrelated target)
-    yields +∞, matching the point-mass limit.
+
+def _scalar_split(target_var: float, inter_var: float, gap: float,
+                  variant: str) -> RiskSplit:
+    """Risk between the scalar laws N(μ + gap, target_var) and
+    N(μ, inter_var), both variances ≥ 0, split variance + bias.
+
+    KL: h(target_var/inter_var) + gap²/(2·inter_var); inter_var ≤ 1e-14
+    raises DegeneratePushforward, since the target law then has no
+    density against the intermediate one.  W: (√inter_var − √target_var)²
+    + gap², defined for degenerate laws too.
     """
-    numerator, denominator, gap = _basic_quadratics(pair)
-    if denominator <= DEGENERATE_VARIANCE_TOL:
-        raise DegeneratePushforward(
-            "source model output has (near-)zero variance on target inputs; "
-            "no density to compare against")
-    variance = convex_rate(numerator / denominator)
-    bias = gap * gap / (2.0 * denominator)
+    if variant == KL:
+        if inter_var <= DEGENERATE_VARIANCE_TOL:
+            raise DegeneratePushforward(
+                "source model output has (near-)zero variance on target inputs; "
+                "no density to compare against")
+        variance = convex_rate(target_var / inter_var)
+        bias = gap * gap / (2.0 * inter_var)
+    else:
+        variance = (math.sqrt(inter_var) - math.sqrt(target_var)) ** 2
+        bias = gap * gap
     return RiskSplit(variance + bias, variance, bias)
+
+
+def basic_output_risk_kl(pair: BasicCasePair) -> RiskSplit:
+    """KL output risk of reusing the source model, split variance + bias:
+    h(numerator/denominator) + gap²/(2·denominator).  A zero numerator
+    (uncorrelated target) yields +∞, matching the point-mass limit.
+    """
+    return _scalar_split(*_basic_quadratics(pair), KL)
 
 
 def basic_output_risk_w(pair: BasicCasePair) -> RiskSplit:
-    """Squared-W2 output risk of reusing the source model.
-
-    variance = (√denominator − √numerator)², bias = gap².  Defined for
-    degenerate pushforwards too (W2 needs no densities).
-    """
-    numerator, denominator, gap = _basic_quadratics(pair)
-    variance = (math.sqrt(max(denominator, 0.0)) - math.sqrt(max(numerator, 0.0))) ** 2
-    bias = gap * gap
-    return RiskSplit(variance + bias, variance, bias)
+    """Squared-W2 output risk of reusing the source model, split variance
+    + bias: (√denominator − √numerator)² + gap²."""
+    return _scalar_split(*_basic_quadratics(pair), WASSERSTEIN)
 
 
 def regret_closed_form(pair: BasicCasePair) -> RegretSplit:
@@ -240,10 +246,6 @@ class FeatureAugmentedPair:
                 "target blocks restricted to the first d input coordinates "
                 "must equal the source blocks")
 
-    @property
-    def extra_dims(self) -> int:
-        return self.target.dim_x - self.source.dim_x
-
 
 def feature_aug_risk(pair: FeatureAugmentedPair, variant: str = KL) -> RiskSplit:
     """Output risk under feature augmentation; the bias term is 0.
@@ -257,20 +259,12 @@ def feature_aug_risk(pair: FeatureAugmentedPair, variant: str = KL) -> RiskSplit
     ≥ 1 whenever the extra coordinates are informative (adding features
     can only grow the explained output variance).
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    src, tgt = pair.source, pair.target
-    chol_s = cholesky_with_jitter(src.cov_x, SingularInputCovariance)
-    den = max(float(src.cov_xy[:, 0] @ chol_solve(chol_s, src.cov_xy)[:, 0]), 0.0)
-    chol_t = cholesky_with_jitter(tgt.cov_x, SingularInputCovariance)
-    num = max(float(tgt.cov_xy[:, 0] @ chol_solve(chol_t, tgt.cov_xy)[:, 0]), 0.0)
+    _check_variant(variant)
+    den = explained_variance(pair.source.cov_x, pair.source.cov_xy)
+    num = explained_variance(pair.target.cov_x, pair.target.cov_xy)
     if den <= DEGENERATE_VARIANCE_TOL:
         raise DegeneratePushforward("source model explains no output variance")
-    if variant == KL:
-        variance = convex_rate(num / den)
-    else:
-        variance = (math.sqrt(max(num, 0.0)) - math.sqrt(den)) ** 2
-    return RiskSplit(variance, variance, 0.0)
+    return _scalar_split(num, den, 0.0, variant)
 
 
 def uncorrelated_aug_ratio(base_quadratic: float, aug_cov_x: np.ndarray,
@@ -286,11 +280,9 @@ def uncorrelated_aug_ratio(base_quadratic: float, aug_cov_x: np.ndarray,
     """
     if base_quadratic <= 0.0:
         raise DegeneratePushforward("base quadratic form must be positive")
-    aug_cov_x = np.asarray(aug_cov_x, dtype=float)
     aug_cov_xy = np.asarray(aug_cov_xy, dtype=float).reshape(-1, 1)
-    chol = cholesky_with_jitter(aug_cov_x, SingularInputCovariance)
-    extra = float(aug_cov_xy[:, 0] @ chol_solve(chol, aug_cov_xy)[:, 0])
-    return 1.0 + extra / base_quadratic
+    return 1.0 + explained_variance(np.asarray(aug_cov_x, dtype=float),
+                                    aug_cov_xy) / base_quadratic
 
 
 @dataclass(frozen=True)
@@ -330,10 +322,6 @@ class OutputAugmentedPair:
             raise InconsistentAugmentation(
                 "target blocks restricted to the first l output coordinates "
                 "must equal the source blocks")
-
-    @property
-    def extra_dims(self) -> int:
-        return self.target.dim_y - self.source.dim_y
 
 
 class OutputAugRisk(NamedTuple):
@@ -379,8 +367,7 @@ def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> OutputAugRi
     ‖μ₁−μ₂‖².  The risk vanishes exactly when the initialization
     reproduces the optimal regression of the new outputs on the inputs.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    _check_variant(variant)
     target_law, inter_law = output_aug_laws(pair)
     mu1, sigma1 = target_law.mean, target_law.cov
     mu2, sigma2 = inter_law.mean, inter_law.cov
@@ -425,7 +412,6 @@ def neutralizing_initialization(pair_source: GaussianJointTask,
     aug_cov_xy = np.asarray(aug_cov_xy, dtype=float)
     if aug_cov_xy.ndim == 1:
         aug_cov_xy = aug_cov_xy.reshape(-1, 1)
-    chol = cholesky_with_jitter(pair_source.cov_x, SingularInputCovariance)
-    weight = chol_solve(chol, aug_cov_xy).T
+    weight = optimal_weight(pair_source.cov_x, aug_cov_xy).T
     intercept = np.atleast_1d(np.asarray(aug_mean_y, dtype=float)) - weight @ pair_source.mean_x
     return AffineModel(weight, intercept)

@@ -24,8 +24,12 @@ Conventions
 
 Numerical policy: matrix square roots go through a symmetric
 eigendecomposition with eigenvalues clamped at max(0, λ); linear solves
-go through Cholesky with a single retry after adding 1e-10·trace/n of
-diagonal jitter.  Both choices are deterministic.
+go through numpy's Cholesky with a single retry after adding
+1e-10·trace/n of diagonal jitter, then ``np.linalg.solve`` on the factor
+and on its transpose.  Both choices are deterministic, and neither loads
+scipy.  The optimal weight Σ_X⁻¹Σ_XY and, for a scalar output, the
+explained variance Σ_YX Σ_X⁻¹ Σ_XY are computed by ``optimal_weight``
+and ``explained_variance`` alone.
 """
 
 from __future__ import annotations
@@ -99,10 +103,7 @@ def cholesky_with_jitter(mat: np.ndarray, err: type[Exception] = SingularInputCo
 
 def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs given the lower Cholesky factor of A."""
-    from scipy.linalg import solve_triangular
-
-    y = solve_triangular(chol, rhs, lower=True)
-    return solve_triangular(chol.T, y, lower=False)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
 
 def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
@@ -244,15 +245,25 @@ class AffineModel:
         return x @ self.weight.T + self.intercept
 
 
+def optimal_weight(cov_x: np.ndarray, cov_xy: np.ndarray) -> np.ndarray:
+    """Σ_X⁻¹ Σ_XY, of shape (d, l), from a Cholesky factor of Σ_X; a
+    singular Σ_X raises SingularInputCovariance."""
+    return chol_solve(cholesky_with_jitter(cov_x, SingularInputCovariance), cov_xy)
+
+
+def explained_variance(cov_x: np.ndarray, cov_xy: np.ndarray) -> float:
+    """Σ_YX Σ_X⁻¹ Σ_XY for a scalar output, cov_xy of shape (d, 1),
+    clamped at 0 against round-off."""
+    return max(float(cov_xy[:, 0] @ optimal_weight(cov_x, cov_xy)[:, 0]), 0.0)
+
+
 def fit_optimal_affine(task: GaussianJointTask) -> AffineModel:
     """Population least-squares model of Y on X for a joint Gaussian task.
 
     weight = Σ_YX Σ_X⁻¹ and intercept = μ_Y − Σ_YX Σ_X⁻¹ μ_X, which
-    minimize E‖Y − W X − b‖² under the task's law.  Σ_X is factorized
-    (never inverted explicitly); failure raises SingularInputCovariance.
+    minimize E‖Y − W X − b‖² under the task's law.
     """
-    chol = cholesky_with_jitter(task.cov_x, SingularInputCovariance)
-    weight = chol_solve(chol, task.cov_xy).T          # Σ_YX Σ_X⁻¹, shape (l, d)
+    weight = optimal_weight(task.cov_x, task.cov_xy).T    # Σ_YX Σ_X⁻¹, shape (l, d)
     intercept = task.mean_y - weight @ task.mean_x
     return AffineModel(weight, intercept)
 

@@ -27,9 +27,8 @@ approximations: cheap to compute before any optimization, and
 correlated (negatively) with the out-of-sample Sharpe a transferred
 portfolio achieves.
 
-scipy's Cholesky, triangular solve and NNLS are imported by the
-unanchored solve that uses them, so importing this module loads numpy
-only.
+Only NNLS comes from scipy, imported by the unanchored solve that uses
+it, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -235,10 +234,9 @@ def _spg(obj: _Objective, w: np.ndarray) -> np.ndarray:
 
 def _tangency(mu: np.ndarray, sigma: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Exact unanchored optimum for Σ = LL' by NNLS (see the module docstring)."""
-    from scipy.linalg import solve_triangular
     from scipy.optimize import nnls
 
-    y = nnls(chol.T, solve_triangular(chol, mu, lower=True))[0]
+    y = nnls(chol.T, np.linalg.solve(chol, mu))[0]
     if y.sum() > 0.0:
         w = y / y.sum()
     else:  # no positive mean: the Sharpe ratio is quasi-convex, a vertex wins
@@ -282,10 +280,8 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
             "objective unbounded")
 
     if anchor is None:
-        from scipy.linalg import cholesky
-
         try:
-            chol = cholesky(sigma, lower=True)
+            chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             pass  # singular Σ: the iterative routine below
         else:

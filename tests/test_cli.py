@@ -456,6 +456,16 @@ class TestVerifyProps:
         assert report["results"]["all_passed"]
         assert len(report["results"]["sweeps"]) == 4
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1", "0"])
+    def test_bad_scale_exit_2(self, capsys, scale):
+        """A non-finite or non-positive --scale is rejected before any
+        sweep runs."""
+        assert main(["verify-props", f"--scale={scale}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error: ")
+
 
 # --- unreadable inputs and unwritable reports --------------------------------
 
@@ -469,6 +479,7 @@ BAD_FILE_CASES = [(command, role, fault)
                   for command, roles in INPUT_ROLES.items() for role in roles
                   for fault in ("missing", "directory", "not_utf8")]
 BAD_FILE_CASES += [(command, "out", "unwritable") for command in INPUT_ROLES]
+BAD_FILE_CASES.append(("predict", "features_out", "unwritable"))
 
 
 def good_run(tmp_path, command):
@@ -498,11 +509,12 @@ def good_run(tmp_path, command):
 @pytest.mark.parametrize("command, role, fault", BAD_FILE_CASES,
                          ids=["-".join(case) for case in BAD_FILE_CASES])
 def test_bad_file_exit_2(tmp_path, capsys, command, role, fault):
-    """A missing, directory or non-UTF-8 spec or CSV, and an --out that
-    cannot be written, end in exit 2 with one diagnostic line."""
+    """A missing, directory or non-UTF-8 spec or CSV, and an --out or
+    --features-out that cannot be written, end in exit 2 with one
+    diagnostic line."""
     argv, files = good_run(tmp_path, command)
     if fault == "unwritable":
-        argv += ["--out", str(tmp_path)]
+        argv += ["--" + role.replace("_", "-"), str(tmp_path)]
     else:
         path = Path(files[role])
         if fault == "not_utf8":

@@ -21,8 +21,10 @@ from transrisk.errors import (
     AsymmetricCovariance,
     DimensionMismatch,
     NotPositiveSemidefinite,
+    SingularInputCovariance,
     SingularReference,
 )
+from transrisk.gaussian import CHOLESKY_JITTER, chol_solve, cholesky_with_jitter
 
 
 def random_task(rng, d, l=1, scale=1.0):
@@ -117,6 +119,38 @@ class TestFitOptimalAffine:
             dw = rng.normal(scale=1e-3, size=2)
             db = rng.normal(scale=1e-3)
             assert population_loss(model.weight[0] + dw, model.intercept[0] + db) >= base
+
+
+class TestCholeskyJitter:
+    """The single jitter retry of ``cholesky_with_jitter``."""
+
+    def test_singular_psd_takes_the_retry(self):
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        chol = cholesky_with_jitter(a)
+        jittered = a + CHOLESKY_JITTER * np.trace(a) / 2 * np.eye(2)
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(chol @ chol.T, jittered, rtol=0.0, atol=4 * eps)
+        # The retry solves the jittered system, whose condition number is
+        # about 2e10, so only the backward error is small: a Cholesky
+        # solve keeps the normwise backward error
+        # ‖Mx − b‖ / (‖M‖‖x‖ + ‖b‖) below a small multiple of n·eps.
+        rng = np.random.default_rng(5)
+        for rhs in (np.array([1.0, 2.0]), rng.normal(size=2), rng.normal(size=(2, 3))):
+            x = chol_solve(chol, rhs)
+            backward = np.linalg.norm(jittered @ x - rhs) / (
+                np.linalg.norm(jittered, 2) * np.linalg.norm(x) + np.linalg.norm(rhs))
+            assert backward <= 8 * 2 * eps
+
+    def test_zero_matrix_raises_given_error(self):
+        with pytest.raises(SingularReference, match="not positive definite"):
+            cholesky_with_jitter(np.zeros((2, 2)), SingularReference)
+
+    def test_indefinite_matrix_raises_after_retry(self):
+        with pytest.raises(SingularInputCovariance, match="even with jitter"):
+            cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                 SingularInputCovariance)
 
 
 class TestPushforward:

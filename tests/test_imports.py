@@ -1,5 +1,7 @@
 """Import surface: scipy and jsonschema load on the first call that needs
-them, not when the package or the CLI is imported.
+them, not when the package or the CLI is imported.  scipy is reached
+only by the --verify oracles and the NNLS of the unanchored Sharpe
+solve, so the closed forms, predict and the property sweeps load none.
 
 Each check runs in a fresh interpreter, because the test process has
 long since imported scipy.
@@ -17,8 +19,10 @@ import transrisk
 from test_cli import BASIC_SPEC, write_price_csv, write_returns_csv, write_spec
 
 SRC = str(Path(transrisk.__file__).resolve().parents[1])
-# loaded only by the --verify oracles or the unanchored Sharpe solve
-ORACLE_OR_SOLVER = ("scipy.integrate", "scipy.optimize", "scipy.special")
+
+
+def scipy_modules(loaded: list[str]) -> list[str]:
+    return [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
 def loaded_after(code: str) -> list[str]:
@@ -49,7 +53,7 @@ def test_package_and_cli_import_load_no_scipy_or_jsonschema():
 def test_gaussian_risk_without_verify_skips_oracle_modules(tmp_path):
     spec = write_spec(tmp_path, BASIC_SPEC)
     loaded = cli_loads(["gaussian-risk", spec, "--out", str(tmp_path / "r.json")])
-    assert not set(ORACLE_OR_SOLVER) & set(loaded)
+    assert scipy_modules(loaded) == []
     assert "jsonschema" in loaded  # the spec and report are still validated
 
 
@@ -63,7 +67,12 @@ def test_predict_skips_oracle_modules(tmp_path):
     }
     spec = write_spec(tmp_path, job, "job.json")
     loaded = cli_loads(["predict", spec, "--out", str(tmp_path / "r.json")])
-    assert not set(ORACLE_OR_SOLVER) & set(loaded)
+    assert scipy_modules(loaded) == []
+
+
+def test_verify_props_loads_no_scipy(tmp_path):
+    loaded = cli_loads(["verify-props", "--scale", "0.01", "--out", str(tmp_path / "r.json")])
+    assert scipy_modules(loaded) == []
 
 
 def test_portfolio_skips_quadrature(tmp_path):
