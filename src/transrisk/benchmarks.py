@@ -37,6 +37,7 @@ from .gauss_transfer import BasicCasePair, regret_risk_identity
 from .gaussian import GaussianDist, GaussianJointTask
 from .mc import SeededStream
 from .portfolio import (
+    DEFAULT_PENALTY,
     Portfolio,
     ReturnsDataset,
     estimate_moments,
@@ -44,7 +45,14 @@ from .portfolio import (
     sharpe_optimize,
     sharpe_ratio,
 )
-from .regression import RegressionDataset, concat_datasets, evaluate, ridge_transfer
+from .regression import (
+    DEFAULT_SOURCE_LAMBDA,
+    DEFAULT_TRANSFER_LAMBDA,
+    RegressionDataset,
+    concat_datasets,
+    evaluate,
+    ridge_transfer,
+)
 from .signature import windowed_signature_features
 
 
@@ -94,13 +102,13 @@ def sweep_cross_entropy_bounds(stream: SeededStream, trials: int = 10_000,
     """lower ≤ center ≤ upper for random discrete triples."""
     rng = _rng(stream)
     failed = 0
-    worst = 0.0
+    worst = math.inf
     for _ in range(trials):
         k = int(rng.integers(2, max_classes + 1))
         bounds = cross_entropy_gap_bounds(
             random_discrete(rng, k), random_discrete(rng, k), random_discrete(rng, k))
         slack = min(bounds.center - bounds.lower, bounds.upper - bounds.center)
-        worst = min(worst, slack) if failed == 0 else worst
+        worst = min(worst, slack)
         if not (bounds.lower <= bounds.center <= bounds.upper):
             failed += 1
     return SweepResult("cross-entropy gap bounds", trials, failed,
@@ -238,7 +246,8 @@ def signature_dataset(log_pv: np.ndarray, lag: int, order: int,
 def ridge_transfer_study(n_seeds: int = 50, *, n_source_assets: int = 4,
                          source_len: int = 400, target_train_len: int = 70,
                          target_test_len: int = 220, lag: int = 5, order: int = 2,
-                         lambda_source: float = 1.0, lambda_transfer: float = 5.0,
+                         lambda_source: float = DEFAULT_SOURCE_LAMBDA,
+                         lambda_transfer: float = DEFAULT_TRANSFER_LAMBDA,
                          base_seed: int = 77_000) -> list[RidgeStudyCell]:
     """Direct vs anchored ridge on simulated shared-dynamics assets.
 
@@ -286,7 +295,8 @@ def _random_market(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.nda
 
 def portfolio_transfer_study(n_pairs: int = 200, *, d: int = 4,
                              source_len: int = 750, target_train_len: int = 25,
-                             target_test_len: int = 250, penalty: float = 0.2,
+                             target_test_len: int = 250,
+                             penalty: float = DEFAULT_PENALTY,
                              base_seed: int = 31_000) -> list[PortfolioStudyCell]:
     """Prescreen W2 risk vs realized Sharpe of the transferred portfolio.
 

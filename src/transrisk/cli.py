@@ -69,6 +69,7 @@ from .gaussian import (
 from .benchmarks import run_property_sweeps, signature_dataset
 from .mc import SeededStream, kl_quadrature_1d, mc_loss_gap, mc_w2_1d
 from .portfolio import (
+    DEFAULT_PENALTY,
     ReturnsDataset,
     estimate_moments,
     prescreen_risk_w2,
@@ -76,6 +77,8 @@ from .portfolio import (
     sharpe_ratio,
 )
 from .regression import (
+    DEFAULT_SOURCE_LAMBDA,
+    DEFAULT_TRANSFER_LAMBDA,
     RegressionDataset,
     concat_datasets,
     evaluate,
@@ -94,11 +97,13 @@ QUAD_ORACLE_TOL = 1e-6
 DIVERGENCE_ORACLE_TOL = 1e-10
 
 
-def _provenance(seed: int | None) -> dict:
-    return {"tool": "transrisk", "tool_version": __version__, "seed": seed}
-
-
-def _emit(report: dict, out_path: str | None) -> None:
+def _emit(kind: str, inputs: dict, results: dict, seed: int | None,
+          out_path: str | None, **blocks) -> None:
+    """Build, validate, serialize and write one report: its envelope, plus
+    the optional top-level ``blocks`` (``oracle_check``) that are not None."""
+    report = {"version": 1, "kind": kind, "inputs": inputs, "results": results,
+              "provenance": {"tool": "transrisk", "tool_version": __version__, "seed": seed},
+              **{name: block for name, block in blocks.items() if block is not None}}
     validate_report(report)
     text = canonical_json(report)
     if out_path:
@@ -214,33 +219,25 @@ def cmd_gaussian_risk(args) -> int:
         results["risk_w_le_regret"] = bool(
             identity.risk_w <= identity.regret + 1e-9 * max(1.0, identity.regret))
 
-    entries: list[dict] = []
-    if args.verify and case == "output_aug":
-        if results.get("kl") is not None:
-            entries.append(_oracle_entry(
-                "kl_vs_generic_divergence", results["kl"]["total"],
-                kl_gaussian(law_t, law_i), None, DIVERGENCE_ORACLE_TOL))
-        if "w" in results:
-            entries.append(_oracle_entry(
-                "w2_vs_generic_divergence", results["w"]["total"],
-                w2_gaussian_sq(law_t, law_i), None, DIVERGENCE_ORACLE_TOL))
-    elif args.verify:
-        inputs = target if case == "basic" else source
-        entries = _oracle_entries(results, source, target, inputs,
-                                  SeededStream(args.seed), args.mc_samples)
-
-    report = {
-        "version": 1,
-        "kind": "gaussian_risk_report",
-        "inputs": doc,
-        "results": results,
-        "provenance": _provenance(args.seed),
-    }
-    all_within = all(e["within"] for e in entries)
+    check = None
     if args.verify:
-        report["oracle_check"] = {"entries": entries, "all_within": bool(all_within)}
-    _emit(report, args.out)
-    if args.verify and not all_within:
+        if case == "output_aug":
+            entries = []
+            if results.get("kl") is not None:
+                entries.append(_oracle_entry(
+                    "kl_vs_generic_divergence", results["kl"]["total"],
+                    kl_gaussian(law_t, law_i), None, DIVERGENCE_ORACLE_TOL))
+            if "w" in results:
+                entries.append(_oracle_entry(
+                    "w2_vs_generic_divergence", results["w"]["total"],
+                    w2_gaussian_sq(law_t, law_i), None, DIVERGENCE_ORACLE_TOL))
+        else:
+            entries = _oracle_entries(results, source, target,
+                                      target if case == "basic" else source,
+                                      SeededStream(args.seed), args.mc_samples)
+        check = {"entries": entries, "all_within": all(e["within"] for e in entries)}
+    _emit("gaussian_risk_report", doc, results, args.seed, args.out, oracle_check=check)
+    if check is not None and not check["all_within"]:
         print("oracle cross-check failed: gap beyond tolerance", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
@@ -278,15 +275,9 @@ def cmd_office_table(args) -> int:
         results["tolerance"] = OFFICE31_TABLE_TOL
         results["all_within"] = bool(max_dev <= OFFICE31_TABLE_TOL)
 
-    report = {
-        "version": 1,
-        "kind": "office_table_report",
-        "inputs": {"builtin": bool(args.builtin),
-                   "csv": None if args.builtin else str(args.csv)},
-        "results": results,
-        "provenance": _provenance(None),
-    }
-    _emit(report, args.out)
+    _emit("office_table_report", {"builtin": bool(args.builtin),
+                                  "csv": None if args.builtin else str(args.csv)},
+          results, None, args.out)
     if args.builtin and not results["all_within"]:
         print(f"builtin table deviation {max_dev} exceeds {OFFICE31_TABLE_TOL}",
               file=sys.stderr)
@@ -318,8 +309,8 @@ def cmd_predict(args) -> int:
         raise SpecFileError(f"split_date {doc['split_date']!r} is not ISO-8601") from None
     lags = sorted(set(doc["lag"] if isinstance(doc["lag"], list) else [doc["lag"]]))
     orders = sorted(set(doc["order"] if isinstance(doc["order"], list) else [doc["order"]]))
-    lam_s = float(doc.get("lambda_source", 1.0))
-    lam_t = float(doc.get("lambda_transfer", 5.0))
+    lam_s = float(doc.get("lambda_source", DEFAULT_SOURCE_LAMBDA))
+    lam_t = float(doc.get("lambda_transfer", DEFAULT_TRANSFER_LAMBDA))
 
     # Each CSV is read once, and each (asset, lag) gets one feature matrix
     # at the top order: order m is its first signature_dim(3, m) columns,
@@ -378,19 +369,11 @@ def cmd_predict(args) -> int:
         except OSError as exc:
             raise ValidationError(f"cannot write features {args.features_out}: {exc}") from None
 
-    report = {
-        "version": 1,
-        "kind": "prediction_report",
-        "inputs": doc,
-        "results": {
-            "grid": grid,
-            "target_period_days": infer_period_days(series[doc["target_csv"]][0]),
-            "note": "metrics are computed on targets standardized by "
-                    "target-train statistics",
-        },
-        "provenance": _provenance(None),
-    }
-    _emit(report, args.out)
+    _emit("prediction_report", doc, {
+        "grid": grid,
+        "target_period_days": infer_period_days(series[doc["target_csv"]][0]),
+        "note": "metrics are computed on targets standardized by target-train statistics",
+    }, None, args.out)
     return EXIT_OK
 
 
@@ -398,7 +381,7 @@ def cmd_predict(args) -> int:
 
 def cmd_portfolio(args) -> int:
     doc = _load_spec(args.job, "portfolio_job")
-    penalty = float(doc.get("penalty", 0.2))
+    penalty = float(doc.get("penalty", DEFAULT_PENALTY))
     seed = int(doc.get("seed", 0))
 
     datasets = {}
@@ -434,14 +417,7 @@ def cmd_portfolio(args) -> int:
         "prescreen_risk_sq": risk_sq,
         "prescreen_risk": math.sqrt(max(risk_sq, 0.0)),
     }
-    report = {
-        "version": 1,
-        "kind": "portfolio_report",
-        "inputs": doc,
-        "results": results,
-        "provenance": _provenance(seed),
-    }
-    _emit(report, args.out)
+    _emit("portfolio_report", doc, results, seed, args.out)
     return EXIT_OK
 
 
@@ -460,14 +436,8 @@ def cmd_verify_props(args) -> int:
                      "failed": sweep.failed, "passed": sweep.passed,
                      "detail": sweep.detail})
     all_passed = all(sweep.passed for sweep in sweeps)
-    report = {
-        "version": 1,
-        "kind": "property_report",
-        "inputs": {"seed": args.seed, "scale": args.scale},
-        "results": {"sweeps": rows, "all_passed": bool(all_passed)},
-        "provenance": _provenance(args.seed),
-    }
-    _emit(report, args.out)
+    _emit("property_report", {"seed": args.seed, "scale": args.scale},
+          {"sweeps": rows, "all_passed": bool(all_passed)}, args.seed, args.out)
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 

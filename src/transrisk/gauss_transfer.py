@@ -53,6 +53,7 @@ from .gaussian import (
     chol_solve,
     explained_variance,
     fit_optimal_affine,
+    numerically_singular,
     optimal_weight,
     pushforward_affine,
     sqrtm_psd,
@@ -381,18 +382,15 @@ def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> OutputAugRi
         bias = float(diff @ diff)
         return OutputAugRisk(variance + bias, variance, bias, mu1, sigma1, mu2, sigma2)
 
-    try:
-        chol2 = np.linalg.cholesky(sigma2)
-    except np.linalg.LinAlgError:
+    if numerically_singular(sigma2):
         raise SingularIntermediateCovariance(
             "stacked intermediate covariance is not positive definite; "
-            "the initialization must give the new block full rank") from None
+            "the initialization must give the new block full rank")
+    chol2 = np.linalg.cholesky(sigma2)
     n = mu1.shape[0]
     trace_term = float(np.trace(chol_solve(chol2, sigma1)))
-    sign1, logdet1 = np.linalg.slogdet(sigma1)
-    if sign1 <= 0:
-        # target law singular against a full-rank intermediate: infinite KL
-        logdet1 = -math.inf
+    # a target law singular against a full-rank intermediate: infinite KL
+    logdet1 = -math.inf if numerically_singular(sigma1) else np.linalg.slogdet(sigma1)[1]
     logdet2 = 2.0 * float(np.sum(np.log(np.diag(chol2))))
     variance = max(0.5 * (trace_term - (logdet1 - logdet2) - n), 0.0)
     bias = 0.5 * float(diff @ chol_solve(chol2, diff))

@@ -29,7 +29,11 @@ go through numpy's Cholesky with a single retry after adding
 and on its transpose.  Both choices are deterministic, and neither loads
 scipy.  The optimal weight Σ_X⁻¹Σ_XY and, for a scalar output, the
 explained variance Σ_YX Σ_X⁻¹ Σ_XY are computed by ``optimal_weight``
-and ``explained_variance`` alone.
+and ``explained_variance`` alone.  A multivariate KL treats a law as
+rank deficient when its covariance has λ_min ≤ 1e-12·λ_max
+(``numerically_singular``), not when a Cholesky factor or a
+log-determinant's sign happens to fail: laws singular by construction
+reach about 1e-16 after round-off, which either test can miss.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ SYMMETRY_TOL = 1e-10
 PSD_REL_TOL = 1e-8
 PD_MIN_EIG = 1e-10
 CHOLESKY_JITTER = 1e-10
+RANK_REL_TOL = 1e-12
 
 
 def _as_vector(x, name: str = "vector") -> np.ndarray:
@@ -104,6 +109,13 @@ def cholesky_with_jitter(mat: np.ndarray, err: type[Exception] = SingularInputCo
 def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs given the lower Cholesky factor of A."""
     return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+
+
+def numerically_singular(cov: np.ndarray) -> bool:
+    """Whether a symmetric PSD matrix has numerical rank below its size:
+    λ_min ≤ 1e-12·λ_max, which includes the zero matrix."""
+    eigs = np.linalg.eigvalsh(cov)
+    return bool(eigs[0] <= RANK_REL_TOL * eigs[-1])
 
 
 def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
@@ -300,24 +312,23 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
 
     ½ [ Tr(Σq⁻¹Σp) − log det(Σp)/det(Σq) − n + (μp−μq)ᵀ Σq⁻¹ (μp−μq) ].
 
-    The reference q must have a strictly positive-definite covariance:
-    a rank-deficient q (e.g. a degenerate pushforward) has no density,
-    absolute continuity fails and SingularReference is raised.  A rank-
-    deficient p against a valid reference yields +∞ (p is then singular
-    with respect to q), returned as math.inf rather than an error.
+    Both covariances go through ``numerically_singular``.  The reference
+    q must pass it: a rank-deficient q (e.g. a degenerate pushforward)
+    has no density, absolute continuity fails and SingularReference is
+    raised.  A rank-deficient p against a valid reference yields +∞ (p
+    is then singular with respect to q), returned as math.inf rather
+    than an error.
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
-    try:
-        chol_q = np.linalg.cholesky(q.cov)
-    except np.linalg.LinAlgError:
-        raise SingularReference("reference covariance is not positive definite") from None
-    n = p.dim
-    solved = chol_solve(chol_q, p.cov)
-    trace_term = float(np.trace(solved))
-    sign_p, logdet_p = np.linalg.slogdet(p.cov)
-    if sign_p <= 0:
+    if numerically_singular(q.cov):
+        raise SingularReference("reference covariance is not positive definite")
+    if numerically_singular(p.cov):
         return math.inf
+    chol_q = np.linalg.cholesky(q.cov)
+    n = p.dim
+    trace_term = float(np.trace(chol_solve(chol_q, p.cov)))
+    logdet_p = np.linalg.slogdet(p.cov)[1]
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(chol_q))))
     diff = p.mean - q.mean
     quad = float(diff @ chol_solve(chol_q, diff))

@@ -54,6 +54,7 @@ GRAD_TOL = 1e-8
 MAX_ITER = 100_000
 BB_MIN, BB_MAX = 1e-10, 1e6  # Barzilai–Borwein step clamp; 1/BB_MIN > 2·penalty up to 5e9
 ARMIJO = 1e-4
+DEFAULT_PENALTY = 0.2  # a portfolio job's pull penalty when it states none
 
 
 @dataclass(frozen=True)

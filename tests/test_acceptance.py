@@ -8,6 +8,7 @@ runs the two synthetic end-to-end studies (under five minutes).
 """
 
 import numpy as np
+import pytest
 from scipy.stats import chi2, norm, t as student_t
 
 from transrisk import (
@@ -66,6 +67,7 @@ def test_criterion_1_published_table_reproduction():
     report(1, "published risk table", worst <= 0.0025, f"max deviation {worst:.5f}")
 
 
+@pytest.mark.slow
 def test_criterion_2_regret_lower_bound_at_scale():
     """10^4 random pairs, d in 1..6: risk_w <= regret always, the identity
     holds to 1e-9, and the residual is never below -1e-12."""
@@ -84,6 +86,7 @@ def test_criterion_2_regret_lower_bound_at_scale():
            f"0 violations target, got {violations}; worst identity gap {worst_gap:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_3_closed_forms_vs_oracles():
     """100 random basic-case pairs: KL within 1e-6 of quadrature, W
     studentized against sampling at n = 10^6, regret studentized against
@@ -235,6 +238,7 @@ def test_criterion_4_augmentation_structure():
            f"shortcut gap {ratio_worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_5_inequality_suites():
     """Cross-entropy gap bracket over 10^4 triples (K <= 20); the
     label-anchored output bound over 10^3 triples at p in {1, 2}; the

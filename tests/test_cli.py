@@ -64,6 +64,24 @@ def write_returns_csv(path, returns, start="2023-01-02"):
     return str(path)
 
 
+def random_cov(rng, n):
+    a = rng.normal(size=(n, n))
+    cov = a @ a.T / n + 0.2 * np.eye(n)
+    return 0.5 * (cov + cov.T)
+
+
+def task_doc(dim_x, dim_y, mean, cov):
+    return {"dim_x": dim_x, "dim_y": dim_y, "mean": np.asarray(mean).tolist(),
+            "cov": np.asarray(cov).tolist()}
+
+
+def output_aug_doc(source, target, weight, intercept):
+    return {"version": 1, "kind": "gaussian_pair", "case": "output_aug",
+            "source": source, "target": target,
+            "init_model": {"weight": np.asarray(weight).tolist(),
+                           "intercept": np.asarray(intercept).tolist()}}
+
+
 class TestGaussianRisk:
     def test_worked_example(self, tmp_path, capsys):
         spec = write_spec(tmp_path, BASIC_SPEC)
@@ -235,6 +253,44 @@ class TestGaussianRisk:
                        "cov": [[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]]},
         }
         assert main(["gaussian-risk", write_spec(tmp_path, doc)]) == 2
+
+    def test_output_aug_degenerate_targets_give_null_kl(self, tmp_path, capsys):
+        """Random d = 2 specs whose new target output is exactly c times
+        the old one: the target law is singular however round-off leaves
+        its smallest eigenvalue, so every draw reports kl: null."""
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            mean, cov = rng.normal(size=3), random_cov(rng, 3)
+            c = float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]))
+            t_cov = np.zeros((4, 4))
+            t_cov[:3, :3] = cov
+            t_cov[:3, 3] = t_cov[3, :3] = c * cov[:, 2]
+            t_cov[3, 3] = c * c * cov[2, 2]
+            doc = output_aug_doc(task_doc(2, 1, mean, cov),
+                                 task_doc(2, 2, np.append(mean, c * mean[2]), t_cov),
+                                 rng.normal(size=(1, 2)), rng.normal(size=1))
+            code, report = run_report(capsys, ["gaussian-risk", write_spec(tmp_path, doc)])
+            assert code == 0, seed
+            assert report["results"]["kl"] is None, seed
+            assert report["results"]["kl_note"] == \
+                "infinite: the target output law is degenerate"
+
+    def test_output_aug_singular_intermediate_exit_3(self, tmp_path, capsys):
+        """Random d = 2 specs whose init weight is twice the source model's
+        weight: the stacked intermediate law is singular, so every draw
+        exits 3 with the KL variant and 0 with W alone."""
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            mean, cov = rng.normal(size=4), random_cov(rng, 4)
+            s_cov = cov[:3, :3]
+            weight = np.linalg.solve(s_cov[:2, :2], s_cov[:2, 2])
+            doc = output_aug_doc(task_doc(2, 1, mean[:3], s_cov), task_doc(2, 2, mean, cov),
+                                 2.0 * weight[None, :], rng.normal(size=1))
+            spec = write_spec(tmp_path, doc)
+            assert main(["gaussian-risk", spec]) == 3, seed
+            assert "numerical error" in capsys.readouterr().err
+            assert main(["gaussian-risk", spec, "--variant", "w"]) == 0, seed
+            capsys.readouterr()
 
 
 class TestOfficeTable:
@@ -455,6 +511,16 @@ class TestVerifyProps:
         assert code == 0
         assert report["results"]["all_passed"]
         assert len(report["results"]["sweeps"]) == 4
+
+    def test_reports_the_true_min_slack(self, capsys):
+        """The cross-entropy sweep's detail is the minimum slack over all
+        trials, which is positive when every trial holds."""
+        code, report = run_report(capsys, ["verify-props", "--scale", "0.05", "--seed", "1"])
+        assert code == 0
+        sweep = report["results"]["sweeps"][0]
+        assert sweep["name"] == "cross-entropy gap bounds"
+        prefix, value = sweep["detail"].rsplit(" ", 1)
+        assert prefix == "min slack" and float(value) > 0.0
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1", "0"])
     def test_bad_scale_exit_2(self, capsys, scale):

@@ -24,7 +24,13 @@ from transrisk.errors import (
     SingularInputCovariance,
     SingularReference,
 )
-from transrisk.gaussian import CHOLESKY_JITTER, chol_solve, cholesky_with_jitter
+from transrisk.gaussian import (
+    CHOLESKY_JITTER,
+    RANK_REL_TOL,
+    chol_solve,
+    cholesky_with_jitter,
+    numerically_singular,
+)
 
 
 def random_task(rng, d, l=1, scale=1.0):
@@ -268,6 +274,32 @@ class TestKLGaussian:
         p = GaussianDist(np.zeros(2), [[1.0, 1.0], [1.0, 1.0]])
         q = GaussianDist(np.zeros(2), np.eye(2))
         assert kl_gaussian(p, q) == np.inf
+
+    def test_round_off_rank_deficiency_is_caught(self):
+        """B Bᵀ with B of shape (3, 2) has rank 2, but round-off leaves
+        λ_min near ±1e-16·λ_max, where a Cholesky factor or a positive
+        log-determinant sign can still come out.  Every draw must give
+        +∞ as the first argument and SingularReference as the reference."""
+        rng = np.random.default_rng(5)
+        full = GaussianDist(np.zeros(3), np.eye(3))
+        for _ in range(50):
+            b = rng.normal(size=(3, 2))
+            low = GaussianDist(rng.normal(size=3), b @ b.T)
+            assert kl_gaussian(low, full) == np.inf
+            with pytest.raises(SingularReference):
+                kl_gaussian(full, low)
+
+
+class TestNumericallySingular:
+    def test_relative_tolerance(self):
+        assert not numerically_singular(np.diag([1.0, 10.0 * RANK_REL_TOL]))
+        assert numerically_singular(np.diag([1.0, RANK_REL_TOL]))
+        assert numerically_singular(np.diag([1e6, 0.1 * RANK_REL_TOL * 1e6]))
+        assert not numerically_singular(np.diag([1e-6, 1e-6]))
+
+    def test_zero_and_negative_round_off(self):
+        assert numerically_singular(np.zeros((2, 2)))
+        assert numerically_singular(np.array([[1.0, 0.0], [0.0, -1e-17]]))
 
 
 class TestW2Gaussian:
