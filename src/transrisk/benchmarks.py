@@ -36,15 +36,7 @@ from .divergence import (
 from .gauss_transfer import BasicCasePair, regret_risk_identity
 from .gaussian import GaussianDist, GaussianJointTask
 from .mc import SeededStream
-from .portfolio import (
-    DEFAULT_PENALTY,
-    Portfolio,
-    ReturnsDataset,
-    estimate_moments,
-    prescreen_risk_w2,
-    sharpe_optimize,
-    sharpe_ratio,
-)
+from .portfolio import DEFAULT_PENALTY, ReturnsDataset, transfer_portfolio
 from .regression import (
     DEFAULT_SOURCE_LAMBDA,
     DEFAULT_TRANSFER_LAMBDA,
@@ -315,8 +307,6 @@ def portfolio_transfer_study(n_pairs: int = 200, *, d: int = 4,
     chol_t = np.linalg.cholesky(sigma_t + 1e-12 * np.eye(d))
     target_train = ReturnsDataset(rng.normal(size=(target_train_len, d)) @ chol_t.T + mu_t)
     target_test = ReturnsDataset(rng.normal(size=(target_test_len, d)) @ chol_t.T + mu_t)
-    mu_train, sigma_train = estimate_moments(target_train)
-    mu_test, sigma_test = estimate_moments(target_test)
 
     cells = []
     for k in range(n_pairs):
@@ -328,15 +318,9 @@ def portfolio_transfer_study(n_pairs: int = 200, *, d: int = 4,
 
         chol_s = np.linalg.cholesky(sigma_s + 1e-12 * np.eye(d))
         source = ReturnsDataset(rng.normal(size=(source_len, d)) @ chol_s.T + mu_s)
-
-        mu_src, sigma_src = estimate_moments(source)
-        anchor = sharpe_optimize(mu_src, sigma_src)
-        transferred = sharpe_optimize(mu_train, sigma_train, anchor=anchor,
-                                      penalty=penalty)
-        cells.append(PortfolioStudyCell(
-            prescreen_risk_w2(source, target_test),
-            sharpe_ratio(transferred, mu_test, sigma_test),
-        ))
+        fit = transfer_portfolio(source, target_train, target_test, penalty)
+        cells.append(PortfolioStudyCell(fit.prescreen_risk_sq,
+                                        fit.sharpe["transferred_out_of_sample"]))
     return cells
 
 

@@ -54,8 +54,8 @@ from .gauss_transfer import (
     basic_output_risk_kl,
     basic_output_risk_w,
     feature_aug_risk,
-    output_aug_laws,
     output_aug_risk,
+    output_laws,
     regret_risk_identity,
 )
 from .gaussian import (
@@ -63,19 +63,11 @@ from .gaussian import (
     GaussianJointTask,
     fit_optimal_affine,
     kl_gaussian,
-    pushforward_affine,
     w2_gaussian_sq,
 )
 from .benchmarks import run_property_sweeps, signature_dataset
 from .mc import SeededStream, kl_quadrature_1d, mc_loss_gap, mc_w2_1d
-from .portfolio import (
-    DEFAULT_PENALTY,
-    ReturnsDataset,
-    estimate_moments,
-    prescreen_risk_w2,
-    sharpe_optimize,
-    sharpe_ratio,
-)
+from .portfolio import DEFAULT_PENALTY, ReturnsDataset, transfer_portfolio
 from .regression import (
     DEFAULT_SOURCE_LAMBDA,
     DEFAULT_TRANSFER_LAMBDA,
@@ -158,24 +150,32 @@ def _oracle_entry(name: str, closed: float, oracle: float,
 
 # --- gaussian-risk -------------------------------------------------------
 
-def _oracle_entries(results: dict, source, target, inputs,
-                    stream: SeededStream, n: int) -> list[dict]:
-    """Check the closed forms already in ``results``: KL by quadrature, W2
-    by sampling and, in the basic case, regret by the loss gap.  The
-    source model's output law is taken on the input law of ``inputs``."""
-    src_model, tgt_model = fit_optimal_affine(source), fit_optimal_affine(target)
-    target_law = pushforward_affine(tgt_model, target.mean_x, target.cov_x)
-    inter_law = pushforward_affine(src_model, inputs.mean_x, inputs.cov_x)
+def _oracle_entries(results: dict, pair, laws, stream: SeededStream, n: int) -> list[dict]:
+    """Check the closed forms already in ``results`` against ``laws``, the
+    pair's target and intermediate output laws: KL by quadrature and W2
+    by sampling for 1-D laws, both by the generic Gaussian divergences
+    for wider ones, and in the basic case regret by the loss gap."""
+    scalar = laws[0].dim == 1
     entries = []
     if results.get("kl") is not None:
-        entries.append(_oracle_entry(
-            "kl_vs_quadrature", results["kl"]["total"],
-            kl_quadrature_1d(target_law, inter_law), None, QUAD_ORACLE_TOL))
+        closed = results["kl"]["total"]
+        if scalar:
+            entries.append(_oracle_entry("kl_vs_quadrature", closed,
+                                         kl_quadrature_1d(*laws), None, QUAD_ORACLE_TOL))
+        else:
+            entries.append(_oracle_entry("kl_vs_generic_divergence", closed,
+                                         kl_gaussian(*laws), None, DIVERGENCE_ORACLE_TOL))
     if "w" in results:
-        est, se = mc_w2_1d(target_law, inter_law, n, stream.substream(1))
-        entries.append(_oracle_entry("w2_vs_sampling", results["w"]["total"], est, se, None))
+        closed = results["w"]["total"]
+        if scalar:
+            est, se = mc_w2_1d(*laws, n, stream.substream(1))
+            entries.append(_oracle_entry("w2_vs_sampling", closed, est, se, None))
+        else:
+            entries.append(_oracle_entry("w2_vs_generic_divergence", closed,
+                                         w2_gaussian_sq(*laws), None, DIVERGENCE_ORACLE_TOL))
     if "regret" in results:
-        est, se = mc_loss_gap(src_model, tgt_model, target, n, stream.substream(2))
+        src_model, tgt_model = fit_optimal_affine(pair.source), fit_optimal_affine(pair.target)
+        est, se = mc_loss_gap(src_model, tgt_model, pair.target, n, stream.substream(2))
         entries.append(_oracle_entry("regret_vs_loss_gap", results["regret"], est, se, None))
     return entries
 
@@ -200,10 +200,10 @@ def cmd_gaussian_risk(args) -> int:
                            np.asarray(doc["init_model"]["intercept"]))
         pair = OutputAugmentedPair(source, target, init)
         risk_of = lambda variant: output_aug_risk(pair, variant)
-        law_t, law_i = output_aug_laws(pair)
-        results["target_law"] = {"mean": law_t.mean.tolist(), "cov": law_t.cov.tolist()}
-        results["intermediate_law"] = {"mean": law_i.mean.tolist(),
-                                       "cov": law_i.cov.tolist()}
+    laws = output_laws(pair) if case == "output_aug" or args.verify else None
+    if case == "output_aug":
+        for key, law in zip(("target_law", "intermediate_law"), laws):
+            results[key] = {"mean": law.mean.tolist(), "cov": law.cov.tolist()}
 
     for variant in ("kl", "w") if args.variant == "both" else (args.variant,):
         split = risk_of(variant)
@@ -221,20 +221,7 @@ def cmd_gaussian_risk(args) -> int:
 
     check = None
     if args.verify:
-        if case == "output_aug":
-            entries = []
-            if results.get("kl") is not None:
-                entries.append(_oracle_entry(
-                    "kl_vs_generic_divergence", results["kl"]["total"],
-                    kl_gaussian(law_t, law_i), None, DIVERGENCE_ORACLE_TOL))
-            if "w" in results:
-                entries.append(_oracle_entry(
-                    "w2_vs_generic_divergence", results["w"]["total"],
-                    w2_gaussian_sq(law_t, law_i), None, DIVERGENCE_ORACLE_TOL))
-        else:
-            entries = _oracle_entries(results, source, target,
-                                      target if case == "basic" else source,
-                                      SeededStream(args.seed), args.mc_samples)
+        entries = _oracle_entries(results, pair, laws, SeededStream(args.seed), args.mc_samples)
         check = {"entries": entries, "all_within": all(e["within"] for e in entries)}
     _emit("gaussian_risk_report", doc, results, args.seed, args.out, oracle_check=check)
     if check is not None and not check["all_within"]:
@@ -384,38 +371,23 @@ def cmd_portfolio(args) -> int:
     penalty = float(doc.get("penalty", DEFAULT_PENALTY))
     seed = int(doc.get("seed", 0))
 
-    datasets = {}
-    names = {}
+    datasets, names = [], {}
     for key in ("source_csv", "target_train_csv", "target_test_csv"):
-        _, asset_names, rows = read_returns_csv(doc[key])
-        datasets[key] = ReturnsDataset(np.asarray(rows))
-        names[key] = asset_names
-    counts = {k: d.n_assets for k, d in datasets.items()}
-    if len(set(counts.values())) != 1:
-        raise ValidationError(f"asset counts differ across files: {counts}")
+        _, names[key], rows = read_returns_csv(doc[key])
+        datasets.append(ReturnsDataset(np.asarray(rows)))
+    if len({tuple(assets) for assets in names.values()}) != 1:
+        raise ValidationError(f"asset names differ across files: {names}")
 
-    mu_s, sigma_s = estimate_moments(datasets["source_csv"])
-    anchor = sharpe_optimize(mu_s, sigma_s)
-    mu_tr, sigma_tr = estimate_moments(datasets["target_train_csv"])
-    direct = sharpe_optimize(mu_tr, sigma_tr)
-    transferred = sharpe_optimize(mu_tr, sigma_tr, anchor=anchor, penalty=penalty)
-    mu_te, sigma_te = estimate_moments(datasets["target_test_csv"])
-
-    risk_sq = prescreen_risk_w2(datasets["source_csv"], datasets["target_test_csv"])
+    fit = transfer_portfolio(*datasets, penalty)
     results = {
         "assets": names["target_train_csv"],
         "penalty": penalty,
-        "pretrained_weights": anchor.weights.tolist(),
-        "direct_weights": direct.weights.tolist(),
-        "transferred_weights": transferred.weights.tolist(),
-        "sharpe": {
-            "direct_in_sample": sharpe_ratio(direct, mu_tr, sigma_tr),
-            "direct_out_of_sample": sharpe_ratio(direct, mu_te, sigma_te),
-            "transferred_in_sample": sharpe_ratio(transferred, mu_tr, sigma_tr),
-            "transferred_out_of_sample": sharpe_ratio(transferred, mu_te, sigma_te),
-        },
-        "prescreen_risk_sq": risk_sq,
-        "prescreen_risk": math.sqrt(max(risk_sq, 0.0)),
+        "pretrained_weights": fit.pretrained.weights.tolist(),
+        "direct_weights": fit.direct.weights.tolist(),
+        "transferred_weights": fit.transferred.weights.tolist(),
+        "sharpe": fit.sharpe,
+        "prescreen_risk_sq": fit.prescreen_risk_sq,
+        "prescreen_risk": math.sqrt(max(fit.prescreen_risk_sq, 0.0)),
     }
     _emit("portfolio_report", doc, results, seed, args.out)
     return EXIT_OK

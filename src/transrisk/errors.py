@@ -76,10 +76,6 @@ class WindowTooLong(ValidationError):
     pass
 
 
-class EmptyTestSet(ValidationError):
-    pass
-
-
 class InsufficientHistory(ValidationError):
     pass
 

@@ -26,10 +26,12 @@ angular residual, which is nonnegative by Cauchy-Schwarz, so the
 Wasserstein risk is always a lower bound on regret and can prescreen
 source tasks without fitting anything.
 
-Every closed form here is cross-checked in the test suite against the
-generic divergences in ``gaussian`` applied to explicitly constructed
-pushforward laws, and against the Monte-Carlo/quadrature oracles in
-``mc``.
+``output_laws`` builds the two output laws of any of the three pairs:
+the output-augmentation report carries them, and ``--verify`` hands
+them to its oracles.  Every closed form here is cross-checked in the
+test suite against the generic divergences in ``gaussian`` applied to
+explicitly constructed pushforward laws, and against the
+Monte-Carlo/quadrature oracles in ``mc``.
 """
 
 from __future__ import annotations
@@ -258,13 +260,14 @@ def feature_aug_risk(pair: FeatureAugmentedPair, variant: str = KL) -> RiskSplit
 
     survives: KL risk h(ratio), W risk (√num − √den)².  The ratio is
     ≥ 1 whenever the extra coordinates are informative (adding features
-    can only grow the explained output variance).
+    can only grow the explained output variance).  A source model that
+    explains nothing (den ≤ 1e-14) leaves the KL risk undefined
+    (DegeneratePushforward) and the W risk equal to num, as in the
+    basic case.
     """
     _check_variant(variant)
     den = explained_variance(pair.source.cov_x, pair.source.cov_xy)
     num = explained_variance(pair.target.cov_x, pair.target.cov_xy)
-    if den <= DEGENERATE_VARIANCE_TOL:
-        raise DegeneratePushforward("source model explains no output variance")
     return _scalar_split(num, den, 0.0, variant)
 
 
@@ -325,39 +328,31 @@ class OutputAugmentedPair:
                 "must equal the source blocks")
 
 
-class OutputAugRisk(NamedTuple):
-    total: float
-    variance_term: float
-    bias_term: float
-    mean_target: np.ndarray
-    cov_target: np.ndarray
-    mean_intermediate: np.ndarray
-    cov_intermediate: np.ndarray
-
-
-def output_aug_laws(pair: OutputAugmentedPair) -> tuple[GaussianDist, GaussianDist]:
-    """The two output laws compared under output augmentation.
+def output_laws(pair: BasicCasePair | FeatureAugmentedPair | OutputAugmentedPair
+                ) -> tuple[GaussianDist, GaussianDist]:
+    """The target and intermediate output laws whose divergence is the
+    output risk of ``pair``.
 
     Target law: target inputs pushed through the optimal target model.
-    Intermediate law: target inputs pushed through the stacked model
-    (optimal source model on the first l outputs, the caller's
-    initialization on the remaining k).
+    Intermediate law: the transferred model on the transported inputs,
+    i.e. the optimal source model on the source inputs under feature
+    augmentation (the projection of the target inputs), and on the
+    target inputs otherwise; under output augmentation the transferred
+    model stacks the optimal source model (first l outputs) on the
+    caller's initialization (remaining k).
     """
-    tgt = pair.target
-    optimal = fit_optimal_affine(tgt)
-    target_law = pushforward_affine(optimal, tgt.mean_x, tgt.cov_x)
-
-    source_model = fit_optimal_affine(pair.source)
-    stacked = AffineModel(
-        np.vstack([source_model.weight, pair.init_model.weight]),
-        np.concatenate([source_model.intercept, pair.init_model.intercept]),
-    )
-    intermediate_law = pushforward_affine(stacked, tgt.mean_x, tgt.cov_x)
-    return target_law, intermediate_law
+    src, tgt = pair.source, pair.target
+    target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.mean_x, tgt.cov_x)
+    model = fit_optimal_affine(src)
+    if isinstance(pair, OutputAugmentedPair):
+        model = AffineModel(np.vstack([model.weight, pair.init_model.weight]),
+                            np.concatenate([model.intercept, pair.init_model.intercept]))
+    inputs = src if isinstance(pair, FeatureAugmentedPair) else tgt
+    return target_law, pushforward_affine(model, inputs.mean_x, inputs.cov_x)
 
 
-def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> OutputAugRisk:
-    """Output risk under output augmentation, with the two laws attached.
+def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> RiskSplit:
+    """Output risk under output augmentation, between ``output_laws(pair)``.
 
     KL variant: ½[Tr(Σ₂⁻¹Σ₁) − log det(Σ₁)/det(Σ₂) − (l+k)] as the
     variance term (equal to ½Σᵢ(λᵢ − log λᵢ − 1) over the eigenvalues
@@ -369,7 +364,7 @@ def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> OutputAugRi
     reproduces the optimal regression of the new outputs on the inputs.
     """
     _check_variant(variant)
-    target_law, inter_law = output_aug_laws(pair)
+    target_law, inter_law = output_laws(pair)
     mu1, sigma1 = target_law.mean, target_law.cov
     mu2, sigma2 = inter_law.mean, inter_law.cov
     diff = mu1 - mu2
@@ -380,7 +375,7 @@ def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> OutputAugRi
         variance = float(np.trace(sigma1) + np.trace(sigma2) - 2.0 * np.trace(cross))
         variance = max(variance, 0.0)
         bias = float(diff @ diff)
-        return OutputAugRisk(variance + bias, variance, bias, mu1, sigma1, mu2, sigma2)
+        return RiskSplit(variance + bias, variance, bias)
 
     if numerically_singular(sigma2):
         raise SingularIntermediateCovariance(
@@ -394,7 +389,7 @@ def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> OutputAugRi
     logdet2 = 2.0 * float(np.sum(np.log(np.diag(chol2))))
     variance = max(0.5 * (trace_term - (logdet1 - logdet2) - n), 0.0)
     bias = 0.5 * float(diff @ chol_solve(chol2, diff))
-    return OutputAugRisk(variance + bias, variance, bias, mu1, sigma1, mu2, sigma2)
+    return RiskSplit(variance + bias, variance, bias)
 
 
 def neutralizing_initialization(pair_source: GaussianJointTask,

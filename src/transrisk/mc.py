@@ -83,8 +83,6 @@ def sample_joint(task: GaussianJointTask, n: int, stream: SeededStream) -> np.nd
     if n < 1:
         raise DimensionMismatch("need at least one sample")
     dim = task.dim_x + task.dim_y
-    if float(np.max(np.abs(task.cov))) == 0.0:
-        return np.tile(task.mean, (n, 1))
     chol = cholesky_with_jitter(task.cov)
     z = stream.normals(n * dim).reshape(n, dim)
     return z @ chol.T + task.mean

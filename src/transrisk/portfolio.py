@@ -25,7 +25,9 @@ The prescreen distance between two return datasets is the squared
 Wasserstein-2 distance between their moment-matched Gaussian
 approximations: cheap to compute before any optimization, and
 correlated (negatively) with the out-of-sample Sharpe a transferred
-portfolio achieves.
+portfolio achieves.  ``transfer_portfolio`` runs the whole pipeline
+(pretrain, direct, anchored, score, prescreen) for the CLI's portfolio
+job and for the synthetic portfolio study alike.
 
 Only NNLS comes from scipy, imported by the unanchored solve that uses
 it, so importing this module loads numpy only.
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -305,9 +308,44 @@ def prescreen_risk_w2(source: ReturnsDataset, target: ReturnsDataset) -> float:
     the square root alongside.  Computable from returns alone, before
     any portfolio is fitted.
     """
-    if source.n_assets != target.n_assets:
-        raise DimensionMismatch(
-            f"asset counts differ: {source.n_assets} vs {target.n_assets}")
-    mu_s, sigma_s = estimate_moments(source)
-    mu_t, sigma_t = estimate_moments(target)
-    return w2_gaussian_sq(GaussianDist(mu_s, sigma_s), GaussianDist(mu_t, sigma_t))
+    _check_assets(source, target)
+    return w2_gaussian_sq(GaussianDist(*estimate_moments(source)),
+                          GaussianDist(*estimate_moments(target)))
+
+
+class PortfolioTransfer(NamedTuple):
+    pretrained: Portfolio
+    direct: Portfolio
+    transferred: Portfolio
+    sharpe: dict[str, float]
+    prescreen_risk_sq: float
+
+
+def transfer_portfolio(source: ReturnsDataset, train: ReturnsDataset,
+                       test: ReturnsDataset, penalty: float) -> PortfolioTransfer:
+    """Pretrain on ``source``, then fit ``train`` directly and anchored to
+    the pretrained portfolio with pull ``penalty``.
+
+    Both fits are scored in sample (on ``train``) and out of sample (on
+    ``test``); the prescreen risk is ``prescreen_risk_w2(source, test)``.
+    Each history's moments are estimated once.
+    """
+    _check_assets(source, train, test)
+    moments_s, moments_in, moments_out = map(estimate_moments, (source, train, test))
+    pretrained = sharpe_optimize(*moments_s)
+    direct = sharpe_optimize(*moments_in)
+    transferred = sharpe_optimize(*moments_in, anchor=pretrained, penalty=penalty)
+    risk_sq = w2_gaussian_sq(GaussianDist(*moments_s), GaussianDist(*moments_out))
+    sharpe = {
+        "direct_in_sample": sharpe_ratio(direct, *moments_in),
+        "direct_out_of_sample": sharpe_ratio(direct, *moments_out),
+        "transferred_in_sample": sharpe_ratio(transferred, *moments_in),
+        "transferred_out_of_sample": sharpe_ratio(transferred, *moments_out),
+    }
+    return PortfolioTransfer(pretrained, direct, transferred, sharpe, risk_sq)
+
+
+def _check_assets(*datasets: ReturnsDataset) -> None:
+    counts = [data.n_assets for data in datasets]
+    if len(set(counts)) != 1:
+        raise DimensionMismatch(f"asset counts differ: {' vs '.join(map(str, counts))}")

@@ -28,7 +28,6 @@ import numpy as np
 from .divergence import wp_empirical_1d
 from .errors import (
     DimensionMismatch,
-    EmptyTestSet,
     NonpositiveLambda,
     ValidationError,
 )
@@ -228,8 +227,6 @@ class EvalMetrics(NamedTuple):
 
 def evaluate(theta: np.ndarray, test: RegressionDataset) -> EvalMetrics:
     """MSE, R², and prediction/target correlation on a held-out set."""
-    if test.n_rows < 1:
-        raise EmptyTestSet("cannot evaluate on an empty test set")
     preds = predict(theta, test.features)
     resid = preds - test.targets
     mse = float(np.mean(resid ** 2))
@@ -251,6 +248,4 @@ def transfer_output_risk(theta: np.ndarray, test: RegressionDataset,
     of realized targets (label-anchored surrogate for the unobservable
     optimal-output law).
     """
-    if test.n_rows < 1:
-        raise EmptyTestSet("cannot score an empty test set")
     return wp_empirical_1d(predict(theta, test.features), test.targets, p)

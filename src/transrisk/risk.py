@@ -37,7 +37,7 @@ from .errors import (
     NonpositiveLambda,
     ValidationError,
 )
-from .gauss_transfer import BasicCasePair, basic_output_risk_w
+from .gauss_transfer import BasicCasePair, basic_output_risk_w, output_laws
 from .gaussian import AffineModel, GaussianJointTask, fit_optimal_affine, pushforward_affine, w2_gaussian_sq
 from .mc import SeededStream
 
@@ -228,7 +228,7 @@ def continuity_probe_model(pair: BasicCasePair, delta: float, trials: int,
         raise ValidationError("need at least one trial")
     tgt = pair.target
     source_model = fit_optimal_affine(pair.source)
-    target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.mean_x, tgt.cov_x)
+    target_law = output_laws(pair)[0]
 
     def risk_of(model: AffineModel) -> float:
         return w2_gaussian_sq(pushforward_affine(model, tgt.mean_x, tgt.cov_x), target_law)

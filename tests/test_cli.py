@@ -190,6 +190,22 @@ class TestGaussianRisk:
         np.testing.assert_allclose(results["kl"]["total"], 0.02626, atol=5e-6)
         assert report["oracle_check"]["all_within"]
 
+    def test_feature_aug_uninformative_source_w(self, tmp_path, capsys):
+        """A source input that explains nothing leaves the KL risk undefined
+        but the W risk finite: (√0 − √0.36)²."""
+        doc = {
+            "version": 1, "kind": "gaussian_pair", "case": "feature_aug",
+            "source": {"dim_x": 1, "dim_y": 1, "mean": [0.0, 0.0],
+                       "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "target": {"dim_x": 2, "dim_y": 1, "mean": [0.0, 0.0, 0.0],
+                       "cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.6], [0.0, 0.6, 1.0]]},
+        }
+        spec = write_spec(tmp_path, doc)
+        code, report = run_report(capsys, ["gaussian-risk", spec, "--variant", "w"])
+        assert code == 0
+        np.testing.assert_allclose(report["results"]["w"]["total"], 0.36, atol=1e-12)
+        assert main(["gaussian-risk", spec, "--variant", "kl"]) == 3
+
     def test_output_aug_spec_neutral_init(self, tmp_path, capsys):
         """Two inputs, one transferred output, one new output initialized
         at its exact population regression: the risk vanishes.  The new
@@ -493,6 +509,39 @@ class TestPortfolio:
                "target_train_csv": target, "target_test_csv": target}
         assert main(["portfolio", write_spec(tmp_path, job, "short.json")]) == 3
         assert "numerical error" in capsys.readouterr().err
+
+    def test_one_pipeline_estimates_each_history_once(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """One job is one ``transfer_portfolio`` call, which estimates the
+        moments of each of its three return histories once."""
+        from transrisk import cli, portfolio
+
+        calls = {"estimate_moments": 0, "transfer_portfolio": 0}
+
+        def counting(module, name):
+            def counted(*args, _fn=getattr(module, name), **kwargs):
+                calls[name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        counting(portfolio, "estimate_moments")
+        counting(cli, "transfer_portfolio")
+        code, _ = run_report(capsys, ["portfolio", self.make_job(tmp_path)])
+        assert code == 0
+        assert calls == {"estimate_moments": 3, "transfer_portfolio": 1}
+
+    def test_reordered_asset_columns_exit_2(self, tmp_path, capsys):
+        """Weights fitted on columns (b, a) must not be applied to (a, b)."""
+        rng = np.random.default_rng(4)
+        src = write_returns_csv(tmp_path / "src.csv", rng.normal(size=(50, 2)))
+        lines = (tmp_path / "src.csv").read_text().splitlines()
+        (tmp_path / "src.csv").write_text("\n".join(["date,a1,a0", *lines[1:]]) + "\n")
+        tr = write_returns_csv(tmp_path / "tr.csv", rng.normal(size=(50, 2)))
+        job = {"version": 1, "kind": "portfolio_job", "source_csv": src,
+               "target_train_csv": tr, "target_test_csv": tr}
+        assert main(["portfolio", write_spec(tmp_path, job, "swap.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: asset names differ")
 
     def test_mismatched_asset_counts_exit_2(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -28,7 +28,7 @@ from transrisk import (
     uncorrelated_aug_ratio,
     w2_gaussian_sq,
 )
-from transrisk.gauss_transfer import convex_rate, output_aug_laws
+from transrisk.gauss_transfer import convex_rate, output_laws
 from transrisk.benchmarks import random_basic_pair
 from transrisk.errors import DegeneratePushforward, InconsistentAugmentation
 
@@ -312,6 +312,25 @@ class TestFeatureAugmentation:
         np.testing.assert_allclose(feature_aug_risk(pair, "kl").total, oracle,
                                    atol=1e-8)
 
+    @staticmethod
+    def uninformative_source_pair():
+        """The source input explains nothing of the output (den = 0); the
+        added coordinate explains 0.36 of it."""
+        cov = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.6], [0.0, 0.6, 1.0]])
+        tgt = GaussianJointTask(2, 1, [0.0, 0.0, 0.0], cov)
+        src = GaussianJointTask(1, 1, [0.0, 0.0], cov[np.ix_([0, 2], [0, 2])])
+        return FeatureAugmentedPair(src, tgt)
+
+    def test_uninformative_source_w_is_explained_variance(self):
+        """W = (√0 − √0.36)², as for the basic case's uncorrelated source."""
+        total, variance, bias = feature_aug_risk(self.uninformative_source_pair(), "w")
+        np.testing.assert_allclose(total, 0.36, atol=1e-12)
+        assert bias == 0.0
+
+    def test_uninformative_source_kl_rejected(self):
+        with pytest.raises(DegeneratePushforward):
+            feature_aug_risk(self.uninformative_source_pair(), "kl")
+
     def test_ratio_at_least_one(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
@@ -319,6 +338,34 @@ class TestFeatureAugmentation:
             assert feature_aug_risk(pair, "w").total >= -1e-15
             # KL of a ratio ≥ 1 is finite and nonnegative
             assert feature_aug_risk(pair, "kl").total >= -1e-15
+
+
+class TestOutputLaws:
+    """``output_laws`` reproduces, bit for bit, the laws built by hand in
+    the basic-case and feature-augmentation tests above."""
+
+    @staticmethod
+    def assert_same_laws(got, want):
+        for law, ref in zip(got, want):
+            assert np.array_equal(law.mean, ref.mean)
+            assert np.array_equal(law.cov, ref.cov)
+
+    def test_basic_case(self):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            pair = random_basic_pair(rng, int(rng.integers(1, 5)))
+            tgt = pair.target
+            target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.mean_x, tgt.cov_x)
+            inter_law = pushforward_affine(fit_optimal_affine(pair.source),
+                                           tgt.mean_x, tgt.cov_x)
+            self.assert_same_laws(output_laws(pair), (target_law, inter_law))
+
+    def test_feature_augmentation_takes_source_inputs(self):
+        pair = TestFeatureAugmentation.augmented_pair(rho_cross=0.0, rho_new=0.3)
+        tgt, src = pair.target, pair.source
+        target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.mean_x, tgt.cov_x)
+        inter_law = pushforward_affine(fit_optimal_affine(src), src.mean_x, src.cov_x)
+        self.assert_same_laws(output_laws(pair), (target_law, inter_law))
 
 
 def output_aug_fixture(rng, d=3, l=1, k=1, neutral=False, bias_shift=None):
@@ -364,7 +411,7 @@ class TestOutputAugmentation:
             for variant in ("kl", "w"):
                 risk = output_aug_risk(pair, variant)
                 assert risk.total <= 1e-10
-            law_t, law_i = output_aug_laws(pair)
+            law_t, law_i = output_laws(pair)
             np.testing.assert_allclose(law_t.mean, law_i.mean, atol=1e-10)
             np.testing.assert_allclose(law_t.cov, law_i.cov, atol=1e-10)
 
@@ -376,36 +423,31 @@ class TestOutputAugmentation:
         shift = np.array([0.4])
         pair = output_aug_fixture(rng, bias_shift=shift)
         risk = output_aug_risk(pair, "kl")
+        law_t, law_i = output_laws(pair)
         assert risk.variance_term <= 1e-10
-        diff = risk.mean_target - risk.mean_intermediate
+        diff = law_t.mean - law_i.mean
         np.testing.assert_allclose(diff[:1], 0.0, atol=1e-12)
         np.testing.assert_allclose(diff[1:], -shift, atol=1e-12)
-        expected = 0.5 * diff @ np.linalg.solve(risk.cov_intermediate, diff)
+        expected = 0.5 * diff @ np.linalg.solve(law_i.cov, diff)
         np.testing.assert_allclose(risk.bias_term, expected, atol=1e-12)
-        oracle = kl_gaussian(
-            __import__("transrisk").GaussianDist(risk.mean_target, risk.cov_target),
-            __import__("transrisk").GaussianDist(risk.mean_intermediate,
-                                                 risk.cov_intermediate))
+        oracle = kl_gaussian(law_t, law_i)
         np.testing.assert_allclose(risk.total, oracle, atol=1e-10)
 
     def test_mean_gap_supported_on_new_block(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             pair = output_aug_fixture(rng)
-            risk = output_aug_risk(pair, "w")
+            law_t, law_i = output_laws(pair)
             l = pair.source.dim_y
-            diff = risk.mean_target - risk.mean_intermediate
+            diff = law_t.mean - law_i.mean
             np.testing.assert_allclose(diff[:l], 0.0, atol=1e-10)
 
     def test_matches_generic_divergences(self):
-        from transrisk import GaussianDist
-
         rng = np.random.default_rng(14)
         for _ in range(30):
             pair = output_aug_fixture(rng)
             kl_risk = output_aug_risk(pair, "kl")
-            law_t = GaussianDist(kl_risk.mean_target, kl_risk.cov_target)
-            law_i = GaussianDist(kl_risk.mean_intermediate, kl_risk.cov_intermediate)
+            law_t, law_i = output_laws(pair)
             np.testing.assert_allclose(kl_risk.total, kl_gaussian(law_t, law_i),
                                        atol=1e-10 * max(1.0, kl_risk.total))
             w_risk = output_aug_risk(pair, "w")
@@ -417,7 +459,8 @@ class TestOutputAugmentation:
         rng = np.random.default_rng(15)
         pair = output_aug_fixture(rng)
         risk = output_aug_risk(pair, "kl")
-        lam = np.linalg.eigvals(np.linalg.solve(risk.cov_intermediate, risk.cov_target))
+        law_t, law_i = output_laws(pair)
+        lam = np.linalg.eigvals(np.linalg.solve(law_i.cov, law_t.cov))
         lam = np.real(lam)
         expected = 0.5 * float(np.sum(lam - np.log(lam) - 1.0))
         np.testing.assert_allclose(risk.variance_term, expected, atol=1e-9)

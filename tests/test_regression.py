@@ -15,7 +15,6 @@ from transrisk import (
 from transrisk.regression import concat_datasets, predict
 from transrisk.errors import (
     DimensionMismatch,
-    EmptyTestSet,
     NonpositiveLambda,
     ValidationError,
 )
@@ -187,7 +186,7 @@ class TestEvaluate:
         np.testing.assert_allclose(metrics.corr, corr, atol=1e-10)
 
     def test_empty_test_set(self):
-        with pytest.raises((EmptyTestSet, ValidationError)):
+        with pytest.raises(ValidationError):
             evaluate(np.ones(2), RegressionDataset(np.zeros((0, 2)), np.zeros(0)))
 
 
