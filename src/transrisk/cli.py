@@ -430,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check closed forms against the independent oracles")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mc-samples", type=int, default=200_000,
-                   help="Monte-Carlo sample count for --verify")
+                   help="Monte-Carlo rows for --verify; n rows are drawn as "
+                        "antithetic pairs (z, -z), about n/2 normals")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_gaussian_risk)
 

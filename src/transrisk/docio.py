@@ -377,11 +377,16 @@ def read_price_volume_csv(path) -> tuple[list[_dt.date], list[float], list[float
 
 
 def read_returns_csv(path) -> tuple[list[_dt.date], list[str], list[list[float]]]:
-    """Read a returns file with header date,<asset>,<asset>,..."""
+    """Read a returns file with header date,<asset>,<asset>,...; the
+    asset names must be distinct, so weights can be matched to them."""
     header, dates, rows = _dated_csv(
         path, lambda cols: len(cols) >= 3 and cols[0] == "date",
         "date plus at least two asset columns")
-    return dates, [h.strip() for h in header[1:]], rows
+    names = [h.strip() for h in header[1:]]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValidationError(f"{path}: duplicate asset names {repeated}")
+    return dates, names, rows
 
 
 def read_risk_rows_csv(path) -> list[tuple[str, float, float]]:

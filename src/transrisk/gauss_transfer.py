@@ -142,19 +142,20 @@ def _check_variant(variant: str) -> None:
 
 
 def _scalar_split(target_var: float, inter_var: float, gap: float,
-                  variant: str) -> RiskSplit:
+                  variant: str, inputs: str = "target") -> RiskSplit:
     """Risk between the scalar laws N(μ + gap, target_var) and
     N(μ, inter_var), both variances ≥ 0, split variance + bias.
 
     KL: h(target_var/inter_var) + gap²/(2·inter_var); inter_var ≤ 1e-14
     raises DegeneratePushforward, since the target law then has no
-    density against the intermediate one.  W: (√inter_var − √target_var)²
-    + gap², defined for degenerate laws too.
+    density against the intermediate one.  ``inputs`` names the inputs
+    the intermediate law is taken on, for that message.  W:
+    (√inter_var − √target_var)² + gap², defined for degenerate laws too.
     """
     if variant == KL:
         if inter_var <= DEGENERATE_VARIANCE_TOL:
             raise DegeneratePushforward(
-                "source model output has (near-)zero variance on target inputs; "
+                f"source model output has (near-)zero variance on {inputs} inputs; "
                 "no density to compare against")
         variance = convex_rate(target_var / inter_var)
         bias = gap * gap / (2.0 * inter_var)
@@ -268,7 +269,7 @@ def feature_aug_risk(pair: FeatureAugmentedPair, variant: str = KL) -> RiskSplit
     _check_variant(variant)
     den = explained_variance(pair.source.cov_x, pair.source.cov_xy)
     num = explained_variance(pair.target.cov_x, pair.target.cov_xy)
-    return _scalar_split(num, den, 0.0, variant)
+    return _scalar_split(num, den, 0.0, variant, inputs="source")
 
 
 def uncorrelated_aug_ratio(base_quadratic: float, aug_cov_x: np.ndarray,

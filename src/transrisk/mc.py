@@ -3,26 +3,36 @@
 Every closed form in the library is cross-checked against an estimator
 in this module that shares no code path with it: sampling goes through
 the joint Cholesky factor, losses through raw residuals, 1-D squared-W2
-through common-uniform quantile coupling, and KL through adaptive
-quadrature of p·log(p/q).  The module is shipped (not test-only) so
-downstream users can re-verify any number they get.
+through common-quantile coupling, and KL through adaptive quadrature of
+p·log(p/q).  The module is shipped (not test-only) so downstream users
+can re-verify any number they get.
 
 Randomness: a single documented generator, ``SeededStream``, built on
-the Philox 4x64 counter-based engine with normals drawn by inverting
-the Gaussian CDF with scipy's ``ndtri``.  One seed gives the same
-stream on every run on one machine; across machines only the first
-draws are pinned, to 1e-15 (``test_frozen_values``).  ``ndtri`` goes
-through libm ``log`` and ``sqrt``, whose last bits may differ between
-builds, so an oracle value, and a pass or fail decided by it, may
-change on another machine.  Substreams are split by (seed, index)
-keying so parallel shards never overlap.
+the Philox 4x64 counter-based engine with normals drawn by numpy's
+ziggurat ``standard_normal`` (Marsaglia & Tsang, 2000).  Substreams are
+split by (seed, index) keying so parallel shards never overlap.  One
+seed gives the same stream on every run on one machine.  Across
+machines with the same numpy release, most draws are exact products of
+integer draws and table values, but the rare wedge and tail branches
+call libm's ``exp`` and ``log1p``, whose last bits may differ between
+builds, and a flipped accept test there shifts every later draw.  So an
+oracle value, and a pass or fail decided by it, may change on another
+machine; ``test_frozen_values`` pins the first draws to 1e-15.  A numpy
+release that changes its ziggurat changes the stream.
+
+The sampling oracles use antithetic pairs (z, −z) (Hammersley & Morton,
+1956): each normal drawn is used twice, once with each sign.  A pair
+mean has variance ½·var·(1 + ρ) per normal, with ρ = corr(v(z), v(−z)),
+so per normal drawn it is never worse than plain sampling; per row it
+is worse by up to √2 in standard error when the integrand is even in z.
+The estimators read no closed-form quantity, so they stay independent.
 
 All stochastic estimates come back with a standard error; tolerance
 checks elsewhere are phrased in standard-error units, not absolute
 constants.
 
-scipy's ``ndtri`` and ``quad`` are imported by the functions that call
-them, so importing this module loads numpy only.
+scipy's ``quad`` is imported by the function that calls it, so
+importing this module, or drawing from a stream, loads numpy only.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotOneDimensional, SingularReference
 from .gaussian import AffineModel, GaussianDist, GaussianJointTask, cholesky_with_jitter
 
-STREAM_ALGORITHM = "philox4x64/inverse-cdf"
+STREAM_ALGORITHM = "philox4x64/ziggurat"
 
 @dataclass(frozen=True)
 class SeededStream:
@@ -62,15 +72,13 @@ class SeededStream:
         return SeededStream(self.seed, child)
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n doubles in (0, 1), clipped away from the endpoints so the
-        inverse CDF stays finite."""
+        """n doubles in (0, 1), clipped away from the endpoints."""
         u = np.random.Generator(self._bit_generator()).random(n)
         return np.clip(u, 1e-15, 1.0 - 1e-15)
 
     def normals(self, n: int) -> np.ndarray:
-        from scipy.special import ndtri
-
-        return ndtri(self.uniforms(n))
+        """n standard normals by the ziggurat method."""
+        return np.random.Generator(self._bit_generator()).standard_normal(n)
 
 
 def sample_joint(task: GaussianJointTask, n: int, stream: SeededStream) -> np.ndarray:
@@ -93,25 +101,49 @@ _CHUNK = 1_000_000
 
 def _chunked_mean(task: GaussianJointTask, n: int, stream: SeededStream,
                   per_draw) -> tuple[float, float]:
-    """Mean of ``per_draw(x, y)`` over n joint draws, with its standard error.
+    """Mean of ``per_draw(x, y)`` over n joint rows in antithetic pairs,
+    with its standard error.
 
     Evaluated in chunks so n = 10^7 does not materialize 10^7×(d+l)
     doubles at once; chunk k draws from substream k, so the estimate is a
-    pure function of (arguments, seed).
+    pure function of (arguments, seed).  A chunk of c rows draws ⌈c/2⌉
+    standard-normal rows z, colours them once with the lower Cholesky
+    factor L of the joint covariance, and evaluates ``per_draw`` at
+    mean + zLᵀ and at mean − zLᵀ for the first ⌊c/2⌋ of them, so no pair
+    spans two chunks.  The estimate is the mean over exactly n rows.
+
+    The standard error is taken over the i.i.d. pair means, with
+    variances about the estimate.  A chunk of odd length leaves its last
+    row unpaired; such a row enters the variance of the estimate with the
+    per-row sample variance, since a pair mean's variance would
+    understate it when ρ < 1.
     """
-    if n < 2:
-        raise DimensionMismatch("need n >= 2 for a standard error")
+    if n < 4:
+        raise DimensionMismatch("need n >= 4: two antithetic pairs for a standard error")
     d = task.dim_x
-    total = 0.0
-    total_sq = 0.0
+    dim = task.dim_x + task.dim_y
+    chol = cholesky_with_jitter(task.cov)
+    total = total_sq = pair_sq = 0.0
+    pairs = 0
     for chunk_index, start in enumerate(range(0, n, _CHUNK)):
-        xy = sample_joint(task, min(_CHUNK, n - start), stream.substream(chunk_index))
-        values = per_draw(xy[:, :d], xy[:, d:])
-        total += float(np.sum(values))
-        total_sq += float(np.sum(values * values))
+        rows = min(_CHUNK, n - start)
+        half = (rows + 1) // 2
+        z = stream.substream(chunk_index).normals(half * dim).reshape(half, dim)
+        col = z @ chol.T
+        plus = task.mean + col
+        minus = task.mean - col[:rows - half]
+        v_plus = per_draw(plus[:, :d], plus[:, d:])
+        v_minus = per_draw(minus[:, :d], minus[:, d:])
+        pair_means = 0.5 * (v_plus[:rows - half] + v_minus)
+        total += float(np.sum(v_plus)) + float(np.sum(v_minus))
+        total_sq += float(v_plus @ v_plus) + float(v_minus @ v_minus)
+        pair_sq += float(pair_means @ pair_means)
+        pairs += rows - half
     mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
+    pair_var = max(pair_sq / pairs - mean * mean, 0.0)
+    unpaired = n - 2 * pairs
+    row_var = max(total_sq / n - mean * mean, 0.0)
+    return mean, math.sqrt(4 * pairs * pair_var + unpaired * row_var) / n
 
 
 def _squared_error(model: AffineModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -146,17 +178,19 @@ def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int, stream: SeededStream,
              shards: int = 40) -> tuple[float, float]:
     """Sampled squared W2 between two 1-D Gaussians.
 
-    Draws n common uniforms u and pushes each through both quantile
-    functions, a = F_p⁻¹(u) and b = F_q⁻¹(u).  This comonotone coupling
-    is the optimal transport plan on the line, so E[(a − b)²] equals
-    W2²(p, q) exactly and the sample mean is unbiased at every n; the
-    estimator never touches the Bures formula it is checked against.
-    (Sorting two independent samples instead would add the empirical
-    W2² between them, about 6–8·σ²/m for m points per shard.)  The n
-    draws are split into ``shards`` shards, each from its own substream;
-    the first n mod shards shards take one draw more than the rest.  The
-    mean over all n draws comes back with the batch-means standard error
-    of the shard means.
+    Pushes n common standard normals z through both quantile functions,
+    a = μ_p + σ_p·z and b = μ_q + σ_q·z.  This comonotone coupling is the
+    optimal transport plan on the line, so E[(a − b)²] equals W2²(p, q)
+    exactly and the sample mean is unbiased at every n; the estimator
+    never touches the Bures formula it is checked against.  (Sorting two
+    independent samples instead would add the empirical W2² between
+    them, about 6–8·σ²/m for m points per shard.)  The n rows are split
+    into ``shards`` shards, each from its own substream; the first
+    n mod shards shards take one row more than the rest.  A shard of m
+    rows draws ⌈m/2⌉ normals z and uses the antithetic rows
+    concat(z, −z)[:m].  The shard means stay i.i.d., so the mean over all
+    n rows comes back with the batch-means standard error of the shard
+    means, a Student t with shards − 1 degrees of freedom.
     """
     if p.dim != 1 or q.dim != 1:
         raise NotOneDimensional("sampled W2 oracle is 1-D only")
@@ -168,7 +202,9 @@ def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int, stream: SeededStream,
     sd_q = math.sqrt(max(q.cov[0, 0], 0.0))
     estimates = np.empty(shards)
     for k in range(shards):
-        z = stream.substream(k).normals(int(sizes[k]))
+        m = int(sizes[k])
+        z = stream.substream(k).normals((m + 1) // 2)
+        z = np.concatenate([z, -z])[:m]
         a = p.mean[0] + sd_p * z
         b = q.mean[0] + sd_q * z
         estimates[k] = float(np.mean((a - b) ** 2))

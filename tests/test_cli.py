@@ -205,6 +205,8 @@ class TestGaussianRisk:
         assert code == 0
         np.testing.assert_allclose(report["results"]["w"]["total"], 0.36, atol=1e-12)
         assert main(["gaussian-risk", spec, "--variant", "kl"]) == 3
+        err = capsys.readouterr().err
+        assert "zero variance on source inputs" in err and "target inputs" not in err
 
     def test_output_aug_spec_neutral_init(self, tmp_path, capsys):
         """Two inputs, one transferred output, one new output initialized
@@ -542,6 +544,20 @@ class TestPortfolio:
         assert main(["portfolio", write_spec(tmp_path, job, "swap.json")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("validation error: asset names differ")
+
+    def test_duplicate_asset_names_exit_2(self, tmp_path, capsys):
+        """Weights cannot be matched to assets whose names repeat."""
+        rng = np.random.default_rng(6)
+        path = tmp_path / "dup.csv"
+        write_returns_csv(path, rng.normal(size=(50, 2)))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["date,a,a", *lines[1:]]) + "\n")
+        job = {"version": 1, "kind": "portfolio_job", "source_csv": str(path),
+               "target_train_csv": str(path), "target_test_csv": str(path)}
+        assert main(["portfolio", write_spec(tmp_path, job, "dup.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+        assert "duplicate asset names" in err[0]
 
     def test_mismatched_asset_counts_exit_2(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -1,7 +1,8 @@
 """Import surface: scipy and jsonschema load on the first call that needs
 them, not when the package or the CLI is imported.  scipy is reached
-only by the --verify oracles and the NNLS of the unanchored Sharpe
-solve, so the closed forms, predict and the property sweeps load none.
+only by the --verify oracles' quadrature and the NNLS of the unanchored
+Sharpe solve, so the closed forms, predict, the property sweeps and the
+oracle normals load none.
 
 Each check runs in a fresh interpreter, because the test process has
 long since imported scipy.
@@ -48,6 +49,12 @@ def cli_loads(argv: list[str]) -> list[str]:
 
 def test_package_and_cli_import_load_no_scipy_or_jsonschema():
     assert loaded_after("import transrisk, transrisk.cli") == []
+
+
+def test_stream_normals_load_no_scipy():
+    """The oracle normals are numpy's ziggurat, not scipy's inverse CDF."""
+    assert scipy_modules(loaded_after(
+        "from transrisk.mc import SeededStream\nSeededStream(0).normals(10)")) == []
 
 
 def test_gaussian_risk_without_verify_skips_oracle_modules(tmp_path):

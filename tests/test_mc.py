@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, norm, t as student_t
 
 from transrisk import (
     AffineModel,
@@ -52,7 +53,7 @@ class TestSeededStream:
         """Freeze the first draws so any engine change is caught."""
         got = SeededStream(2024).normals(3)
         np.testing.assert_allclose(
-            got, [0.6869828763671509, 0.3952018636067077, 0.9561872707588699],
+            got, [0.03674125380393216, -0.588885431018047, -1.361403659119672],
             rtol=0, atol=1e-15)
 
 
@@ -66,14 +67,36 @@ class TestSampleJoint:
         np.testing.assert_allclose(draws, np.tile([2.0, -1.0], (10, 1)), atol=1e-3)
 
     def test_moments_converge(self):
+        """Studentized sample moments at n = 10^6 pass a Bonferroni gate.
+
+        Each mean is scored by (x̄ᵢ − μᵢ)/√(σᵢᵢ/n) and each covariance
+        entry i ≤ j by (ĉᵢⱼ − σᵢⱼ)/√((σᵢᵢσⱼⱼ + σᵢⱼ²)/n), its standard error
+        for Gaussian rows.  For a correct sampler the 4 + 10 scores are
+        about N(0, 1), so the gate max |score| <= Φ⁻¹(1 − α/28) = 3.97 with
+        α = 1e-3 fails by chance on at most 0.1% of seeds.  Colouring the
+        same normals with Lᵀ in place of L, or with Σ in place of L, fails
+        it."""
         rng = np.random.default_rng(13)
         a = rng.normal(size=(4, 4)) / 2.0
         cov = a @ a.T + 0.3 * np.eye(4)
         task = GaussianJointTask(3, 1, rng.normal(size=4), cov)
-        draws = sample_joint(task, 10 ** 6, SeededStream(55))
-        np.testing.assert_allclose(draws.mean(axis=0), task.mean, atol=5e-3)
-        gap = np.linalg.norm(np.cov(draws, rowvar=False) - task.cov)
-        assert gap < 1e-2
+        n, alpha = 10 ** 6, 1e-3
+        upper = np.triu_indices(4)
+        var = np.diag(cov)
+        mean_se = np.sqrt(var / n)
+        cov_se = np.sqrt((np.outer(var, var) + cov ** 2) / n)[upper]
+        gate = float(norm.isf(alpha / (2 * (4 + len(cov_se)))))
+
+        def worst_score(draws):
+            mean_z = (draws.mean(axis=0) - task.mean) / mean_se
+            cov_z = (np.cov(draws, rowvar=False) - cov)[upper] / cov_se
+            return float(np.max(np.abs(np.concatenate([mean_z, cov_z]))))
+
+        assert worst_score(sample_joint(task, n, SeededStream(55))) <= gate
+        z = SeededStream(55).normals(n * 4).reshape(n, 4)
+        chol = np.linalg.cholesky(cov)
+        assert worst_score(z @ chol + task.mean) > gate
+        assert worst_score(z @ cov + task.mean) > gate
 
     def test_deterministic(self):
         task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.4], [0.4, 1.0]])
@@ -146,8 +169,9 @@ class TestMCW2:
 
     @pytest.mark.parametrize("n", [40 * 25 + 1, 40 * 25 + 17, 40 * 25 + 39])
     def test_uses_all_draws(self, n, monkeypatch):
-        """n = 40·m + r: the first r shards draw m + 1, and the estimate is
-        the mean over all n draws."""
+        """n = 40·m + r: the first r shards take m + 1 rows, a shard of m_k
+        rows draws ⌈m_k/2⌉ normals z, and the estimate is the mean over the
+        antithetic rows concat(z, −z)[:m_k] of every shard."""
         p = GaussianDist([0.3], [[1.3]])
         q = GaussianDist([-0.5], [[0.6]])
         drawn = []
@@ -160,8 +184,10 @@ class TestMCW2:
 
         monkeypatch.setattr(SeededStream, "normals", counting)
         est, _ = mc_w2_1d(p, q, n, SeededStream(5))
-        assert [len(z) for z in drawn] == [26] * (n - 1000) + [25] * (1040 - n)
-        z = np.concatenate(drawn)
+        sizes = [26] * (n - 1000) + [25] * (1040 - n)
+        assert [len(z) for z in drawn] == [(m + 1) // 2 for m in sizes]
+        z = np.concatenate([np.concatenate([z, -z])[:m] for z, m in zip(drawn, sizes)])
+        assert len(z) == n
         a = 0.3 + math.sqrt(1.3) * z
         b = -0.5 + math.sqrt(0.6) * z
         np.testing.assert_allclose(est, np.mean((a - b) ** 2), rtol=1e-13)
@@ -172,7 +198,7 @@ class TestMCW2:
 
         The standard error shrinks 10×, so for an unbiased estimator
         ``errors[1] < errors[0]`` fails by chance with probability
-        (2/π)·atan(0.1) ≈ 6% (7.0% measured over 200 seed pairs); the
+        (2/π)·atan(0.1) ≈ 6% (5.4% measured over 2000 seed pairs); the
         seeds are fixed so that the outcome is repeatable."""
         p = GaussianDist([0.3], [[1.3]])
         q = GaussianDist([-0.5], [[0.6]])
@@ -190,8 +216,8 @@ class TestMCW2:
         """Error and standard error both shrink as n grows 10^3 → 10^5.
 
         As in ``test_consistency_ladder``, ``errors[1] < errors[0]`` fails
-        by chance with probability (2/π)·atan(0.1) ≈ 6% (5.0% measured over
-        200 seed pairs); the seeds are fixed so that the outcome is
+        by chance with probability (2/π)·atan(0.1) ≈ 6% (7.2% measured over
+        2000 seed pairs); the seeds are fixed so that the outcome is
         repeatable."""
         task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]])
         model = AffineModel([[0.1]], [0.2])
@@ -206,6 +232,109 @@ class TestMCW2:
             assert abs(est - truth) <= 3.0 * se
         assert ses[1] < ses[0]
         assert errors[1] < errors[0]
+
+
+class TestAntitheticStandardErrors:
+    """The antithetic standard errors are calibrated at stated rates.
+
+    Each case is a squared gap v = (δ + s·z)² of one standard normal z:
+    the W2 rows (a − b)² for p = N(δ, (1 + s)²) and q = N(0, 1), or the
+    loss rows (y − f(x))² for independent x, y ~ N(0, s²) and f = −δ.
+    Its odd part 2δs·z and even part s²(z² − 1) give
+    ρ = corr(v(z), v(−z)) = (s² − 2δ²)/(s² + 2δ²): about −1 with a mean
+    shift, 0 at δ² = s²/2, and +1 with equal means.  A pair mean keeps
+    only the even part, so at one seed the per-pair scores are the same
+    in all three cases; what ρ changes is the per-row standard error.
+
+    Over SEEDS seeds each estimator's studentized scores are N(0, 1)
+    (W2's Student t₃₉ scores are mapped to the N(0, 1) score with the same
+    tail probability).  Two gates each fire by chance with probability
+    ALPHA: the mean beyond ±Φ⁻¹(1 − α/2)/√SEEDS, and Σz² outside the
+    central 1 − α interval of χ²_SEEDS.  The six cases then fail by chance
+    on at most 12·ALPHA = 0.12% of seed sets.  With ρ near ±1 a standard
+    error taken per row instead of per pair is wrong by a factor √(1 + ρ),
+    and the Σz² gate fires; at ρ = 0 the two agree, so nothing can fire.
+    """
+
+    SEEDS, ALPHA = 300, 1e-4
+    CASES = {"rho_-1": (3.0, 0.1), "rho_0": (math.sqrt(0.5), 1.0), "rho_+1": (0.0, 0.5)}
+
+    def fired(self, scores):
+        z = np.asarray(scores)
+        m = z.size
+        gates = []
+        if abs(z.mean()) > norm.isf(self.ALPHA / 2) / math.sqrt(m):
+            gates.append("mean")
+        if not chi2.isf(1 - self.ALPHA / 2, m) <= z @ z <= chi2.isf(self.ALPHA / 2, m):
+            gates.append("sum_sq")
+        return gates
+
+    def w2_scores(self, delta, s, monkeypatch):
+        """Per-pair (batch-means) and per-row scores of ``mc_w2_1d``."""
+        n, shards = 40 * 1000, 40
+        p, q = GaussianDist([delta], [[(1 + s) ** 2]]), GaussianDist([0.0], [[1.0]])
+        drawn = []
+        normals = SeededStream.normals
+        monkeypatch.setattr(SeededStream, "normals",
+                            lambda self, k: drawn.append(normals(self, k)) or drawn[-1])
+        pair, row = [], []
+        for seed in range(self.SEEDS):
+            drawn.clear()
+            est, se = mc_w2_1d(p, q, n, SeededStream(seed), shards=shards)
+            z = np.concatenate([np.concatenate([z, -z]) for z in drawn])
+            v = (delta + s * z) ** 2
+            gap = est - (delta ** 2 + s ** 2)
+            pair.append(norm.isf(student_t.sf(abs(gap / se), shards - 1)) * np.sign(gap))
+            row.append(gap / math.sqrt(np.var(v) / n))
+        return pair, row
+
+    def loss_scores(self, delta, s, monkeypatch):
+        """Per-pair and per-row scores of ``mc_loss``."""
+        import transrisk.mc as mc
+
+        n = 20_000
+        task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.0], [0.0, s * s]])
+        model = AffineModel([[0.0]], [-delta])
+        rows = []
+        squared_error = mc._squared_error
+        monkeypatch.setattr(mc, "_squared_error",
+                            lambda *args: rows.append(squared_error(*args)) or rows[-1])
+        pair, row = [], []
+        for seed in range(self.SEEDS):
+            rows.clear()
+            est, se = mc_loss(model, task, n, SeededStream(seed))
+            gap = est - (delta ** 2 + s ** 2)
+            pair.append(gap / se)
+            row.append(gap / math.sqrt(np.var(np.concatenate(rows)) / n))
+        return pair, row
+
+    @pytest.mark.parametrize("estimator", ["w2", "loss"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_stated_rates(self, estimator, case, monkeypatch):
+        delta, s = self.CASES[case]
+        scores = self.w2_scores if estimator == "w2" else self.loss_scores
+        pair, row = scores(delta, s, monkeypatch)
+        assert self.fired(pair) == []
+        if case != "rho_0":
+            assert "sum_sq" in self.fired(row)
+
+    def test_unpaired_row(self):
+        """Two models that differ only in their intercepts have a loss gap
+        linear in z (ρ = −1 exactly), so every pair mean equals the gap
+        and an even n recovers it to round-off (the one-pass variance
+        leaves a standard error of order √ε·gap).  At odd n all of the error
+        comes from the one unpaired row, and its per-row variance makes
+        the scores calibrated at the same stated rates."""
+        task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        model_a, model_b = AffineModel([[0.0]], [0.5]), AffineModel([[0.0]], [-0.3])
+        truth = 0.5 ** 2 - 0.3 ** 2
+        est, se = mc_loss_gap(model_a, model_b, task, 100, SeededStream(0))
+        assert abs(est - truth) <= 1e-12 and se <= 1e-7 * truth
+        scores = []
+        for seed in range(self.SEEDS):
+            est, se = mc_loss_gap(model_a, model_b, task, 101, SeededStream(seed))
+            scores.append((est - truth) / se)
+        assert self.fired(scores) == []
 
 
 class TestKLQuadrature:
