@@ -92,9 +92,18 @@ def canonical_json(obj: Any) -> str:
     return "".join(out)
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise SpecFileError(f"non-finite number {text} is not allowed")
+    return value
+
+
 def parse_document(text: str) -> Any:
+    """Parse JSON text; ``NaN``, ``Infinity`` and numbers that overflow a
+    double raise SpecFileError, so no non-finite value reaches a solver."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"not valid JSON: {exc}") from None
 
@@ -274,8 +283,7 @@ def validate_spec(doc: Any) -> str:
     if not isinstance(doc, dict):
         raise SpecFileError("spec document must be a JSON object")
     kind = doc.get("kind")
-    schema = _SPEC_SCHEMAS.get(kind)
-    if schema is None:
+    if not isinstance(kind, str) or kind not in _SPEC_SCHEMAS:
         raise SpecFileError(
             f"unknown spec kind {kind!r}; expected one of {sorted(_SPEC_SCHEMAS)}")
     error = _first_error(kind, doc)

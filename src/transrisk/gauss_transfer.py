@@ -76,12 +76,17 @@ def convex_rate(x: float) -> float:
     u = x − 1), exactly where the zero-risk tests concentrate, so
     |u| < 1e-4 switches to the series u²/2 − u³/3 + u⁴/4 (truncation
     error below 1e-21 there) and the direct branch evaluates
-    u − log1p(u) rather than lose the leading digits to x − 1.
+    u − log1p(u) rather than lose the leading digits to x − 1.  That u is
+    exact for x ≥ 0.5; below, it would drop the low bits of x (and round
+    to −1 for x ≲ 5.6e-17, where log1p fails), so x < 0.5 evaluates
+    ½(x − 1 − log x), where log x dominates.
     """
     if x < 0.0:
         raise ValueError(f"variance ratio must be nonnegative, got {x}")
     if x == 0.0:
         return math.inf
+    if x < 0.5:
+        return 0.5 * (x - 1.0 - math.log(x))
     u = x - 1.0
     if abs(u) < 1e-4:
         return 0.5 * (u * u / 2.0 - u ** 3 / 3.0 + u ** 4 / 4.0)

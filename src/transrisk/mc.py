@@ -2,8 +2,9 @@
 
 Every closed form in the library is cross-checked against an estimator
 in this module that shares no code path with it: sampling goes through
-the joint Cholesky factor, losses through raw residuals, 1-D squared-W2
-through common-quantile coupling, and KL through adaptive quadrature of
+the joint Cholesky factor, losses through each model's residual map
+y − Wx − b folded into that factor, 1-D squared-W2 through
+common-quantile coupling, and KL through adaptive quadrature of
 p·log(p/q).  The module is shipped (not test-only) so downstream users
 can re-verify any number they get.
 
@@ -100,55 +101,73 @@ _CHUNK = 1_000_000
 
 
 def _chunked_mean(task: GaussianJointTask, n: int, stream: SeededStream,
-                  per_draw) -> tuple[float, float]:
-    """Mean of ``per_draw(x, y)`` over n joint rows in antithetic pairs,
-    with its standard error.
+                  signed_models) -> tuple[float, float]:
+    """Mean of Σ sign·‖y − f(x)‖² over n joint rows in antithetic pairs,
+    with its standard error, for ``signed_models`` a list of
+    (sign, AffineModel) pairs.
 
     Evaluated in chunks so n = 10^7 does not materialize 10^7×(d+l)
     doubles at once; chunk k draws from substream k, so the estimate is a
     pure function of (arguments, seed).  A chunk of c rows draws ⌈c/2⌉
-    standard-normal rows z, colours them once with the lower Cholesky
-    factor L of the joint covariance, and evaluates ``per_draw`` at
-    mean + zLᵀ and at mean − zLᵀ for the first ⌊c/2⌋ of them, so no pair
-    spans two chunks.  The estimate is the mean over exactly n rows.
+    standard-normal rows z and evaluates the models at mean + zLᵀ and at
+    mean − zLᵀ for the first ⌊c/2⌋ of them, L the lower Cholesky factor of
+    the joint covariance, so no pair spans two chunks.  The estimate is
+    the mean over exactly n rows.
+
+    The rows are never coloured.  The residual of f = (W, b) is the linear
+    map C = [−W | I] of the row minus b, so at mean ± zLᵀ it is c ± zMᵀ
+    with M = CL and c = C·mean − b, folded once per call.  With r = zMᵀ,
+    ‖c ± r‖² = ‖c‖² + ‖r‖² ± 2c·r: the even part e = Σ sign·(‖c‖² + ‖r‖²)
+    is the pair mean and the odd part o = Σ sign·2c·r, so the two rows of
+    a pair are e ± o.  The fold reads only the joint law and the models,
+    no closed-form loss, so the estimator stays independent of the
+    formulas it checks.
 
     The standard error is taken over the i.i.d. pair means, with
     variances about the estimate.  A chunk of odd length leaves its last
     row unpaired; such a row enters the variance of the estimate with the
     per-row sample variance, since a pair mean's variance would
-    understate it when ρ < 1.
+    understate it when ρ < 1.  Each chunk's pair means are centred on
+    their own mean and the chunks are combined as Chan, Golub & LeVeque
+    (1979) do, so the standard error keeps its digits when it is far
+    below the mean.
     """
     if n < 4:
         raise DimensionMismatch("need n >= 4: two antithetic pairs for a standard error")
-    d = task.dim_x
-    dim = task.dim_x + task.dim_y
+    dim_y = task.dim_y
+    dim = task.dim_x + dim_y
     chol = cholesky_with_jitter(task.cov)
-    total = total_sq = pair_sq = 0.0
-    pairs = 0
+    folds, offsets, signs = [], [], []
+    for sign, model in signed_models:
+        resid = np.hstack([-model.weight, np.eye(dim_y)])
+        folds.append(resid @ chol)
+        offsets.append(resid @ task.mean - model.intercept)
+        signs.append(np.full(dim_y, float(sign)))
+    fold = np.vstack(folds).T
+    c, s = np.concatenate(offsets), np.concatenate(signs)
+    even_const, odd_weight = float(s @ (c * c)), 2.0 * s * c
+    pair_stats, tails, odd_ss = [], [], 0.0
     for chunk_index, start in enumerate(range(0, n, _CHUNK)):
         rows = min(_CHUNK, n - start)
         half = (rows + 1) // 2
+        pairs = rows - half
         z = stream.substream(chunk_index).normals(half * dim).reshape(half, dim)
-        col = z @ chol.T
-        plus = task.mean + col
-        minus = task.mean - col[:rows - half]
-        v_plus = per_draw(plus[:, :d], plus[:, d:])
-        v_minus = per_draw(minus[:, :d], minus[:, d:])
-        pair_means = 0.5 * (v_plus[:rows - half] + v_minus)
-        total += float(np.sum(v_plus)) + float(np.sum(v_minus))
-        total_sq += float(v_plus @ v_plus) + float(v_minus @ v_minus)
-        pair_sq += float(pair_means @ pair_means)
-        pairs += rows - half
-    mean = total / n
-    pair_var = max(pair_sq / pairs - mean * mean, 0.0)
-    unpaired = n - 2 * pairs
-    row_var = max(total_sq / n - mean * mean, 0.0)
-    return mean, math.sqrt(4 * pairs * pair_var + unpaired * row_var) / n
-
-
-def _squared_error(model: AffineModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    resid = y - model(x)
-    return np.einsum("ij,ij->i", resid, resid)
+        r = z @ fold
+        even = even_const + (r * r) @ s
+        odd = r @ odd_weight
+        e, o = even[:pairs], odd[:pairs]
+        tails.extend((even[pairs:] + odd[pairs:]).tolist())
+        if pairs:
+            pair_sum = float(np.sum(e))
+            dev = e - pair_sum / pairs
+            pair_stats.append((pairs, pair_sum, float(dev @ dev)))
+            odd_ss += float(o @ o)
+    mean = (2.0 * sum(total for _, total, _ in pair_stats) + sum(tails)) / n
+    # each chunk's pair means are centred on their own mean, then moved to
+    # the estimate; a pair's two rows e ± o lie at e − mean ± o from it
+    pair_ss = sum(ss + k * (total / k - mean) ** 2 for k, total, ss in pair_stats)
+    row_ss = 2.0 * (pair_ss + odd_ss) + sum((v - mean) ** 2 for v in tails)
+    return mean, math.sqrt(4.0 * pair_ss + len(tails) * row_ss / n) / n
 
 
 def mc_loss(model: AffineModel, task: GaussianJointTask, n: int,
@@ -158,7 +177,7 @@ def mc_loss(model: AffineModel, task: GaussianJointTask, n: int,
     Returns (estimate, standard error), from draws taken in chunks (see
     ``_chunked_mean``).
     """
-    return _chunked_mean(task, n, stream, lambda x, y: _squared_error(model, x, y))
+    return _chunked_mean(task, n, stream, [(1, model)])
 
 
 def mc_loss_gap(model_a: AffineModel, model_b: AffineModel, task: GaussianJointTask,
@@ -170,8 +189,7 @@ def mc_loss_gap(model_a: AffineModel, model_b: AffineModel, task: GaussianJointT
     oracle for regret (loss of the transferred model minus loss of the
     directly learned one).
     """
-    return _chunked_mean(task, n, stream, lambda x, y: (
-        _squared_error(model_a, x, y) - _squared_error(model_b, x, y)))
+    return _chunked_mean(task, n, stream, [(1, model_a), (-1, model_b)])
 
 
 def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int, stream: SeededStream,

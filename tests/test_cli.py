@@ -1,6 +1,7 @@
 """End-to-end command-line tests: reports, exit codes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,47 @@ class TestGaussianRisk:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["gaussian-risk", str(path)]) == 2
+
+    def test_tiny_target_covariance_finite_kl(self, tmp_path, capsys):
+        """A target cov_xy of 1e-9 makes the variance ratio about 1.2e-18,
+        where x − 1 rounds to −1: the KL is still finite (about 20.12)."""
+        doc = dict(BASIC_SPEC)
+        doc["source"] = {"dim_x": 1, "dim_y": 1, "mean": [0.0, 0.0],
+                         "cov": [[1.0, 0.9], [0.9, 1.0]]}
+        doc["target"] = {"dim_x": 1, "dim_y": 1, "mean": [0.0, 0.0],
+                         "cov": [[1.0, 1e-9], [1e-9, 1.0]]}
+        code, report = run_report(capsys, ["gaussian-risk", write_spec(tmp_path, doc),
+                                           "--variant", "kl"])
+        assert code == 0
+        kl = report["results"]["kl"]["total"]
+        np.testing.assert_allclose(kl, 0.5 * (1e-18 / 0.81 - 1.0 - math.log(1e-18 / 0.81)),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, token):
+        """A non-finite number in one triangle of a d = 2 covariance is
+        rejected when the spec is parsed, with one diagnostic line."""
+        doc = dict(BASIC_SPEC)
+        doc["source"] = {"dim_x": 2, "dim_y": 1, "mean": [0.0, 0.0, 0.0],
+                         "cov": [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [12345.0, 0.5, 1.0]]}
+        doc["target"] = doc["source"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc).replace("12345.0", token))
+        assert main(["gaussian-risk", str(path), "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error: ")
+        assert token in lines[0]
+
+    @pytest.mark.parametrize("kind", [[], {}])
+    def test_non_string_kind_exit_2(self, tmp_path, capsys, kind):
+        spec = write_spec(tmp_path, dict(BASIC_SPEC, kind=kind))
+        assert main(["gaussian-risk", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error: unknown spec kind")
 
     def test_degenerate_kl_exit_3(self, tmp_path):
         doc = dict(BASIC_SPEC)

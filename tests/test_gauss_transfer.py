@@ -1,6 +1,7 @@
 """Closed-form transfer risks and regret: worked low-dimensional
 examples, oracle agreement, and the structural identities."""
 
+import decimal
 import math
 
 import numpy as np
@@ -62,6 +63,17 @@ class TestConvexRate:
 
     def test_zero_is_infinite(self):
         assert convex_rate(0.0) == math.inf
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-17, 5.6e-17, 1e-10, 1e-3, 0.3, 0.4999999])
+    def test_small_ratio_accuracy(self, x):
+        """Below 0.5 the value keeps all but the last few bits, against a
+        50-digit ½(x − 1 − ln x), also at x ≲ 5.6e-17, where x − 1 rounds
+        to −1 (19.0720 at x = 1e-17).  u − log1p(u) is 3.8e-9 off at
+        x = 1e-10."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            exact = (decimal.Decimal(x) - 1 - decimal.Decimal(x).ln()) / 2
+        np.testing.assert_allclose(convex_rate(x), float(exact), rtol=1e-15)
 
 
 class TestBasicCaseKL:

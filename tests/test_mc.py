@@ -289,23 +289,26 @@ class TestAntitheticStandardErrors:
         return pair, row
 
     def loss_scores(self, delta, s, monkeypatch):
-        """Per-pair and per-row scores of ``mc_loss``."""
-        import transrisk.mc as mc
-
+        """Per-pair and per-row scores of ``mc_loss``.  The joint factor
+        is diag(1, s), so a drawn normal row (z₁, z₂) gives the rows
+        y − f(x) = δ ± s·z₂ of one antithetic pair."""
         n = 20_000
         task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.0], [0.0, s * s]])
         model = AffineModel([[0.0]], [-delta])
-        rows = []
-        squared_error = mc._squared_error
-        monkeypatch.setattr(mc, "_squared_error",
-                            lambda *args: rows.append(squared_error(*args)) or rows[-1])
+        drawn = []
+        normals = SeededStream.normals
+        monkeypatch.setattr(SeededStream, "normals",
+                            lambda self, k: drawn.append(normals(self, k)) or drawn[-1])
         pair, row = [], []
         for seed in range(self.SEEDS):
-            rows.clear()
+            drawn.clear()
             est, se = mc_loss(model, task, n, SeededStream(seed))
+            (z,) = drawn
+            z2 = z.reshape(-1, 2)[:, 1]
+            v = np.concatenate([(delta + s * z2) ** 2, (delta - s * z2) ** 2])
             gap = est - (delta ** 2 + s ** 2)
             pair.append(gap / se)
-            row.append(gap / math.sqrt(np.var(np.concatenate(rows)) / n))
+            row.append(gap / math.sqrt(np.var(v) / n))
         return pair, row
 
     @pytest.mark.parametrize("estimator", ["w2", "loss"])
@@ -321,8 +324,7 @@ class TestAntitheticStandardErrors:
     def test_unpaired_row(self):
         """Two models that differ only in their intercepts have a loss gap
         linear in z (ρ = −1 exactly), so every pair mean equals the gap
-        and an even n recovers it to round-off (the one-pass variance
-        leaves a standard error of order √ε·gap).  At odd n all of the error
+        and an even n recovers it to round-off.  At odd n all of the error
         comes from the one unpaired row, and its per-row variance makes
         the scores calibrated at the same stated rates."""
         task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
@@ -335,6 +337,80 @@ class TestAntitheticStandardErrors:
             est, se = mc_loss_gap(model_a, model_b, task, 101, SeededStream(seed))
             scores.append((est - truth) / se)
         assert self.fired(scores) == []
+
+
+    def test_intercept_gap_standard_error_is_round_off(self):
+        """The same intercept-only gap at even n: the pair means are
+        centred before they are squared, so the standard error is at
+        round-off, not at the √ε·gap that Σv²/n − mean² leaves (2.6e-10
+        at seed 4)."""
+        task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        model_a, model_b = AffineModel([[0.0]], [0.5]), AffineModel([[0.0]], [-0.3])
+        gap = 0.5 ** 2 - 0.3 ** 2
+        for seed in range(10):
+            _, se = mc_loss_gap(model_a, model_b, task, 100, SeededStream(seed))
+            assert se <= 1e-13 * gap
+
+
+class TestFusedResiduals:
+    """``mc_loss`` and ``mc_loss_gap`` fold each model's residual map into
+    the joint Cholesky factor.  They must agree with a reference that
+    colours the same captured normals with L, calls each model on the
+    coloured rows and subtracts, at an odd n whose first chunk leaves an
+    unpaired row."""
+
+    CHUNK, N = 1001, 1735
+
+    @staticmethod
+    def reference(signed_models, task, n, chunk, drawn):
+        """Mean and standard error over the raw residuals of the rows
+        mean ± zLᵀ, with variances about the mean."""
+        chol = np.linalg.cholesky(task.cov)
+        d = task.dim_x
+
+        def values(rows):
+            return sum(sign * np.sum((rows[:, d:] - model(rows[:, :d])) ** 2, axis=1)
+                       for sign, model in signed_models)
+
+        all_rows, pair_means, tails = [], [], []
+        for z, start in zip(drawn, range(0, n, chunk)):
+            pairs = min(chunk, n - start) // 2
+            col = z.reshape(-1, task.dim_x + task.dim_y) @ chol.T
+            plus, minus = values(task.mean + col), values(task.mean - col[:pairs])
+            all_rows += [plus, minus]
+            pair_means.append(0.5 * (plus[:pairs] + minus))
+            tails.append(plus[pairs:])
+        v, pm, tails = (np.concatenate(a) for a in (all_rows, pair_means, tails))
+        assert v.size == n
+        mean = float(np.mean(v))
+        ss_pairs, ss_rows = np.sum((pm - mean) ** 2), np.sum((v - mean) ** 2)
+        return mean, math.sqrt(4 * ss_pairs + tails.size * ss_rows / n) / n
+
+    @pytest.mark.parametrize("dim_y", [1, 2])
+    @pytest.mark.parametrize("dim_x", [1, 3])
+    def test_matches_raw_residuals(self, dim_x, dim_y, monkeypatch):
+        import transrisk.mc as mc
+
+        rng = np.random.default_rng(10 * dim_x + dim_y)
+        dim = dim_x + dim_y
+        a = rng.normal(size=(dim, dim))
+        task = GaussianJointTask(dim_x, dim_y, rng.normal(size=dim), a @ a.T + 0.2 * np.eye(dim))
+        model_a = AffineModel(rng.normal(size=(dim_y, dim_x)), rng.normal(size=dim_y))
+        model_b = AffineModel(rng.normal(size=(dim_y, dim_x)), rng.normal(size=dim_y))
+        monkeypatch.setattr(mc, "_CHUNK", self.CHUNK)
+        drawn = []
+        normals = SeededStream.normals
+        monkeypatch.setattr(SeededStream, "normals",
+                            lambda self, k: drawn.append(normals(self, k)) or drawn[-1])
+        for signed, got in (
+                ([(1, model_a)], lambda: mc_loss(model_a, task, self.N, SeededStream(4))),
+                ([(1, model_a), (-1, model_b)],
+                 lambda: mc_loss_gap(model_a, model_b, task, self.N, SeededStream(4)))):
+            drawn.clear()
+            est, se = got()
+            assert len(drawn) == 2
+            want = self.reference(signed, task, self.N, self.CHUNK, drawn)
+            np.testing.assert_allclose([est, se], want, rtol=1e-12, atol=0)
 
 
 class TestKLQuadrature:
