@@ -99,11 +99,25 @@ def _finite_number(text: str) -> float:
     return value
 
 
-def parse_document(text: str) -> Any:
-    """Parse JSON text; ``NaN``, ``Infinity`` and numbers that overflow a
-    double raise SpecFileError, so no non-finite value reaches a solver."""
+def _finite_int(text: str) -> int:
+    """An integer literal as a Python int, so schema ``integer`` checks
+    still see an int, provided it converts to a finite double."""
     try:
-        return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+        value = int(text)
+        float(value)
+    except (OverflowError, ValueError):
+        raise SpecFileError(
+            f"integer literal of {len(text.lstrip('-'))} digits is too large") from None
+    return value
+
+
+def parse_document(text: str) -> Any:
+    """Parse JSON text; ``NaN``, ``Infinity`` and numbers, integer or
+    not, that overflow a double raise SpecFileError, so no non-finite
+    value reaches a solver."""
+    try:
+        return json.loads(text, parse_float=_finite_number, parse_int=_finite_int,
+                          parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"not valid JSON: {exc}") from None
 

@@ -28,10 +28,12 @@ source tasks without fitting anything.
 
 ``output_laws`` builds the two output laws of any of the three pairs:
 the output-augmentation report carries them, and ``--verify`` hands
-them to its oracles.  Every closed form here is cross-checked in the
-test suite against the generic divergences in ``gaussian`` applied to
-explicitly constructed pushforward laws, and against the
-Monte-Carlo/quadrature oracles in ``mc``.
+them to its oracles.  The output-augmentation closed form *is* the
+generic split (``kl_split``, ``w2_split`` in ``gaussian``) on those
+laws.  The scalar closed forms of the other two cases are cross-checked
+in the test suite against the same generic divergences on explicitly
+constructed pushforward laws, and against the Monte-Carlo/quadrature
+oracles in ``mc``.
 """
 
 from __future__ import annotations
@@ -47,18 +49,20 @@ from .errors import (
     DimensionMismatch,
     InconsistentAugmentation,
     SingularIntermediateCovariance,
+    SingularReference,
 )
 from .gaussian import (
     AffineModel,
     GaussianDist,
     GaussianJointTask,
-    chol_solve,
+    RiskSplit,
+    cholesky_with_jitter,
     explained_variance,
     fit_optimal_affine,
-    numerically_singular,
+    kl_split,
     optimal_weight,
     pushforward_affine,
-    sqrtm_psd,
+    w2_split,
 )
 
 DEGENERATE_VARIANCE_TOL = 1e-14
@@ -91,12 +95,6 @@ def convex_rate(x: float) -> float:
     if abs(u) < 1e-4:
         return 0.5 * (u * u / 2.0 - u ** 3 / 3.0 + u ** 4 / 4.0)
     return 0.5 * (u - math.log1p(u))
-
-
-class RiskSplit(NamedTuple):
-    total: float
-    variance_term: float
-    bias_term: float
 
 
 class RegretSplit(NamedTuple):
@@ -203,8 +201,9 @@ def regret_closed_form(pair: BasicCasePair) -> RegretSplit:
 def regret_risk_identity(pair: BasicCasePair) -> RegretIdentity:
     """Decompose regret as squared-W2 risk plus an angular residual.
 
-    residual = 2(‖a‖‖b‖ − ⟨a, b⟩) with a = Σ_TX^{1/2} w_T and
-    b = Σ_TX^{1/2} w_S, which is ≥ 0 by Cauchy-Schwarz and vanishes
+    residual = 2(‖a‖‖b‖ − ⟨a, b⟩) with a = Lᵀw_T and b = Lᵀw_S for the
+    Cholesky factor L of Σ_TX, so that ‖a‖² = w_TᵀΣ_TX w_T and
+    ⟨a, b⟩ = w_TᵀΣ_TX w_S.  It is ≥ 0 by Cauchy-Schwarz and vanishes
     exactly when a and b are parallel with nonnegative inner product.
     Hence risk_w ≤ regret: the W2 risk prescreens without ever being
     optimistic about regret.
@@ -212,9 +211,9 @@ def regret_risk_identity(pair: BasicCasePair) -> RegretIdentity:
     src, tgt = pair.source, pair.target
     w_s = fit_optimal_affine(src).weight[0]
     w_t = fit_optimal_affine(tgt).weight[0]
-    root = sqrtm_psd(tgt.cov_x)
-    a = root @ w_t
-    b = root @ w_s
+    chol = cholesky_with_jitter(tgt.cov_x)
+    a = chol.T @ w_t
+    b = chol.T @ w_s
     residual = 2.0 * (float(np.linalg.norm(a) * np.linalg.norm(b)) - float(a @ b))
     regret = regret_closed_form(pair).regret
     risk_w = basic_output_risk_w(pair).total
@@ -358,44 +357,26 @@ def output_laws(pair: BasicCasePair | FeatureAugmentedPair | OutputAugmentedPair
 
 
 def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> RiskSplit:
-    """Output risk under output augmentation, between ``output_laws(pair)``.
+    """Output risk under output augmentation: the generic ``kl_split`` or
+    ``w2_split`` of the target law against the intermediate law, both
+    from ``output_laws(pair)``.
 
-    KL variant: ½[Tr(Σ₂⁻¹Σ₁) − log det(Σ₁)/det(Σ₂) − (l+k)] as the
-    variance term (equal to ½Σᵢ(λᵢ − log λᵢ − 1) over the eigenvalues
-    of Σ₂⁻¹Σ₁, hence ≥ 0) plus ½(μ₁−μ₂)ᵀΣ₂⁻¹(μ₁−μ₂) as the bias term,
-    where 1 is the target law and 2 the intermediate law.  The mean gap
-    is supported entirely on the new output block: the transferred
-    block contributes no bias.  W variant: Bures trace term plus
-    ‖μ₁−μ₂‖².  The risk vanishes exactly when the initialization
-    reproduces the optimal regression of the new outputs on the inputs.
+    The mean gap is supported entirely on the new output block: the
+    transferred block contributes no bias.  The risk vanishes exactly
+    when the initialization reproduces the optimal regression of the new
+    outputs on the inputs.  A rank-deficient intermediate law has no
+    density, so its KL raises SingularIntermediateCovariance.
     """
     _check_variant(variant)
-    target_law, inter_law = output_laws(pair)
-    mu1, sigma1 = target_law.mean, target_law.cov
-    mu2, sigma2 = inter_law.mean, inter_law.cov
-    diff = mu1 - mu2
-
+    laws = output_laws(pair)
     if variant == WASSERSTEIN:
-        root = sqrtm_psd(sigma1)
-        cross = sqrtm_psd(root @ sigma2 @ root)
-        variance = float(np.trace(sigma1) + np.trace(sigma2) - 2.0 * np.trace(cross))
-        variance = max(variance, 0.0)
-        bias = float(diff @ diff)
-        return RiskSplit(variance + bias, variance, bias)
-
-    if numerically_singular(sigma2):
+        return w2_split(*laws)
+    try:
+        return kl_split(*laws)
+    except SingularReference:
         raise SingularIntermediateCovariance(
             "stacked intermediate covariance is not positive definite; "
-            "the initialization must give the new block full rank")
-    chol2 = np.linalg.cholesky(sigma2)
-    n = mu1.shape[0]
-    trace_term = float(np.trace(chol_solve(chol2, sigma1)))
-    # a target law singular against a full-rank intermediate: infinite KL
-    logdet1 = -math.inf if numerically_singular(sigma1) else np.linalg.slogdet(sigma1)[1]
-    logdet2 = 2.0 * float(np.sum(np.log(np.diag(chol2))))
-    variance = max(0.5 * (trace_term - (logdet1 - logdet2) - n), 0.0)
-    bias = 0.5 * float(diff @ chol_solve(chol2, diff))
-    return RiskSplit(variance + bias, variance, bias)
+            "the initialization must give the new block full rank") from None
 
 
 def neutralizing_initialization(pair_source: GaussianJointTask,

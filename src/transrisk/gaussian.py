@@ -2,10 +2,14 @@
 
 Construction and validation of Gaussian laws, optimal affine (linear
 least-squares) models for jointly Gaussian input/output pairs, affine
-pushforwards, and the two closed-form divergences used throughout:
+pushforwards, and the two closed-form divergences used throughout, each
+split into a variance (covariance mismatch) and a bias (mean mismatch)
+term:
 
-* ``kl_gaussian(p, q)``     KL(p ‖ q) for nondegenerate reference q,
-* ``w2_gaussian_sq(p, q)``  squared Wasserstein-2 (Bures) distance.
+* ``kl_split(p, q)``  KL(p ‖ q) for nondegenerate reference q,
+* ``w2_split(p, q)``  squared Wasserstein-2 (Bures) distance.
+
+``kl_gaussian`` and ``w2_gaussian_sq`` return their totals.
 
 Conventions
 -----------
@@ -22,15 +26,17 @@ Conventions
 * The Wasserstein divergence returns the *squared* distance (hence the
   ``_sq`` suffix); callers wanting a metric take the square root.
 
-Numerical policy: matrix square roots go through a symmetric
-eigendecomposition with eigenvalues clamped at max(0, λ); linear solves
-go through numpy's Cholesky with a single retry after adding
-1e-10·trace/n of diagonal jitter, then ``np.linalg.solve`` on the factor
-and on its transpose.  Both choices are deterministic, and neither loads
-scipy.  The optimal weight Σ_X⁻¹Σ_XY and, for a scalar output, the
-explained variance Σ_YX Σ_X⁻¹ Σ_XY are computed by ``optimal_weight``
-and ``explained_variance`` alone.  A multivariate KL treats a law as
-rank deficient when its covariance has λ_min ≤ 1e-12·λ_max
+Numerical policy: no matrix square root is formed.  The Bures term
+takes its cross trace from the eigenvalues of FᵀΣqF, with F = V·√Λ from
+a symmetric eigendecomposition of Σp, both eigenvalue sets clamped at
+max(0, λ) against round-off.  Linear solves go through numpy's Cholesky
+with a single retry after adding 1e-10·trace/n of diagonal jitter, then
+``np.linalg.solve`` on the factor and on its transpose.  Both choices
+are deterministic, and neither loads scipy.  The optimal weight
+Σ_X⁻¹Σ_XY and, for a scalar output, the explained variance
+Σ_YX Σ_X⁻¹ Σ_XY are computed by ``optimal_weight`` and
+``explained_variance`` alone.  A multivariate KL treats a law as rank
+deficient when its covariance has λ_min ≤ 1e-12·λ_max
 (``numerically_singular``), not when a Cholesky factor or a
 log-determinant's sign happens to fail: laws singular by construction
 reach about 1e-16 after round-off, which either test can miss.
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,17 +123,6 @@ def numerically_singular(cov: np.ndarray) -> bool:
     λ_min ≤ 1e-12·λ_max, which includes the zero matrix."""
     eigs = np.linalg.eigvalsh(cov)
     return bool(eigs[0] <= RANK_REL_TOL * eigs[-1])
-
-
-def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Eigenvalues are clamped at max(0, λ) so that a −1e-12 round-off
-    eigenvalue does not poison the square root.
-    """
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 @dataclass(frozen=True)
@@ -307,47 +303,63 @@ def compose_affine(outer: AffineModel, inner: AffineModel) -> AffineModel:
                        outer.weight @ inner.intercept + outer.intercept)
 
 
-def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
-    """KL(p ‖ q) between Gaussians of the same dimension.
+class RiskSplit(NamedTuple):
+    total: float
+    variance_term: float
+    bias_term: float
 
-    ½ [ Tr(Σq⁻¹Σp) − log det(Σp)/det(Σq) − n + (μp−μq)ᵀ Σq⁻¹ (μp−μq) ].
+
+def kl_split(p: GaussianDist, q: GaussianDist) -> RiskSplit:
+    """KL(p ‖ q) between Gaussians of the same dimension, split into a
+    variance term ½[Tr(Σq⁻¹Σp) − log det(Σp)/det(Σq) − n], clamped at 0,
+    and a bias term ½(μp−μq)ᵀ Σq⁻¹ (μp−μq).
 
     Both covariances go through ``numerically_singular``.  The reference
     q must pass it: a rank-deficient q (e.g. a degenerate pushforward)
     has no density, absolute continuity fails and SingularReference is
-    raised.  A rank-deficient p against a valid reference yields +∞ (p
-    is then singular with respect to q), returned as math.inf rather
-    than an error.
+    raised.  A rank-deficient p against a valid reference is singular
+    with respect to q: its variance term, and so the total, is +∞.
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
     if numerically_singular(q.cov):
         raise SingularReference("reference covariance is not positive definite")
-    if numerically_singular(p.cov):
-        return math.inf
     chol_q = np.linalg.cholesky(q.cov)
-    n = p.dim
     trace_term = float(np.trace(chol_solve(chol_q, p.cov)))
-    logdet_p = np.linalg.slogdet(p.cov)[1]
+    logdet_p = -math.inf if numerically_singular(p.cov) else np.linalg.slogdet(p.cov)[1]
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(chol_q))))
+    variance = max(0.5 * (trace_term - (logdet_p - logdet_q) - p.dim), 0.0)
     diff = p.mean - q.mean
-    quad = float(diff @ chol_solve(chol_q, diff))
-    kl = 0.5 * (trace_term - (logdet_p - logdet_q) - n + quad)
-    return max(kl, 0.0)
+    bias = 0.5 * float(diff @ chol_solve(chol_q, diff))
+    return RiskSplit(variance + bias, variance, bias)
 
 
-def w2_gaussian_sq(p: GaussianDist, q: GaussianDist) -> float:
-    """Squared Wasserstein-2 distance between Gaussians (Bures form).
+def w2_split(p: GaussianDist, q: GaussianDist) -> RiskSplit:
+    """Squared Wasserstein-2 (Bures) distance between Gaussians, split
+    into a variance term Tr(Σp + Σq − 2 (Σp^½ Σq Σp^½)^½), clamped at 0,
+    and a bias term ‖μp−μq‖².
 
-    ‖μp−μq‖² + Tr(Σp + Σq − 2 (Σp^{1/2} Σq Σp^{1/2})^{1/2}).
-
-    Defined for arbitrary PSD covariances; eigenvalue clamping makes the
-    boundary (rank-deficient) cases exact rather than NaN.
+    With F = V·√max(Λ, 0) from Σp = VΛVᵀ, Σp^½ Σq Σp^½ = V (FᵀΣqF) Vᵀ,
+    so the cross trace is Σ√max(μᵢ, 0) over the eigenvalues μᵢ of
+    FᵀΣqF.  Both clamps keep rank-deficient p and q, whose zero
+    eigenvalues round to ±1e-16, real rather than NaN.
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
-    root_p = sqrtm_psd(p.cov)
-    cross = sqrtm_psd(root_p @ q.cov @ root_p)
-    gap = float(np.sum((p.mean - q.mean) ** 2))
-    trace_term = float(np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.trace(cross))
-    return gap + max(trace_term, 0.0)
+    vals, vecs = np.linalg.eigh(p.cov)
+    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    cross = np.sqrt(np.clip(np.linalg.eigvalsh(factor.T @ q.cov @ factor), 0.0, None))
+    variance = max(float(np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.sum(cross)), 0.0)
+    diff = p.mean - q.mean
+    bias = float(diff @ diff)
+    return RiskSplit(variance + bias, variance, bias)
+
+
+def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
+    """KL(p ‖ q): the total of ``kl_split``, +∞ for a rank-deficient p."""
+    return kl_split(p, q).total
+
+
+def w2_gaussian_sq(p: GaussianDist, q: GaussianDist) -> float:
+    """Squared W2 distance: the total of ``w2_split``."""
+    return w2_split(p, q).total

@@ -47,6 +47,7 @@ from .errors import DimensionMismatch, NotOneDimensional, SingularReference
 from .gaussian import AffineModel, GaussianDist, GaussianJointTask, cholesky_with_jitter
 
 STREAM_ALGORITHM = "philox4x64/ziggurat"
+W2_SHARDS = 40   # batch-means shards of the sampled W2 oracle
 
 @dataclass(frozen=True)
 class SeededStream:
@@ -192,8 +193,8 @@ def mc_loss_gap(model_a: AffineModel, model_b: AffineModel, task: GaussianJointT
     return _chunked_mean(task, n, stream, [(1, model_a), (-1, model_b)])
 
 
-def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int, stream: SeededStream,
-             shards: int = 40) -> tuple[float, float]:
+def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int,
+             stream: SeededStream) -> tuple[float, float]:
     """Sampled squared W2 between two 1-D Gaussians.
 
     Pushes n common standard normals z through both quantile functions,
@@ -203,32 +204,32 @@ def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int, stream: SeededStream,
     never touches the Bures formula it is checked against.  (Sorting two
     independent samples instead would add the empirical W2² between
     them, about 6–8·σ²/m for m points per shard.)  The n rows are split
-    into ``shards`` shards, each from its own substream; the first
-    n mod shards shards take one row more than the rest.  A shard of m
+    into ``W2_SHARDS`` shards, each from its own substream; the first
+    n mod W2_SHARDS shards take one row more than the rest.  A shard of m
     rows draws ⌈m/2⌉ normals z and uses the antithetic rows
     concat(z, −z)[:m].  The shard means stay i.i.d., so the mean over all
     n rows comes back with the batch-means standard error of the shard
-    means, a Student t with shards − 1 degrees of freedom.
+    means, a Student t with W2_SHARDS − 1 degrees of freedom.
     """
     if p.dim != 1 or q.dim != 1:
         raise NotOneDimensional("sampled W2 oracle is 1-D only")
-    if n < shards * 2:
-        raise DimensionMismatch(f"need n >= {shards * 2}")
-    sizes = np.full(shards, n // shards)
-    sizes[:n % shards] += 1
+    if n < W2_SHARDS * 2:
+        raise DimensionMismatch(f"need n >= {W2_SHARDS * 2}")
+    sizes = np.full(W2_SHARDS, n // W2_SHARDS)
+    sizes[:n % W2_SHARDS] += 1
     sd_p = math.sqrt(max(p.cov[0, 0], 0.0))
     sd_q = math.sqrt(max(q.cov[0, 0], 0.0))
-    estimates = np.empty(shards)
-    for k in range(shards):
+    estimates = np.empty(W2_SHARDS)
+    for k in range(W2_SHARDS):
         m = int(sizes[k])
         z = stream.substream(k).normals((m + 1) // 2)
         z = np.concatenate([z, -z])[:m]
         a = p.mean[0] + sd_p * z
         b = q.mean[0] + sd_q * z
         estimates[k] = float(np.mean((a - b) ** 2))
-    # shard weights m_k·shards/n are exactly 1.0 when the shards are equal
-    mean = float(np.mean(estimates * (sizes * shards / n)))
-    return mean, float(np.std(estimates, ddof=1) / math.sqrt(shards))
+    # shard weights m_k·W2_SHARDS/n are exactly 1.0 when the shards are equal
+    mean = float(np.mean(estimates * (sizes * W2_SHARDS / n)))
+    return mean, float(np.std(estimates, ddof=1) / math.sqrt(W2_SHARDS))
 
 
 def kl_quadrature_1d(p: GaussianDist, q: GaussianDist) -> float:

@@ -34,6 +34,7 @@ from transrisk import (
     chen_product,
     PiecewisePath,
 )
+from transrisk.mc import W2_SHARDS
 from transrisk.benchmarks import (
     pearson,
     portfolio_transfer_study,
@@ -112,7 +113,7 @@ def test_criterion_3_closed_forms_vs_oracles():
     4.7e-4 + 6.5e-4 + 4·1e-3 = 0.5% of seeds; a per-pair |z| <= 3 gate
     would fail on 1 − 0.9973¹⁰⁰ = 24% of seeds for each family.  The seeds
     below are fixed so that runs are repeatable, not chosen to pass."""
-    n_pairs, shards, alpha = 100, 40, 1e-3
+    n_pairs, alpha = 100, 1e-3
     max_z = float(norm.isf(alpha / (2 * n_pairs)))
     max_sum_sq = float(chi2.isf(alpha, n_pairs))
     rng = np.random.default_rng(77_700)
@@ -131,8 +132,7 @@ def test_criterion_3_closed_forms_vs_oracles():
                      - kl_quadrature_1d(target_law, inter_law))
         worst_kl = max(worst_kl, kl_gap)
 
-        w_est, w_se = mc_w2_1d(target_law, inter_law, 10 ** 6, stream.substream(2 * k),
-                               shards=shards)
+        w_est, w_se = mc_w2_1d(target_law, inter_law, 10 ** 6, stream.substream(2 * k))
         w_scores.append((w_est - basic_output_risk_w(pair).total) / w_se)
 
         r_est, r_se = mc_loss_gap(src_model, tgt_model, tgt, 10 ** 7,
@@ -142,7 +142,7 @@ def test_criterion_3_closed_forms_vs_oracles():
     ok = worst_kl <= 1e-6
     details = [f"worst KL gap {worst_kl:.2e}"]
     w_scores = np.asarray(w_scores)
-    w_z = np.sign(w_scores) * norm.isf(student_t.sf(np.abs(w_scores), shards - 1))
+    w_z = np.sign(w_scores) * norm.isf(student_t.sf(np.abs(w_scores), W2_SHARDS - 1))
     for name, scores, z in (("W", w_scores, w_z), ("regret", r_scores, np.asarray(r_scores))):
         worst, mean, sum_sq = float(np.max(np.abs(z))), float(np.mean(scores)), float(z @ z)
         ok = ok and worst <= max_z and abs(mean) <= 0.35 and sum_sq <= max_sum_sq

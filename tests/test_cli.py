@@ -199,6 +199,47 @@ class TestGaussianRisk:
         assert len(lines) == 1 and lines[0].startswith("validation error: ")
         assert token in lines[0]
 
+    def _oversized_int_exit_2(self, tmp_path, capsys, digits, verify):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(BASIC_SPEC).replace('"mean": [0.0, 0.0]', '"mean": [0.0, '
+                                                       + "9" * digits + "]", 1))
+        assert main(["gaussian-risk", str(path)] + verify) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error: ")
+        assert f"{digits} digits" in lines[0]
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    def test_integer_beyond_double_exit_2(self, tmp_path, capsys, verify):
+        """A 400-digit integer is a valid Python int that overflows a
+        double; it is rejected when the spec is parsed."""
+        self._oversized_int_exit_2(tmp_path, capsys, 400, verify)
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    def test_integer_beyond_str_digit_limit_exit_2(self, tmp_path, capsys, verify):
+        """A 5000-digit integer passes Python's 4,300-digit conversion
+        limit, whose ValueError is raised inside json.loads."""
+        self._oversized_int_exit_2(tmp_path, capsys, 5000, verify)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_overflowing_oracle_exit_2_without_warnings(self, tmp_path, capsys, index):
+        """A target mean entry of 1e300 overflows the closed forms and the
+        sampled oracles; the run ends in one validation error line and no
+        numpy warning."""
+        import warnings
+
+        doc = json.loads(json.dumps(BASIC_SPEC))
+        doc["target"]["mean"][index] = 1e300
+        spec = write_spec(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gaussian-risk", spec, "--verify", "--mc-samples", "400"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("validation error: non-finite")
+
     @pytest.mark.parametrize("kind", [[], {}])
     def test_non_string_kind_exit_2(self, tmp_path, capsys, kind):
         spec = write_spec(tmp_path, dict(BASIC_SPEC, kind=kind))

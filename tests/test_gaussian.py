@@ -29,7 +29,9 @@ from transrisk.gaussian import (
     RANK_REL_TOL,
     chol_solve,
     cholesky_with_jitter,
+    kl_split,
     numerically_singular,
+    w2_split,
 )
 
 
@@ -269,11 +271,34 @@ class TestKLGaussian:
         q = GaussianDist(np.zeros(2), [[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularReference):
             kl_gaussian(p, q)
+        with pytest.raises(SingularReference):
+            kl_split(p, q)
 
     def test_rank_deficient_first_argument_is_infinite(self):
         p = GaussianDist(np.zeros(2), [[1.0, 1.0], [1.0, 1.0]])
-        q = GaussianDist(np.zeros(2), np.eye(2))
+        q = GaussianDist([1.0, -1.0], np.eye(2))
         assert kl_gaussian(p, q) == np.inf
+        split = kl_split(p, q)
+        assert split.variance_term == np.inf and split.total == np.inf
+        assert split.bias_term == 1.0
+
+    def test_split_is_variance_plus_half_mahalanobis(self):
+        """total = variance + bias, with bias ½ΔμᵀΣq⁻¹Δμ computed here by
+        a plain solve, and a variance term that depends on the
+        covariances alone."""
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            p, q = random_dist(rng, n), random_dist(rng, n)
+            split = kl_split(p, q)
+            diff = p.mean - q.mean
+            assert split.total == split.variance_term + split.bias_term
+            assert split.total == kl_gaussian(p, q)
+            np.testing.assert_allclose(split.bias_term,
+                                       0.5 * diff @ np.linalg.solve(q.cov, diff), rtol=1e-12)
+            centred = kl_split(GaussianDist(q.mean, p.cov), q)
+            assert centred.bias_term == 0.0
+            assert centred.variance_term == split.variance_term
 
     def test_round_off_rank_deficiency_is_caught(self):
         """B Bᵀ with B of shape (3, 2) has rank 2, but round-off leaves
@@ -357,6 +382,67 @@ class TestW2Gaussian:
             d_qp = w2_gaussian_sq(q, p)
             assert d_pq >= 0.0
             assert abs(d_pq - d_qp) <= 1e-9 * max(1.0, d_pq)
+
+    def test_split_is_variance_plus_squared_mean_gap(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            p, q = random_dist(rng, n), random_dist(rng, n)
+            split = w2_split(p, q)
+            assert split.total == split.variance_term + split.bias_term
+            assert split.total == w2_gaussian_sq(p, q)
+            np.testing.assert_allclose(split.bias_term, np.sum((p.mean - q.mean) ** 2),
+                                       rtol=1e-14)
+            centred = w2_split(GaussianDist(q.mean, p.cov), q)
+            assert centred.bias_term == 0.0
+            assert centred.variance_term == split.variance_term
+
+    def test_noncommuting_pairs_match_scipy_sqrtm(self):
+        """The eigenvalue form of the Bures term against the textbook
+        Tr(Σp + Σq − 2(Σp^½ Σq Σp^½)^½) through scipy's Schur sqrtm."""
+        from scipy.linalg import sqrtm
+
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            n = int(rng.integers(2, 6))
+            p, q = random_dist(rng, n), random_dist(rng, n)
+            root = sqrtm(p.cov).real
+            bures = np.trace(p.cov + q.cov - 2.0 * sqrtm(root @ q.cov @ root).real)
+            np.testing.assert_allclose(w2_split(p, q).variance_term, bures,
+                                       rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("a, b", [
+        ([0.0], [2.0]),
+        ([0.0, 0.0], [0.0, 0.0]),
+        ([0.0, 1.5, 4.0], [3.0, 0.0, 4.0]),
+        ([0.0, 0.0, 2.0, 1e-3], [1.0, 0.0, 0.0, 1e3]),
+    ])
+    def test_psd_diagonal_with_zero_entries(self, a, b):
+        """Rank-deficient diagonal laws: W2² = Σ(√aᵢ − √bᵢ)², the PSD
+        boundary where an unclamped eigenvalue would give NaN."""
+        p = GaussianDist(np.zeros(len(a)), np.diag(a))
+        q = GaussianDist(np.zeros(len(b)), np.diag(b))
+        oracle = float(np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))
+        for x, y in ((p, q), (q, p)):
+            split = w2_split(x, y)
+            assert split.bias_term == 0.0
+            assert abs(split.total - oracle) <= 1e-12
+
+    def test_rotated_rank_deficient_laws(self):
+        """The same laws in a random basis: round-off turns the zero
+        eigenvalues into ±1e-16, whose square roots the clamps keep real.
+        A perturbation ε of an eigenvalue moves its square root by √ε, so
+        the gate is 1e-7."""
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            basis = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            a = rng.uniform(0.5, 2.0, size=3) * (rng.permutation(3) > 0)
+            b = rng.uniform(0.5, 2.0, size=3) * (rng.permutation(3) > 0)
+            p = GaussianDist(np.zeros(3), (basis * a) @ basis.T)
+            q = GaussianDist(np.zeros(3), (basis * b) @ basis.T)
+            oracle = float(np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))
+            for x, y in ((p, q), (q, p)):
+                assert abs(w2_split(x, y).total - oracle) <= 1e-7
 
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(10)

@@ -22,6 +22,7 @@ from transrisk import (
     w2_gaussian_sq,
 )
 from transrisk.errors import NotOneDimensional, SingularReference
+from transrisk.mc import W2_SHARDS
 
 
 class TestSeededStream:
@@ -167,7 +168,7 @@ class TestMCW2:
         with pytest.raises(NotOneDimensional):
             mc_w2_1d(p, p, 1000, SeededStream(0))
 
-    @pytest.mark.parametrize("n", [40 * 25 + 1, 40 * 25 + 17, 40 * 25 + 39])
+    @pytest.mark.parametrize("n", [W2_SHARDS * 25 + r for r in (1, 17, 39)])
     def test_uses_all_draws(self, n, monkeypatch):
         """n = 40·m + r: the first r shards take m + 1 rows, a shard of m_k
         rows draws ⌈m_k/2⌉ normals z, and the estimate is the mean over the
@@ -184,7 +185,8 @@ class TestMCW2:
 
         monkeypatch.setattr(SeededStream, "normals", counting)
         est, _ = mc_w2_1d(p, q, n, SeededStream(5))
-        sizes = [26] * (n - 1000) + [25] * (1040 - n)
+        r = n % W2_SHARDS
+        sizes = [26] * r + [25] * (W2_SHARDS - r)
         assert [len(z) for z in drawn] == [(m + 1) // 2 for m in sizes]
         z = np.concatenate([np.concatenate([z, -z])[:m] for z, m in zip(drawn, sizes)])
         assert len(z) == n
@@ -271,7 +273,7 @@ class TestAntitheticStandardErrors:
 
     def w2_scores(self, delta, s, monkeypatch):
         """Per-pair (batch-means) and per-row scores of ``mc_w2_1d``."""
-        n, shards = 40 * 1000, 40
+        n = W2_SHARDS * 1000
         p, q = GaussianDist([delta], [[(1 + s) ** 2]]), GaussianDist([0.0], [[1.0]])
         drawn = []
         normals = SeededStream.normals
@@ -280,11 +282,11 @@ class TestAntitheticStandardErrors:
         pair, row = [], []
         for seed in range(self.SEEDS):
             drawn.clear()
-            est, se = mc_w2_1d(p, q, n, SeededStream(seed), shards=shards)
+            est, se = mc_w2_1d(p, q, n, SeededStream(seed))
             z = np.concatenate([np.concatenate([z, -z]) for z in drawn])
             v = (delta + s * z) ** 2
             gap = est - (delta ** 2 + s ** 2)
-            pair.append(norm.isf(student_t.sf(abs(gap / se), shards - 1)) * np.sign(gap))
+            pair.append(norm.isf(student_t.sf(abs(gap / se), W2_SHARDS - 1)) * np.sign(gap))
             row.append(gap / math.sqrt(np.var(v) / n))
         return pair, row
 
