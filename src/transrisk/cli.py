@@ -181,9 +181,9 @@ def _oracle_entries(results: dict, pair, laws, stream: SeededStream, n: int) -> 
 
 
 # Extreme spec numbers (say 1e300) can overflow a pushforward, a closed
-# form or an oracle.  The non-finite result is reported by validate_report
-# as one validation error naming the field; numpy's warnings would only
-# print lines ahead of it.
+# form or an oracle.  A non-finite law is rejected where it is built, and
+# any other non-finite result by validate_report, as one validation error;
+# numpy's warnings would only print lines ahead of it.
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_gaussian_risk(args) -> int:
     doc = _load_spec(args.spec, "gaussian_pair")

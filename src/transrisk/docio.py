@@ -1,11 +1,11 @@
 """Task-spec and report documents, plus CSV ingestion.
 
-Documents are JSON, but written by a canonical emitter rather than a
-stock dumper: keys in sorted order, two-space indentation, one scalar
-per line, floats rendered with 17 significant digits.  The output is
-byte-stable for a given document model, diffable line by line, and
-parses back to the identical model (17 digits round-trip every double
-exactly), which is what golden-file tests need.
+Documents are JSON in one canonical layout, written by the standard
+library: keys in sorted order, two-space indentation, one scalar per
+line, and each float as its shortest round-trip text (``repr``).  The
+output is byte-stable for a given document model, diffable line by line,
+and parses back to the identical model, each float to the same bits and
+the same type, which is what golden-file tests need.
 
 Every document kind carries a JSON Schema with
 ``additionalProperties: false`` -- unknown fields are rejected up
@@ -41,55 +41,12 @@ SCHEMA_VERSION = 1
 
 # --- canonical serialization -------------------------------------------
 
-def _emit(obj: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        keys = sorted(obj)
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise ValidationError(f"document keys must be strings, got {key!r}")
-            out.append(f"\n{pad}  {json.dumps(key)}: ")
-            _emit(obj[key], indent + 1, out)
-            if i < len(keys) - 1:
-                out.append(",")
-        out.append(f"\n{pad}}}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, item in enumerate(obj):
-            out.append(f"\n{pad}  ")
-            _emit(item, indent + 1, out)
-            if i < len(obj) - 1:
-                out.append(",")
-        out.append(f"\n{pad}]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValidationError(f"non-finite float {obj!r} cannot be serialized")
-        out.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise ValidationError(f"unsupported document value of type {type(obj).__name__}")
-
-
 def canonical_json(obj: Any) -> str:
     """Serialize a document model to canonical, diffable JSON text."""
-    out: list[str] = []
-    _emit(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"document cannot be serialized: {exc}") from None
 
 
 def _finite_number(text: str) -> float:
@@ -276,17 +233,20 @@ REPORT_SCHEMA = {
 @functools.cache
 def _validator(name: str):
     """The validator of one schema, built and checked against its
-    metaschema on first use."""
+    metaschema on first use.  Its ``integer`` takes int literals only: a
+    dimension or lag of ``2.0`` would reach code that indexes with it."""
     import jsonschema
 
     schema = REPORT_SCHEMA if name == "report" else _SPEC_SCHEMAS[name]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    checker = cls.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    return jsonschema.validators.extend(cls, type_checker=checker)(schema)
 
 
 def _first_error(name: str, doc: Any):
-    """The error ``jsonschema.validate`` would raise for ``doc``, or None."""
+    """The error ``jsonschema.validate`` would pick for ``doc``, or None."""
     import jsonschema
 
     return jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))

@@ -56,6 +56,7 @@ from .errors import (
     NotPositiveSemidefinite,
     SingularInputCovariance,
     SingularReference,
+    ValidationError,
 )
 
 SYMMETRY_TOL = 1e-10
@@ -65,10 +66,16 @@ CHOLESKY_JITTER = 1e-10
 RANK_REL_TOL = 1e-12
 
 
+def _require_finite(x: np.ndarray, name: str) -> None:
+    if not np.isfinite(x).all():
+        raise ValidationError(f"non-finite entries in {name}")
+
+
 def _as_vector(x, name: str = "vector") -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {x.shape}")
+    _require_finite(x, name)
     return x
 
 
@@ -80,9 +87,10 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
 
 
 def validate_covariance(cov: np.ndarray, name: str = "cov") -> np.ndarray:
-    """Check symmetry (within 1e-10) and PSD-ness; return the exactly
-    symmetrized copy that all downstream code works with."""
+    """Check finiteness, symmetry (within 1e-10) and PSD-ness; return the
+    exactly symmetrized copy that all downstream code works with."""
     cov = _as_square(cov, name)
+    _require_finite(cov, name)
     asym = float(np.max(np.abs(cov - cov.T))) if cov.size else 0.0
     if asym > SYMMETRY_TOL:
         raise AsymmetricCovariance(f"{name}: max abs asymmetry {asym:.3e} > {SYMMETRY_TOL}")

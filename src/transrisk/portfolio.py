@@ -114,9 +114,13 @@ class Portfolio:
 
 def estimate_moments(data: ReturnsDataset) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and unbiased sample covariance, symmetrized and
-    eigenvalue-clamped at zero so downstream code sees an exact PSD."""
-    mu = data.returns.mean(axis=0)
-    sigma = np.cov(data.returns, rowvar=False, ddof=1)
+    eigenvalue-clamped at zero so downstream code sees an exact PSD.
+    Returns so large that a moment overflows are a ValidationError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = data.returns.mean(axis=0)
+        sigma = np.cov(data.returns, rowvar=False, ddof=1)
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        raise ValidationError("non-finite sample moments: the returns are too large")
     sigma = 0.5 * (sigma + sigma.T)
     vals, vecs = np.linalg.eigh(sigma)
     if vals[0] < 0.0:

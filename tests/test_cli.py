@@ -240,6 +240,32 @@ class TestGaussianRisk:
         assert captured.out == ""
         assert len(lines) == 1 and lines[0].startswith("validation error: non-finite")
 
+    @pytest.mark.parametrize("verify", [[], ["--verify", "--mc-samples", "400"]])
+    def test_overflowing_intermediate_law_exit_2(self, tmp_path, capsys, verify):
+        """An initial weight entry of 1e200 overflows the intermediate
+        law's covariance; the law is rejected where it is built, with one
+        line naming it, before any risk is computed through it."""
+        cov = [[1.0, 0.2, 0.4, 0.3], [0.2, 1.3, 0.1, -0.2],
+               [0.4, 0.1, 1.1, 0.2], [0.3, -0.2, 0.2, 1.6]]
+        doc = output_aug_doc(task_doc(2, 1, [0.1, 0.2, -0.3], np.asarray(cov)[:3, :3]),
+                             task_doc(2, 2, [0.1, 0.2, -0.3, 0.6], cov),
+                             [[1e200, -0.1]], [0.5])
+        assert main(["gaussian-risk", write_spec(tmp_path, doc)] + verify) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["validation error: non-finite entries in cov"]
+
+    def test_integral_float_dimension_exit_2(self, tmp_path, capsys):
+        """A dim_x of 1.0 is a number but not a count; the schema rejects
+        it before it can slice a covariance."""
+        doc = json.loads(json.dumps(BASIC_SPEC))
+        doc["source"]["dim_x"] = 1.0
+        assert main(["gaussian-risk", write_spec(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "validation error: spec failed validation: 1.0 is not of type 'integer'"]
+
     @pytest.mark.parametrize("kind", [[], {}])
     def test_non_string_kind_exit_2(self, tmp_path, capsys, kind):
         spec = write_spec(tmp_path, dict(BASIC_SPEC, kind=kind))
@@ -509,6 +535,16 @@ class TestPredict:
         assert code == 0
         assert sorted(reads) == sorted(set(job["source_csvs"]))
 
+    @pytest.mark.parametrize("key", ["lag", "order"])
+    def test_integral_float_lag_or_order_exit_2(self, prediction_job, capsys, key):
+        tmp_path, job = prediction_job
+        spec = write_spec(tmp_path, dict(job, **{key: 2.0}), f"float_{key}.json")
+        assert main(["predict", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error: spec failed")
+
     def test_split_outside_range_exit_2(self, prediction_job):
         tmp_path, job = prediction_job
         job = dict(job, split_date="2030-01-01")
@@ -641,6 +677,22 @@ class TestPortfolio:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("validation error: ")
         assert "duplicate asset names" in err[0]
+
+    @pytest.mark.parametrize("role", ["source.csv", "train.csv", "test.csv"])
+    def test_overflowing_returns_exit_2(self, tmp_path, capsys, role):
+        """A return of 1e300 is finite, but its square overflows the
+        sample covariance; the run ends in one line and no numpy warning."""
+        spec = self.make_job(tmp_path)
+        path = tmp_path / role
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        lines[5] = ",".join(fields[:2] + ["1e300"] + fields[3:])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["portfolio", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "validation error: non-finite sample moments: the returns are too large"]
 
     def test_mismatched_asset_counts_exit_2(self, tmp_path):
         rng = np.random.default_rng(2)

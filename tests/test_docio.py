@@ -41,9 +41,20 @@ class TestCanonicalJson:
         assert a == b
         assert a.index('"a"') < a.index('"z"')
 
-    def test_float_17_digits(self):
+    def test_float_shortest_text(self):
         text = canonical_json({"x": 0.1})
-        assert "0.10000000000000001" in text
+        assert '"x": 0.1\n' in text
+
+    @pytest.mark.parametrize("value", [-0.0, 1.0, 5e-324, 1e300, 0.1 + 0.2])
+    def test_float_round_trip_keeps_type_and_sign(self, value):
+        """A float is written as its repr, so an integral value stays a
+        float and -0.0 keeps its sign when the text is parsed back."""
+        text = canonical_json({"x": value})
+        assert text == f'{{\n  "x": {value!r}\n}}\n'
+        back = parse_document(text)["x"]
+        assert type(back) is float
+        assert back == value
+        assert math.copysign(1.0, back) == math.copysign(1.0, value)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):

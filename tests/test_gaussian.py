@@ -23,6 +23,7 @@ from transrisk.errors import (
     NotPositiveSemidefinite,
     SingularInputCovariance,
     SingularReference,
+    ValidationError,
 )
 from transrisk.gaussian import (
     CHOLESKY_JITTER,
@@ -80,6 +81,22 @@ class TestConstruction:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             GaussianDist([0.0, 0.0], np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariance_rejected(self, bad):
+        """A non-finite entry, even in one triangle only, is rejected
+        before the symmetry test subtracts it from itself."""
+        with pytest.raises(ValidationError, match="^non-finite entries in cov$"):
+            GaussianDist([0.0, 0.0], [[1.0, 0.5], [bad, 1.0]])
+        with pytest.raises(ValidationError, match="^non-finite entries in cov$"):
+            GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, bad], [bad, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^non-finite entries in mean$"):
+            GaussianDist([0.0, bad], np.eye(2))
+        with pytest.raises(ValidationError, match="^non-finite entries in input_mean$"):
+            pushforward_affine(AffineModel([[1.0, 0.0]], [0.0]), [bad, 0.0], np.eye(2))
 
 
 class TestFitOptimalAffine:
