@@ -401,8 +401,8 @@ def cmd_portfolio(args) -> int:
 # --- verify-props --------------------------------------------------------
 
 def cmd_verify_props(args) -> int:
-    if not 0.0 < args.scale < math.inf:
-        raise ValidationError(f"--scale must be finite and positive, got {args.scale}")
+    if not 0.0 < 10_000 * args.scale < math.inf:  # the largest sweep's trial count
+        raise ValidationError(f"--scale must be positive with 10000 x scale finite, got {args.scale}")
     sweeps = run_property_sweeps(args.seed, trials_scale=args.scale)
     rows = []
     for sweep in sweeps:

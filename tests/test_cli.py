@@ -732,6 +732,27 @@ class TestVerifyProps:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("validation error: ")
 
+    @pytest.mark.parametrize("scale", ["1.8e304", "1e305", "1e308"])
+    def test_scale_overflowing_sweep_size_exit_2(self, capsys, scale):
+        """A finite --scale whose sweep size 10000 x scale overflows to
+        infinity is rejected with one line, not an OverflowError."""
+        assert main(["verify-props", f"--scale={scale}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error: --scale")
+
+    def test_seed_taken_mod_2_64(self, capsys):
+        """Seeds key a Philox stream modulo 2**64, so 2**64 and 2**80 run
+        seed 0's sweeps; the report echoes the seed as given."""
+        runs = {seed: run_report(capsys, ["verify-props", "--scale", "0.01",
+                                          "--seed", str(seed)])
+                for seed in (0, 2 ** 64, 2 ** 80)}
+        for seed, (code, report) in runs.items():
+            assert code == 0
+            assert report["inputs"]["seed"] == seed
+            assert report["results"] == runs[0][1]["results"]
+
 
 # --- unreadable inputs and unwritable reports --------------------------------
 

@@ -6,9 +6,11 @@ For ``gaussian-risk``, each example takes one of three valid specs
 runs the command in process, once plain and once with ``--verify
 --mc-samples 400``.  For ``office-table --csv``, ``predict`` and
 ``portfolio``, each example mutates one input CSV (a cell, a header
-field or a row's shape) or one or two leaves of the job spec.  The seeds
-and the example counts are fixed, so every run checks the same inputs.
-The contract checked:
+field or a row's shape) or one or two leaves of the job spec.  The flag
+examples run ``verify-props`` and ``gaussian-risk`` on valid inputs with
+drawn ``--scale``, ``--seed``, ``--variant`` and ``--mc-samples`` values.
+The seeds and the example counts are fixed, so every run checks the same
+inputs.  The contract checked:
 
 * the exit code is 0, 2, 3 or 4 (an uncaught exception fails the test);
 * exits 2 and 3 write exactly one line, counting any warning, which the
@@ -274,4 +276,39 @@ def test_mutated_csv_inputs_exit_cleanly(tmp_path, command):
         for name, text in texts.items():
             (tmp_path / name).write_text(text)
         codes.append(assert_contract(argv, f"{command} example {example}: {where}"))
+    assert {0, 2} <= set(codes)
+
+
+# --- flags -------------------------------------------------------------------
+
+FLAG_EXAMPLES = 200
+
+# --scale values that exit 2 or run at most the sweep sizes of --scale 0.01
+SCALES = ("nan", "inf", "-inf", "0", "-0.0", "-1", "-1e-300", "1e-300", "1e-3",
+          "1e305", "1e308")
+SEEDS = ("0", "-1", "7", str(2 ** 63), str(2 ** 64), str(2 ** 80), str(-2 ** 80))
+VARIANTS = ("kl", "w", "both")
+MC_SAMPLES = ("-1", "0", "1", "3", "4", "79", "80", "81", "400", "10000")
+
+
+def test_flags_exit_cleanly(tmp_path):
+    """Each example runs ``verify-props`` with a drawn --scale and --seed,
+    or ``gaussian-risk`` on one of the valid SPECS with a drawn --variant,
+    --seed and --mc-samples (at most 10^4), half the time with --verify."""
+    rng = np.random.default_rng([SEED, 1 + len(CSV_COMMANDS)])
+    pick = lambda values: values[rng.integers(len(values))]
+    paths = []
+    for case, spec in SPECS.items():
+        paths.append(tmp_path / f"{case}.json")
+        paths[-1].write_text(json.dumps(spec))
+    codes = []
+    for example in range(FLAG_EXAMPLES):
+        if rng.integers(2):
+            argv = ["verify-props", f"--scale={pick(SCALES)}", f"--seed={pick(SEEDS)}"]
+        else:
+            samples = pick(MC_SAMPLES + (str(rng.integers(1, 10_001)),))
+            argv = ["gaussian-risk", str(pick(paths)), f"--variant={pick(VARIANTS)}",
+                    f"--seed={pick(SEEDS)}", f"--mc-samples={samples}"]
+            argv += ["--verify"] if rng.integers(2) else []
+        codes.append(assert_contract(argv, f"flag example {example}: {argv}"))
     assert {0, 2} <= set(codes)

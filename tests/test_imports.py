@@ -1,8 +1,9 @@
 """Import surface: scipy and jsonschema load on the first call that needs
 them, not when the package or the CLI is imported.  scipy is reached
-only by the --verify oracles' quadrature and the NNLS of the unanchored
-Sharpe solve, so the closed forms, predict, the property sweeps and the
-oracle normals load none.
+only by the NNLS of the unanchored Sharpe solve, so the closed forms,
+every --verify oracle, predict, office-table and the property sweeps
+load none.  The Gauss-Hermite nodes of the KL oracle are built on its
+first call, so importing the package loads no numpy.polynomial.
 
 Each check runs in a fresh interpreter, because the test process has
 long since imported scipy.
@@ -15,9 +16,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import transrisk
 from test_cli import BASIC_SPEC, write_price_csv, write_returns_csv, write_spec
+from test_fuzz import SPECS
 
 SRC = str(Path(transrisk.__file__).resolve().parents[1])
 
@@ -26,14 +29,15 @@ def scipy_modules(loaded: list[str]) -> list[str]:
     return [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
-def loaded_after(code: str) -> list[str]:
-    """The scipy and jsonschema modules loaded by running ``code`` in a
-    fresh interpreter, after numpy."""
+def loaded_after(code: str, watched=("scipy", "jsonschema")) -> list[str]:
+    """The modules in the ``watched`` packages loaded by running ``code``
+    in a fresh interpreter, after numpy."""
     script = (
         "import sys\nimport numpy\n" + code + "\n"
         "import json\n"
+        f"watched = {tuple(watched)!r}\n"
         "print(json.dumps(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'jsonschema'))))\n"
+        "if any(m == w or m.startswith(w + '.') for w in watched))))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -42,13 +46,19 @@ def loaded_after(code: str) -> list[str]:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def cli_loads(argv: list[str]) -> list[str]:
-    """The modules loaded by one ``cli.main(argv)`` call that exits 0."""
-    return loaded_after(f"from transrisk import cli\nassert cli.main({argv!r}) == 0")
+def cli_loads(argv: list[str], watched=("scipy", "jsonschema")) -> list[str]:
+    """The watched modules loaded by one ``cli.main(argv)`` call that exits 0."""
+    return loaded_after(f"from transrisk import cli\nassert cli.main({argv!r}) == 0", watched)
 
 
 def test_package_and_cli_import_load_no_scipy_or_jsonschema():
     assert loaded_after("import transrisk, transrisk.cli") == []
+
+
+def test_package_import_loads_no_numpy_polynomial():
+    """The quadrature nodes are built on the first KL oracle call, so no
+    command pays for numpy.polynomial at start-up."""
+    assert loaded_after("import transrisk, transrisk.cli", ["numpy.polynomial"]) == []
 
 
 def test_stream_normals_load_no_scipy():
@@ -62,6 +72,23 @@ def test_gaussian_risk_without_verify_skips_oracle_modules(tmp_path):
     loaded = cli_loads(["gaussian-risk", spec, "--out", str(tmp_path / "r.json")])
     assert scipy_modules(loaded) == []
     assert "jsonschema" in loaded  # the spec and report are still validated
+
+
+@pytest.mark.parametrize("case", list(SPECS))
+def test_gaussian_risk_verify_loads_no_scipy(tmp_path, case):
+    """Every --verify oracle runs on numpy: the 1-D KL by Gauss-Hermite
+    quadrature, the rest by sampling or the generic divergences."""
+    spec = write_spec(tmp_path, SPECS[case])
+    loaded = cli_loads(["gaussian-risk", spec, "--verify", "--out", str(tmp_path / "r.json")],
+                       ["scipy", "numpy.polynomial"])
+    assert scipy_modules(loaded) == []
+    # the basic and feature_aug laws are 1-D, so their KL oracle ran
+    assert ("numpy.polynomial.hermite_e" in loaded) == (case != "output_aug")
+
+
+def test_office_table_builtin_loads_no_scipy(tmp_path):
+    assert scipy_modules(cli_loads(["office-table", "--builtin",
+                                    "--out", str(tmp_path / "r.json")])) == []
 
 
 def test_predict_skips_oracle_modules(tmp_path):

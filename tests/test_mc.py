@@ -432,6 +432,20 @@ class TestKLQuadrature:
             q = GaussianDist([rng.normal()], [[rng.uniform(0.2, 3.0)]])
             np.testing.assert_allclose(kl_quadrature_1d(p, q), kl_gaussian(p, q),
                                        atol=1e-8)
+        # variance ratios 1e-15..1e15, ratios within 1e-6 of 1 and mean
+        # gaps up to 10 standard deviations (of p or of q)
+        ratios = np.concatenate([10.0 ** np.arange(-15, 16),
+                                 1.0 + np.array([-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6])])
+        for ratio in ratios:
+            for gap in (0.0, 1.0, 10.0):
+                vq = rng.uniform(0.2, 3.0)
+                vp, mean = vq * ratio, rng.normal(scale=3.0)
+                for sd in (np.sqrt(vp), np.sqrt(vq)):
+                    p = GaussianDist([mean], [[vp]])
+                    q = GaussianDist([mean + gap * sd * rng.choice([-1, 1])], [[vq]])
+                    closed = kl_gaussian(p, q)
+                    assert abs(kl_quadrature_1d(p, q) - closed) <= 1e-9 * max(1.0, closed), \
+                        (ratio, gap, sd)
 
     def test_zero_reference_variance_rejected(self):
         p = GaussianDist([0.0], [[1.0]])
