@@ -1,5 +1,5 @@
 """Transfer risk, regret, and transfer-learning solvers for Gaussian and
-linear task pairs, verified against independent Monte-Carlo oracles."""
+linear task pairs, verified against independent sampling and cubature oracles."""
 
 __version__ = "0.1.0"
 
@@ -77,9 +77,9 @@ from .portfolio import (
 )
 from .mc import (
     SeededStream,
+    cubature,
     kl_quadrature_1d,
-    mc_loss,
-    mc_loss_gap,
+    loss_gap_cubature,
     mc_w2_1d,
     sample_joint,
 )

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``gaussian-risk``  closed-form risks/regret for a Gaussian task pair
-  spec, optionally cross-checked against the Monte-Carlo and quadrature
+  spec, optionally cross-checked against the sampling and cubature
   oracles (``--verify``);
 * ``office-table``   the polynomial risk combiner applied to
   (input risk, output risk) rows, either the builtin Office-31 rows
@@ -30,6 +30,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -66,7 +67,7 @@ from .gaussian import (
     w2_gaussian_sq,
 )
 from .benchmarks import run_property_sweeps, signature_dataset
-from .mc import SeededStream, kl_quadrature_1d, mc_loss_gap, mc_w2_1d
+from .mc import W2_SHARDS, SeededStream, kl_quadrature_1d, loss_gap_cubature, mc_w2_1d
 from .portfolio import DEFAULT_PENALTY, ReturnsDataset, transfer_portfolio
 from .regression import (
     DEFAULT_SOURCE_LAMBDA,
@@ -86,6 +87,7 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 QUAD_ORACLE_TOL = 1e-6
+CUBATURE_ORACLE_RTOL = 1e-9   # regret gate, relative to max(1, |regret|)
 DIVERGENCE_ORACLE_TOL = 1e-10
 
 
@@ -154,7 +156,8 @@ def _oracle_entries(results: dict, pair, laws, stream: SeededStream, n: int) -> 
     """Check the closed forms already in ``results`` against ``laws``, the
     pair's target and intermediate output laws: KL by quadrature and W2
     by sampling for 1-D laws, both by the generic Gaussian divergences
-    for wider ones, and in the basic case regret by the loss gap."""
+    for wider ones, and in the basic case regret by the loss gap's
+    cubature."""
     scalar = laws[0].dim == 1
     entries = []
     if results.get("kl") is not None:
@@ -175,8 +178,10 @@ def _oracle_entries(results: dict, pair, laws, stream: SeededStream, n: int) -> 
                                          w2_gaussian_sq(*laws), None, DIVERGENCE_ORACLE_TOL))
     if "regret" in results:
         src_model, tgt_model = fit_optimal_affine(pair.source), fit_optimal_affine(pair.target)
-        est, se = mc_loss_gap(src_model, tgt_model, pair.target, n, stream.substream(2))
-        entries.append(_oracle_entry("regret_vs_loss_gap", results["regret"], est, se, None))
+        closed = results["regret"]
+        entries.append(_oracle_entry("regret_vs_loss_gap", closed,
+                                     loss_gap_cubature(src_model, tgt_model, pair.target), None,
+                                     CUBATURE_ORACLE_RTOL * max(1.0, abs(closed))))
     return entries
 
 
@@ -186,6 +191,9 @@ def _oracle_entries(results: dict, pair, laws, stream: SeededStream, n: int) -> 
 # numpy's warnings would only print lines ahead of it.
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_gaussian_risk(args) -> int:
+    if args.verify and args.mc_samples < 2 * W2_SHARDS:
+        raise ValidationError(f"--mc-samples must be at least {2 * W2_SHARDS} with --verify, "
+                              f"got {args.mc_samples}")
     doc = _load_spec(args.spec, "gaussian_pair")
     case = doc["case"]
     source = _task_from_doc(doc["source"])
@@ -420,7 +428,10 @@ def cmd_verify_props(args) -> int:
 
 # --- parser ----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each ``parse_args`` call
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="transrisk",
         description="Transfer risk, regret, and transfer-learning pipelines "
@@ -435,8 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check closed forms against the independent oracles")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mc-samples", type=int, default=200_000,
-                   help="Monte-Carlo rows for --verify; n rows are drawn as "
-                        "antithetic pairs (z, -z), about n/2 normals")
+                   help="rows of the sampled W2 oracle for --verify, at least "
+                        f"{2 * W2_SHARDS}; n rows are drawn as antithetic pairs "
+                        "(z, -z), about n/2 normals")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_gaussian_risk)
 

@@ -1,12 +1,17 @@
-"""Independent Monte-Carlo and quadrature oracles.
+"""Independent sampling and cubature oracles.
 
 Every closed form in the library is cross-checked against an estimator
-in this module that shares no code path with it: sampling goes through
-the joint Cholesky factor, losses through each model's residual map
-y − Wx − b folded into that factor, 1-D squared-W2 through
-common-quantile coupling, and 1-D KL through a fixed Gauss–Hermite rule
-on log p − log q.  The module needs numpy alone, and is shipped (not
-test-only) so downstream users can re-verify any number they get.
+in this module that shares no code path with it: joint draws go through
+the joint Cholesky factor, 1-D squared-W2 through common-quantile
+coupling, and the loss gap and the 1-D KL through Stroud's degree-3
+cubature rule (Stroud, 1971) in the standard normal variable z.  The
+module needs numpy alone, and is shipped (not test-only) so downstream
+users can re-verify any number they get.
+
+The cubature oracles are exact, not sampled: the loss gap and the KL
+log-ratio are quadratics in z, and the rule integrates every polynomial
+of degree ≤ 3 under N(0, I_k) exactly.  They read only the joint law,
+the models or the two densities, never a closed-form quantity.
 
 Randomness: a single documented generator, ``SeededStream``, built on
 the Philox 4x64 counter-based engine with normals drawn by numpy's
@@ -21,21 +26,13 @@ oracle value, and a pass or fail decided by it, may change on another
 machine; ``test_frozen_values`` pins the first draws to 1e-15.  A numpy
 release that changes its ziggurat changes the stream.
 
-The sampling oracles use antithetic pairs (z, −z) (Hammersley & Morton,
-1956): each normal drawn is used twice, once with each sign.  A pair
-mean has variance ½·var·(1 + ρ) per normal, with ρ = corr(v(z), v(−z)),
-so per normal drawn it is never worse than plain sampling; per row it
-is worse by up to √2 in standard error when the integrand is even in z.
-The estimators read no closed-form quantity, so they stay independent.
-
-All stochastic estimates come back with a standard error; tolerance
-checks elsewhere are phrased in standard-error units, not absolute
-constants.
+The sampled W2 oracle uses antithetic pairs (z, −z) (Hammersley &
+Morton, 1956) and comes back with a standard error, so checks of it are
+phrased in standard-error units.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +43,6 @@ from .gaussian import AffineModel, GaussianDist, GaussianJointTask, cholesky_wit
 
 STREAM_ALGORITHM = "philox4x64/ziggurat"
 W2_SHARDS = 40   # batch-means shards of the sampled W2 oracle
-HERMITE_NODES = 20   # nodes of the Gauss–Hermite KL rule; any n >= 2 is exact
 
 @dataclass(frozen=True)
 class SeededStream:
@@ -97,101 +93,6 @@ def sample_joint(task: GaussianJointTask, n: int, stream: SeededStream) -> np.nd
     return z @ chol.T + task.mean
 
 
-_CHUNK = 1_000_000
-
-
-def _chunked_mean(task: GaussianJointTask, n: int, stream: SeededStream,
-                  signed_models) -> tuple[float, float]:
-    """Mean of Σ sign·‖y − f(x)‖² over n joint rows in antithetic pairs,
-    with its standard error, for ``signed_models`` a list of
-    (sign, AffineModel) pairs.
-
-    Evaluated in chunks so n = 10^7 does not materialize 10^7×(d+l)
-    doubles at once; chunk k draws from substream k, so the estimate is a
-    pure function of (arguments, seed).  A chunk of c rows draws ⌈c/2⌉
-    standard-normal rows z and evaluates the models at mean + zLᵀ and at
-    mean − zLᵀ for the first ⌊c/2⌋ of them, L the lower Cholesky factor of
-    the joint covariance, so no pair spans two chunks.  The estimate is
-    the mean over exactly n rows.
-
-    The rows are never coloured.  The residual of f = (W, b) is the linear
-    map C = [−W | I] of the row minus b, so at mean ± zLᵀ it is c ± zMᵀ
-    with M = CL and c = C·mean − b, folded once per call.  With r = zMᵀ,
-    ‖c ± r‖² = ‖c‖² + ‖r‖² ± 2c·r: the even part e = Σ sign·(‖c‖² + ‖r‖²)
-    is the pair mean and the odd part o = Σ sign·2c·r, so the two rows of
-    a pair are e ± o.  The fold reads only the joint law and the models,
-    no closed-form loss, so the estimator stays independent of the
-    formulas it checks.
-
-    The standard error is taken over the i.i.d. pair means, with
-    variances about the estimate.  A chunk of odd length leaves its last
-    row unpaired; such a row enters the variance of the estimate with the
-    per-row sample variance, since a pair mean's variance would
-    understate it when ρ < 1.  Each chunk's pair means are centred on
-    their own mean and the chunks are combined as Chan, Golub & LeVeque
-    (1979) do, so the standard error keeps its digits when it is far
-    below the mean.
-    """
-    if n < 4:
-        raise DimensionMismatch("need n >= 4: two antithetic pairs for a standard error")
-    dim_y = task.dim_y
-    dim = task.dim_x + dim_y
-    chol = cholesky_with_jitter(task.cov)
-    folds, offsets, signs = [], [], []
-    for sign, model in signed_models:
-        resid = np.hstack([-model.weight, np.eye(dim_y)])
-        folds.append(resid @ chol)
-        offsets.append(resid @ task.mean - model.intercept)
-        signs.append(np.full(dim_y, float(sign)))
-    fold = np.vstack(folds).T
-    c, s = np.concatenate(offsets), np.concatenate(signs)
-    even_const, odd_weight = float(s @ (c * c)), 2.0 * s * c
-    pair_stats, tails, odd_ss = [], [], 0.0
-    for chunk_index, start in enumerate(range(0, n, _CHUNK)):
-        rows = min(_CHUNK, n - start)
-        half = (rows + 1) // 2
-        pairs = rows - half
-        z = stream.substream(chunk_index).normals(half * dim).reshape(half, dim)
-        r = z @ fold
-        even = even_const + (r * r) @ s
-        odd = r @ odd_weight
-        e, o = even[:pairs], odd[:pairs]
-        tails.extend((even[pairs:] + odd[pairs:]).tolist())
-        if pairs:
-            pair_sum = float(np.sum(e))
-            dev = e - pair_sum / pairs
-            pair_stats.append((pairs, pair_sum, float(dev @ dev)))
-            odd_ss += float(o @ o)
-    mean = (2.0 * sum(total for _, total, _ in pair_stats) + sum(tails)) / n
-    # each chunk's pair means are centred on their own mean, then moved to
-    # the estimate; a pair's two rows e ± o lie at e − mean ± o from it
-    pair_ss = sum(ss + k * (total / k - mean) ** 2 for k, total, ss in pair_stats)
-    row_ss = 2.0 * (pair_ss + odd_ss) + sum((v - mean) ** 2 for v in tails)
-    return mean, math.sqrt(4.0 * pair_ss + len(tails) * row_ss / n) / n
-
-
-def mc_loss(model: AffineModel, task: GaussianJointTask, n: int,
-            stream: SeededStream) -> tuple[float, float]:
-    """Monte-Carlo estimate of the expected squared error E‖Y − f(X)‖².
-
-    Returns (estimate, standard error), from draws taken in chunks (see
-    ``_chunked_mean``).
-    """
-    return _chunked_mean(task, n, stream, [(1, model)])
-
-
-def mc_loss_gap(model_a: AffineModel, model_b: AffineModel, task: GaussianJointTask,
-                n: int, stream: SeededStream) -> tuple[float, float]:
-    """Paired estimate of L(model_a) − L(model_b) on common draws.
-
-    Using the same samples for both models cancels most of the shared
-    noise, so the standard error reflects the gap itself.  This is the
-    oracle for regret (loss of the transferred model minus loss of the
-    directly learned one).
-    """
-    return _chunked_mean(task, n, stream, [(1, model_a), (-1, model_b)])
-
-
 def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int,
              stream: SeededStream) -> tuple[float, float]:
     """Sampled squared W2 between two 1-D Gaussians.
@@ -231,20 +132,54 @@ def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int,
     return mean, float(np.std(estimates, ddof=1) / math.sqrt(W2_SHARDS))
 
 
-@functools.cache
-def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
-    from numpy.polynomial.hermite_e import hermegauss  # on first use, not at import
-    z, w = hermegauss(HERMITE_NODES)
-    return z, w / w.sum()
+def cubature(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stroud's degree-3 rule for N(0, I_k): the 2k points ±√k·eᵢ, as a
+    (2k, k) array, each with weight 1/(2k).  It integrates every
+    polynomial of degree ≤ 3 exactly, with O(k) points where a tensor
+    Gauss–Hermite rule needs 2ᵏ; at k = 1 it is the 2-node Gauss–Hermite
+    rule."""
+    points = math.sqrt(k) * np.eye(k)
+    return np.vstack([points, -points]), np.full(2 * k, 0.5 / k)
+
+
+def loss_gap_cubature(model_a: AffineModel, model_b: AffineModel,
+                      task: GaussianJointTask) -> float:
+    """L(model_a) − L(model_b), L(f) = E‖Y − f(X)‖², by ``cubature`` at
+    the joint rows mean + F·z.  This is the oracle for regret (loss of the
+    transferred model minus loss of the directly learned one).
+
+    Each residual y − f(x) at mean + F·z is c + M·z, with C = [−W | I],
+    c = C·mean − b and M = C·F, so the gap is a quadratic in z and the
+    rule is exact up to rounding.  Its points come in pairs ±z, so the
+    cross terms 2c·Mz cancel exactly and are not summed; the gap is
+    summed as (u_a − u_b)·(u_a + u_b), for u = c and u = Mz, so neither
+    two nearly equal models nor a huge output variance, which M·z carries
+    identically for both models, loses digits to cancellation.  F is the
+    Cholesky factor of the joint covariance, or for a singular PSD joint
+    V·√max(Λ, 0) from its eigendecomposition; a jittered factor would
+    change the law, and with it the gap, by far more than rounding.
+    """
+    try:
+        factor = np.linalg.cholesky(task.cov)
+    except np.linalg.LinAlgError:
+        lam, vec = np.linalg.eigh(task.cov)
+        factor = vec * np.sqrt(np.maximum(lam, 0.0))
+    z, weights = cubature(task.dim_x + task.dim_y)
+
+    def residual(model: AffineModel) -> tuple[np.ndarray, np.ndarray]:
+        resid = np.hstack([-model.weight, np.eye(task.dim_y)])
+        return resid @ task.mean - model.intercept, z @ (resid @ factor).T
+
+    (c_a, r_a), (c_b, r_b) = residual(model_a), residual(model_b)
+    return float((c_a - c_b) @ (c_a + c_b) + weights @ np.sum((r_a - r_b) * (r_a + r_b), axis=1))
 
 
 def kl_quadrature_1d(p: GaussianDist, q: GaussianDist) -> float:
-    """KL(p ‖ q) = E log(p/q)(μ_p + σ_p·z) for 1-D Gaussians by the
-    probabilists' Gauss–Hermite rule in z (Golub & Welsch, 1969).  The
-    log-ratio is quadratic in z and an n-node rule is exact to degree
-    2n − 1, so any n ≥ 2 is exact up to rounding; HERMITE_NODES = 20 stays
-    exact to degree 39 at no measurable cost.  Each log-density is read at
-    the offset from its own mean, so a large common mean cancels exactly."""
+    """KL(p ‖ q) = E log(p/q)(μ_p + σ_p·z) for 1-D Gaussians by
+    ``cubature(1)``, the nodes z = ±1 with weights ½.  The log-ratio is
+    quadratic in z, so the rule is exact up to rounding.  Each
+    log-density is read at the offset from its own mean, so a large
+    common mean cancels exactly."""
     if p.dim != 1 or q.dim != 1:
         raise NotOneDimensional("quadrature oracle is 1-D only")
     vp, vq = float(p.cov[0, 0]), float(q.cov[0, 0])
@@ -252,8 +187,8 @@ def kl_quadrature_1d(p: GaussianDist, q: GaussianDist) -> float:
         raise SingularReference("reference variance must be positive")
     if vp <= 0.0:
         raise SingularReference("first argument has zero variance; KL undefined as a density integral")
-    z, w = _hermite_rule()
-    dx_p = math.sqrt(vp) * z
+    z, w = cubature(1)
+    dx_p = math.sqrt(vp) * z[:, 0]
     dx_q = dx_p + (float(p.mean[0]) - float(q.mean[0]))
     log_p = -0.5 * dx_p * dx_p / vp - 0.5 * math.log(2.0 * math.pi * vp)
     log_q = -0.5 * dx_q * dx_q / vq - 0.5 * math.log(2.0 * math.pi * vq)

@@ -9,6 +9,7 @@ import pytest
 
 from transrisk.cli import main
 from transrisk.docio import canonical_json, parse_document, validate_report
+from test_fuzz import SPECS
 
 BASIC_SPEC = {
     "version": 1,
@@ -147,6 +148,80 @@ class TestGaussianRisk:
         assert code == 0
         assert capsys.readouterr().out == ""
         validate_report(parse_document(out.read_text()))
+
+    @pytest.mark.parametrize("fault", ["drop_gap_sq", "variance_times_1_plus_1e-6"])
+    def test_verify_catches_planted_regret_fault(self, tmp_path, capsys, monkeypatch, fault):
+        """A regret closed form that drops its mean-gap term, or scales its
+        variance term by 1 + 1e-6, fails the cubature gate and exits 4;
+        the other entries stay within."""
+        from transrisk import cli, regret_closed_form
+
+        def planted(pair, _identity=cli.regret_risk_identity):
+            identity = _identity(pair)
+            _, variance, bias = regret_closed_form(pair)
+            regret = variance if fault == "drop_gap_sq" else variance * (1.0 + 1e-6) + bias
+            return identity._replace(regret=regret, residual=regret - identity.risk_w)
+
+        monkeypatch.setattr(cli, "regret_risk_identity", planted)
+        spec = write_spec(tmp_path, SPECS["basic"])
+        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify"])
+        assert code == 4
+        within = {e["name"]: e["within"] for e in report["oracle_check"]["entries"]}
+        assert within == {"kl_vs_quadrature": True, "w2_vs_sampling": True,
+                          "regret_vs_loss_gap": False}
+
+    def test_regret_entry_is_deterministic(self, tmp_path, capsys):
+        """The regret entry carries no standard error and does not move
+        with --seed or --mc-samples."""
+        spec = write_spec(tmp_path, SPECS["basic"])
+        entries = []
+        for seed, n in (("1", "80"), ("2", "5000")):
+            code, report = run_report(capsys, ["gaussian-risk", spec, "--verify",
+                                               "--seed", seed, "--mc-samples", n])
+            assert code == 0
+            (entry,) = [e for e in report["oracle_check"]["entries"]
+                        if e["name"] == "regret_vs_loss_gap"]
+            entries.append(entry)
+        assert entries[0] == entries[1]
+        assert "std_error" not in entries[0] and entries[0]["sigma_gap"] is None
+
+    @pytest.mark.parametrize("case", ["basic", "feature_aug", "output_aug"])
+    @pytest.mark.parametrize("samples", ["-1", "0", "79"])
+    def test_verify_rejects_too_few_mc_samples(self, tmp_path, capsys, case, samples):
+        """With --verify, fewer than two rows per W2 shard exits 2 with one
+        line naming the flag, whichever oracles the spec's case runs."""
+        spec = write_spec(tmp_path, SPECS[case])
+        assert main(["gaussian-risk", spec, "--verify", "--mc-samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"validation error: --mc-samples must be at least 80 with --verify, got {samples}"]
+
+    @pytest.mark.parametrize("case", ["basic", "feature_aug", "output_aug"])
+    def test_verify_runs_at_minimum_mc_samples(self, tmp_path, capsys, case):
+        spec = write_spec(tmp_path, SPECS[case])
+        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify",
+                                           "--mc-samples", "80"])
+        assert code in (0, 4) and report["oracle_check"]["entries"]
+
+    def test_parser_is_built_once_and_keeps_no_values(self, tmp_path):
+        """main reuses one parser; a second call sees only its own flags
+        and the defaults, nothing left from the first."""
+        from transrisk import cli
+
+        spec = write_spec(tmp_path, SPECS["basic"])
+        first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main(["gaussian-risk", spec, "--variant", "w", "--verify", "--seed", "5",
+                     "--mc-samples", "1000", "--out", str(first)]) == 0
+        assert main(["gaussian-risk", spec, "--out", str(second)]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        args = cli.build_parser().parse_args(["gaussian-risk", spec])
+        assert (args.variant, args.verify, args.seed, args.mc_samples, args.out) == \
+            ("both", False, 0, 200_000, None)
+        one, two = (parse_document(path.read_text()) for path in (first, second))
+        assert "oracle_check" in one and "kl" not in one["results"]
+        assert "oracle_check" not in two and "kl" in two["results"]
+        assert two["provenance"]["seed"] == 0
 
     def test_byte_identical_reports(self, tmp_path):
         spec = write_spec(tmp_path, BASIC_SPEC)

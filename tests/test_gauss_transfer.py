@@ -13,14 +13,13 @@ from transrisk import (
     FeatureAugmentedPair,
     GaussianJointTask,
     OutputAugmentedPair,
-    SeededStream,
     basic_output_risk_kl,
     basic_output_risk_w,
     feature_aug_risk,
     fit_optimal_affine,
     kl_gaussian,
     kl_quadrature_1d,
-    mc_loss_gap,
+    loss_gap_cubature,
     neutralizing_initialization,
     output_aug_risk,
     pushforward_affine,
@@ -202,23 +201,49 @@ class TestRegret:
         np.testing.assert_allclose(variance, 0.09, atol=1e-12)
         assert bias == 0.0
 
-    @pytest.mark.slow
     def test_worked_example_against_mc(self):
-        src_model = fit_optimal_affine(WORKED.source)
-        tgt_model = fit_optimal_affine(WORKED.target)
-        est, se = mc_loss_gap(src_model, tgt_model, WORKED.target,
-                              10 ** 7, SeededStream(404))
-        assert abs(est - 0.09) <= max(3.0 * se, 1e-3)
+        """The mc module's loss-gap cubature is exact, so it meets the
+        closed form to rounding."""
+        gap = loss_gap_cubature(fit_optimal_affine(WORKED.source),
+                                fit_optimal_affine(WORKED.target), WORKED.target)
+        assert abs(gap - 0.09) <= 1e-12
 
-    @pytest.mark.slow
     def test_random_pair_against_mc(self):
         rng = np.random.default_rng(5)
-        pair = random_basic_pair(rng, 4)
-        closed = regret_closed_form(pair).regret
-        est, se = mc_loss_gap(fit_optimal_affine(pair.source),
-                              fit_optimal_affine(pair.target),
-                              pair.target, 10 ** 7, SeededStream(405))
-        assert abs(est - closed) <= 3.0 * se
+        for d in range(1, 7):
+            for _ in range(200):
+                pair = random_basic_pair(rng, d)
+                regret = regret_risk_identity(pair).regret
+                gap = loss_gap_cubature(fit_optimal_affine(pair.source),
+                                        fit_optimal_affine(pair.target), pair.target)
+                assert abs(gap - regret) <= 1e-12 * max(1.0, abs(regret)), d
+
+    def test_singular_target_against_mc(self):
+        """Targets whose output is an exact affine function of the inputs
+        have a singular joint covariance.  The cubature then colours its
+        points with the eigen factor and still meets the closed form to
+        rounding; the same rule on the law moved by the Cholesky jitter
+        (1e-10·trace/n on the diagonal) misses it by far more."""
+        rng = np.random.default_rng(8)
+        worst_jittered = 0.0
+        for _ in range(200):
+            d = int(rng.integers(1, 6))
+            a = rng.normal(size=(d, d))
+            cov_x, weight = a @ a.T + 0.3 * np.eye(d), rng.normal(size=(d, 1))
+            mean_x = rng.normal(size=d)
+            mean = np.append(mean_x, weight[:, 0] @ mean_x + rng.normal())
+            cov = np.block([[cov_x, cov_x @ weight], [weight.T @ cov_x, weight.T @ cov_x @ weight]])
+            target = GaussianJointTask(d, 1, mean, cov)
+            pair = BasicCasePair(random_basic_pair(rng, d).source, target)
+            models = fit_optimal_affine(pair.source), fit_optimal_affine(target)
+            regret = regret_risk_identity(pair).regret
+            scale = max(1.0, abs(regret))
+            assert abs(loss_gap_cubature(*models, target) - regret) <= 1e-12 * scale
+            jitter = 1e-10 * np.trace(cov) / (d + 1) * np.eye(d + 1)
+            jittered = GaussianJointTask(d, 1, mean, cov + jitter)
+            worst_jittered = max(worst_jittered,
+                                 abs(loss_gap_cubature(*models, jittered) - regret) / scale)
+        assert worst_jittered > 1e-11
 
     def test_identity_and_lower_bound_sweep(self):
         rng = np.random.default_rng(6)

@@ -2,8 +2,8 @@
 them, not when the package or the CLI is imported.  scipy is reached
 only by the NNLS of the unanchored Sharpe solve, so the closed forms,
 every --verify oracle, predict, office-table and the property sweeps
-load none.  The Gauss-Hermite nodes of the KL oracle are built on its
-first call, so importing the package loads no numpy.polynomial.
+load none.  The cubature oracles build their points with numpy alone,
+so neither the package nor --verify loads numpy.polynomial.
 
 Each check runs in a fresh interpreter, because the test process has
 long since imported scipy.
@@ -56,8 +56,7 @@ def test_package_and_cli_import_load_no_scipy_or_jsonschema():
 
 
 def test_package_import_loads_no_numpy_polynomial():
-    """The quadrature nodes are built on the first KL oracle call, so no
-    command pays for numpy.polynomial at start-up."""
+    """No command pays for numpy.polynomial at start-up."""
     assert loaded_after("import transrisk, transrisk.cli", ["numpy.polynomial"]) == []
 
 
@@ -76,14 +75,15 @@ def test_gaussian_risk_without_verify_skips_oracle_modules(tmp_path):
 
 @pytest.mark.parametrize("case", list(SPECS))
 def test_gaussian_risk_verify_loads_no_scipy(tmp_path, case):
-    """Every --verify oracle runs on numpy: the 1-D KL by Gauss-Hermite
-    quadrature, the rest by sampling or the generic divergences."""
-    spec = write_spec(tmp_path, SPECS[case])
-    loaded = cli_loads(["gaussian-risk", spec, "--verify", "--out", str(tmp_path / "r.json")],
+    """Every --verify oracle runs on numpy: the 1-D KL and the regret by
+    cubature, the rest by sampling or the generic divergences."""
+    spec, out = write_spec(tmp_path, SPECS[case]), tmp_path / "r.json"
+    loaded = cli_loads(["gaussian-risk", spec, "--verify", "--out", str(out)],
                        ["scipy", "numpy.polynomial"])
-    assert scipy_modules(loaded) == []
+    assert loaded == []
     # the basic and feature_aug laws are 1-D, so their KL oracle ran
-    assert ("numpy.polynomial.hermite_e" in loaded) == (case != "output_aug")
+    names = {e["name"] for e in json.loads(out.read_text())["oracle_check"]["entries"]}
+    assert ("kl_vs_quadrature" in names) == (case != "output_aug")
 
 
 def test_office_table_builtin_loads_no_scipy(tmp_path):

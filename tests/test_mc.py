@@ -1,6 +1,8 @@
-"""Oracle infrastructure: stream determinism, sampler moments, and
-estimator consistency ladders."""
+"""Oracle infrastructure: stream determinism, sampler moments, the
+sampled W2 oracle's consistency ladder, and the exactness of the
+cubature oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,11 +14,11 @@ from transrisk import (
     GaussianDist,
     GaussianJointTask,
     SeededStream,
+    cubature,
     fit_optimal_affine,
     kl_gaussian,
     kl_quadrature_1d,
-    mc_loss,
-    mc_loss_gap,
+    loss_gap_cubature,
     mc_w2_1d,
     sample_joint,
     w2_gaussian_sq,
@@ -105,50 +107,78 @@ class TestSampleJoint:
         b = sample_joint(task, 100, SeededStream(9))
         np.testing.assert_array_equal(a, b)
 
-    def test_loss_deterministic_across_chunk_boundaries(self):
-        """mc_loss is a pure function of (arguments, seed), including for
-        sample counts that span several internal chunks."""
-        import transrisk.mc as mc
 
-        task = GaussianJointTask(2, 1, [0.0, 0.0, 1.0],
-                                 [[1.0, 0.2, 0.4], [0.2, 1.0, 0.1], [0.4, 0.1, 1.0]])
-        model = fit_optimal_affine(task)
-        n = mc._CHUNK * 2 + 12345
-        est_a, se_a = mc_loss(model, task, n, SeededStream(3))
-        est_b, se_b = mc_loss(model, task, n, SeededStream(3))
-        assert est_a == est_b and se_a == se_b
+class TestCubature:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_exact_to_degree_three(self, k):
+        """Every monomial z₁^a₁…z_k^a_k of degree ≤ 3 integrates to its
+        N(0, I_k) moment, the product of the 1-D moments 1, 0, 1, 0."""
+        z, w = cubature(k)
+        assert z.shape == (2 * k, k) and w.shape == (2 * k,)
+        moment = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0}
+        for degree in range(4):
+            for axes in itertools.combinations_with_replacement(range(k), degree):
+                powers = np.bincount(np.asarray(axes, dtype=int), minlength=k)
+                want = math.prod(moment[int(a)] for a in powers)
+                got = float(w @ np.prod(z ** powers, axis=1))
+                assert abs(got - want) <= 1e-14, (k, powers)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_degree_four_is_not_exact(self, k):
+        """The rule gives E z₁⁴ = k where the true moment is 3, so it is
+        exact only at k = 3: the loss gap and the KL log-ratio must stay
+        quadratics in z."""
+        z, w = cubature(k)
+        assert float(w @ z[:, 0] ** 4) == pytest.approx(k, rel=1e-14)
+        assert abs(float(w @ z[:, 0] ** 4) - 3.0) >= 0.5
 
 
 class TestMCLoss:
-    def test_optimal_model_converges_to_residual_variance(self):
+    """``loss_gap_cubature`` against losses written out by hand,
+    L(W, b) = tr(Σ_Y − 2WΣ_XY + WΣ_XWᵀ) + ‖μ_Y − Wμ_X − b‖²."""
+
+    @staticmethod
+    def loss(model, task):
+        w = model.weight
+        mean_gap = task.mean_y - w @ task.mean_x - model.intercept
+        return float(np.trace(task.cov_y - 2.0 * w @ task.cov_xy + w @ task.cov_x @ w.T)
+                     + mean_gap @ mean_gap)
+
+    def test_optimal_model_gap_is_residual_variance(self):
+        """Against the zero model, whose loss is E Y² = Σ_Y + μ_Y², the
+        optimal model's gap is the residual variance minus E Y²."""
         task = GaussianJointTask(2, 1, [0.0, 0.0, 0.5],
                                  [[1.0, 0.3, 0.5], [0.3, 1.0, 0.2], [0.5, 0.2, 1.0]])
-        model = fit_optimal_affine(task)
         explained = task.cov_yx @ np.linalg.solve(task.cov_x, task.cov_xy)
-        expected = float(task.cov_y[0, 0] - explained[0, 0])
-        est, se = mc_loss(model, task, 10 ** 6, SeededStream(17))
-        assert abs(est - expected) <= 3.0 * se
+        expected = float(task.cov_y[0, 0] - explained[0, 0]) - (1.0 + 0.5 ** 2)
+        gap = loss_gap_cubature(fit_optimal_affine(task), AffineModel([[0.0, 0.0]], [0.0]), task)
+        assert abs(gap - expected) <= 1e-14
 
     def test_any_model_loses_to_optimal(self):
         rng = np.random.default_rng(23)
         task = GaussianJointTask(2, 1, rng.normal(size=3),
                                  np.eye(3) + 0.4 * np.ones((3, 3)))
         optimal = fit_optimal_affine(task)
-        for k in range(5):
+        for _ in range(5):
             other = AffineModel(optimal.weight + rng.normal(scale=0.5, size=(1, 2)),
                                 optimal.intercept + rng.normal())
-            est_other, se_other = mc_loss(other, task, 10 ** 5, SeededStream(k))
-            est_opt, se_opt = mc_loss(optimal, task, 10 ** 5, SeededStream(k))
-            assert est_other >= est_opt - 3.0 * math.hypot(se_other, se_opt)
+            assert loss_gap_cubature(other, optimal, task) > 0.0
+            assert loss_gap_cubature(optimal, optimal, task) == 0.0
 
     def test_loss_gap_matches_separate_losses(self):
-        task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
-        m1 = AffineModel([[0.2]], [0.0])
-        m2 = fit_optimal_affine(task)
-        gap, se = mc_loss_gap(m1, m2, task, 10 ** 6, SeededStream(31))
-        l1, se1 = mc_loss(m1, task, 10 ** 6, SeededStream(77))
-        l2, se2 = mc_loss(m2, task, 10 ** 6, SeededStream(78))
-        assert abs(gap - (l1 - l2)) <= 3.0 * math.sqrt(se ** 2 + se1 ** 2 + se2 ** 2)
+        """Random models on random joints with 1 or 3 inputs and 1 or 2
+        outputs, so several output columns are summed."""
+        rng = np.random.default_rng(31)
+        for dim_x, dim_y in itertools.product((1, 3), (1, 2)):
+            dim = dim_x + dim_y
+            a = rng.normal(size=(dim, dim))
+            task = GaussianJointTask(dim_x, dim_y, rng.normal(size=dim),
+                                     a @ a.T + 0.2 * np.eye(dim))
+            m1, m2 = (AffineModel(rng.normal(size=(dim_y, dim_x)), rng.normal(size=dim_y))
+                      for _ in range(2))
+            want = self.loss(m1, task) - self.loss(m2, task)
+            got = loss_gap_cubature(m1, m2, task)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (dim_x, dim_y)
 
 
 class TestMCW2:
@@ -214,48 +244,26 @@ class TestMCW2:
         assert ses[1] < ses[0]
         assert errors[1] < errors[0]
 
-    def test_loss_ladder(self):
-        """Error and standard error both shrink as n grows 10^3 → 10^5.
-
-        As in ``test_consistency_ladder``, ``errors[1] < errors[0]`` fails
-        by chance with probability (2/π)·atan(0.1) ≈ 6% (7.2% measured over
-        2000 seed pairs); the seeds are fixed so that the outcome is
-        repeatable."""
-        task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]])
-        model = AffineModel([[0.1]], [0.2])
-        truth = (0.1 - 0.6) ** 2 + 1.0 - 0.6 ** 2 + (0.6 * 0 - 0.1 * 0 - 0.2) ** 2
-        # population loss: var(Y - 0.1X) + bias² = 1 - 2·0.1·0.6 + 0.01 + 0.04
-        truth = 1.0 - 2 * 0.1 * 0.6 + 0.1 ** 2 + 0.2 ** 2
-        errors, ses = [], []
-        for k, n in enumerate((10 ** 3, 10 ** 5)):
-            est, se = mc_loss(model, task, n, SeededStream(200 + k))
-            errors.append(abs(est - truth))
-            ses.append(se)
-            assert abs(est - truth) <= 3.0 * se
-        assert ses[1] < ses[0]
-        assert errors[1] < errors[0]
-
-
 class TestAntitheticStandardErrors:
-    """The antithetic standard errors are calibrated at stated rates.
+    """The sampled W2 oracle's antithetic standard errors are calibrated
+    at stated rates.
 
     Each case is a squared gap v = (δ + s·z)² of one standard normal z:
-    the W2 rows (a − b)² for p = N(δ, (1 + s)²) and q = N(0, 1), or the
-    loss rows (y − f(x))² for independent x, y ~ N(0, s²) and f = −δ.
-    Its odd part 2δs·z and even part s²(z² − 1) give
+    the W2 rows (a − b)² for p = N(δ, (1 + s)²) and q = N(0, 1).  Its odd
+    part 2δs·z and even part s²(z² − 1) give
     ρ = corr(v(z), v(−z)) = (s² − 2δ²)/(s² + 2δ²): about −1 with a mean
     shift, 0 at δ² = s²/2, and +1 with equal means.  A pair mean keeps
     only the even part, so at one seed the per-pair scores are the same
     in all three cases; what ρ changes is the per-row standard error.
 
-    Over SEEDS seeds each estimator's studentized scores are N(0, 1)
-    (W2's Student t₃₉ scores are mapped to the N(0, 1) score with the same
-    tail probability).  Two gates each fire by chance with probability
-    ALPHA: the mean beyond ±Φ⁻¹(1 − α/2)/√SEEDS, and Σz² outside the
-    central 1 − α interval of χ²_SEEDS.  The six cases then fail by chance
-    on at most 12·ALPHA = 0.12% of seed sets.  With ρ near ±1 a standard
-    error taken per row instead of per pair is wrong by a factor √(1 + ρ),
-    and the Σz² gate fires; at ρ = 0 the two agree, so nothing can fire.
+    Over SEEDS seeds the studentized scores, Student t₃₉ mapped to the
+    N(0, 1) score with the same tail probability, are N(0, 1).  Two gates
+    each fire by chance with probability ALPHA: the mean beyond
+    ±Φ⁻¹(1 − α/2)/√SEEDS, and Σz² outside the central 1 − α interval of
+    χ²_SEEDS.  The three cases then fail by chance on at most 6·ALPHA =
+    0.06% of seed sets.  With ρ near ±1 a standard error taken per row
+    instead of per pair is wrong by a factor √(1 + ρ), and the Σz² gate
+    fires; at ρ = 0 the two agree, so nothing can fire.
     """
 
     SEEDS, ALPHA = 300, 1e-4
@@ -290,130 +298,13 @@ class TestAntitheticStandardErrors:
             row.append(gap / math.sqrt(np.var(v) / n))
         return pair, row
 
-    def loss_scores(self, delta, s, monkeypatch):
-        """Per-pair and per-row scores of ``mc_loss``.  The joint factor
-        is diag(1, s), so a drawn normal row (z₁, z₂) gives the rows
-        y − f(x) = δ ± s·z₂ of one antithetic pair."""
-        n = 20_000
-        task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.0], [0.0, s * s]])
-        model = AffineModel([[0.0]], [-delta])
-        drawn = []
-        normals = SeededStream.normals
-        monkeypatch.setattr(SeededStream, "normals",
-                            lambda self, k: drawn.append(normals(self, k)) or drawn[-1])
-        pair, row = [], []
-        for seed in range(self.SEEDS):
-            drawn.clear()
-            est, se = mc_loss(model, task, n, SeededStream(seed))
-            (z,) = drawn
-            z2 = z.reshape(-1, 2)[:, 1]
-            v = np.concatenate([(delta + s * z2) ** 2, (delta - s * z2) ** 2])
-            gap = est - (delta ** 2 + s ** 2)
-            pair.append(gap / se)
-            row.append(gap / math.sqrt(np.var(v) / n))
-        return pair, row
-
-    @pytest.mark.parametrize("estimator", ["w2", "loss"])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_stated_rates(self, estimator, case, monkeypatch):
+    def test_stated_rates(self, case, monkeypatch):
         delta, s = self.CASES[case]
-        scores = self.w2_scores if estimator == "w2" else self.loss_scores
-        pair, row = scores(delta, s, monkeypatch)
+        pair, row = self.w2_scores(delta, s, monkeypatch)
         assert self.fired(pair) == []
         if case != "rho_0":
             assert "sum_sq" in self.fired(row)
-
-    def test_unpaired_row(self):
-        """Two models that differ only in their intercepts have a loss gap
-        linear in z (ρ = −1 exactly), so every pair mean equals the gap
-        and an even n recovers it to round-off.  At odd n all of the error
-        comes from the one unpaired row, and its per-row variance makes
-        the scores calibrated at the same stated rates."""
-        task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
-        model_a, model_b = AffineModel([[0.0]], [0.5]), AffineModel([[0.0]], [-0.3])
-        truth = 0.5 ** 2 - 0.3 ** 2
-        est, se = mc_loss_gap(model_a, model_b, task, 100, SeededStream(0))
-        assert abs(est - truth) <= 1e-12 and se <= 1e-7 * truth
-        scores = []
-        for seed in range(self.SEEDS):
-            est, se = mc_loss_gap(model_a, model_b, task, 101, SeededStream(seed))
-            scores.append((est - truth) / se)
-        assert self.fired(scores) == []
-
-
-    def test_intercept_gap_standard_error_is_round_off(self):
-        """The same intercept-only gap at even n: the pair means are
-        centred before they are squared, so the standard error is at
-        round-off, not at the √ε·gap that Σv²/n − mean² leaves (2.6e-10
-        at seed 4)."""
-        task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
-        model_a, model_b = AffineModel([[0.0]], [0.5]), AffineModel([[0.0]], [-0.3])
-        gap = 0.5 ** 2 - 0.3 ** 2
-        for seed in range(10):
-            _, se = mc_loss_gap(model_a, model_b, task, 100, SeededStream(seed))
-            assert se <= 1e-13 * gap
-
-
-class TestFusedResiduals:
-    """``mc_loss`` and ``mc_loss_gap`` fold each model's residual map into
-    the joint Cholesky factor.  They must agree with a reference that
-    colours the same captured normals with L, calls each model on the
-    coloured rows and subtracts, at an odd n whose first chunk leaves an
-    unpaired row."""
-
-    CHUNK, N = 1001, 1735
-
-    @staticmethod
-    def reference(signed_models, task, n, chunk, drawn):
-        """Mean and standard error over the raw residuals of the rows
-        mean ± zLᵀ, with variances about the mean."""
-        chol = np.linalg.cholesky(task.cov)
-        d = task.dim_x
-
-        def values(rows):
-            return sum(sign * np.sum((rows[:, d:] - model(rows[:, :d])) ** 2, axis=1)
-                       for sign, model in signed_models)
-
-        all_rows, pair_means, tails = [], [], []
-        for z, start in zip(drawn, range(0, n, chunk)):
-            pairs = min(chunk, n - start) // 2
-            col = z.reshape(-1, task.dim_x + task.dim_y) @ chol.T
-            plus, minus = values(task.mean + col), values(task.mean - col[:pairs])
-            all_rows += [plus, minus]
-            pair_means.append(0.5 * (plus[:pairs] + minus))
-            tails.append(plus[pairs:])
-        v, pm, tails = (np.concatenate(a) for a in (all_rows, pair_means, tails))
-        assert v.size == n
-        mean = float(np.mean(v))
-        ss_pairs, ss_rows = np.sum((pm - mean) ** 2), np.sum((v - mean) ** 2)
-        return mean, math.sqrt(4 * ss_pairs + tails.size * ss_rows / n) / n
-
-    @pytest.mark.parametrize("dim_y", [1, 2])
-    @pytest.mark.parametrize("dim_x", [1, 3])
-    def test_matches_raw_residuals(self, dim_x, dim_y, monkeypatch):
-        import transrisk.mc as mc
-
-        rng = np.random.default_rng(10 * dim_x + dim_y)
-        dim = dim_x + dim_y
-        a = rng.normal(size=(dim, dim))
-        task = GaussianJointTask(dim_x, dim_y, rng.normal(size=dim), a @ a.T + 0.2 * np.eye(dim))
-        model_a = AffineModel(rng.normal(size=(dim_y, dim_x)), rng.normal(size=dim_y))
-        model_b = AffineModel(rng.normal(size=(dim_y, dim_x)), rng.normal(size=dim_y))
-        monkeypatch.setattr(mc, "_CHUNK", self.CHUNK)
-        drawn = []
-        normals = SeededStream.normals
-        monkeypatch.setattr(SeededStream, "normals",
-                            lambda self, k: drawn.append(normals(self, k)) or drawn[-1])
-        for signed, got in (
-                ([(1, model_a)], lambda: mc_loss(model_a, task, self.N, SeededStream(4))),
-                ([(1, model_a), (-1, model_b)],
-                 lambda: mc_loss_gap(model_a, model_b, task, self.N, SeededStream(4)))):
-            drawn.clear()
-            est, se = got()
-            assert len(drawn) == 2
-            want = self.reference(signed, task, self.N, self.CHUNK, drawn)
-            np.testing.assert_allclose([est, se], want, rtol=1e-12, atol=0)
-
 
 class TestKLQuadrature:
     def test_identical(self):
