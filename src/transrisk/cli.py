@@ -86,9 +86,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-QUAD_ORACLE_TOL = 1e-6
-CUBATURE_ORACLE_RTOL = 1e-9   # regret gate, relative to max(1, |regret|)
+CUBATURE_ORACLE_RTOL = 1e-9   # KL and regret gate, relative to max(1, |closed form|)
 DIVERGENCE_ORACLE_TOL = 1e-10
+MAX_SCALE = 1000.0   # verify-props --scale: the largest sweep runs 10000 x scale trials
 
 
 def _emit(kind: str, inputs: dict, results: dict, seed: int | None,
@@ -163,8 +163,8 @@ def _oracle_entries(results: dict, pair, laws, stream: SeededStream, n: int) -> 
     if results.get("kl") is not None:
         closed = results["kl"]["total"]
         if scalar:
-            entries.append(_oracle_entry("kl_vs_quadrature", closed,
-                                         kl_quadrature_1d(*laws), None, QUAD_ORACLE_TOL))
+            entries.append(_oracle_entry("kl_vs_quadrature", closed, kl_quadrature_1d(*laws),
+                                         None, CUBATURE_ORACLE_RTOL * max(1.0, abs(closed))))
         else:
             entries.append(_oracle_entry("kl_vs_generic_divergence", closed,
                                          kl_gaussian(*laws), None, DIVERGENCE_ORACLE_TOL))
@@ -409,8 +409,9 @@ def cmd_portfolio(args) -> int:
 # --- verify-props --------------------------------------------------------
 
 def cmd_verify_props(args) -> int:
-    if not 0.0 < 10_000 * args.scale < math.inf:  # the largest sweep's trial count
-        raise ValidationError(f"--scale must be positive with 10000 x scale finite, got {args.scale}")
+    if not 0.0 < args.scale <= MAX_SCALE:
+        raise ValidationError(f"--scale must be in (0, {MAX_SCALE:g}] (at most "
+                              f"{10_000 * MAX_SCALE:,.0f} trials a sweep), got {args.scale}")
     sweeps = run_property_sweeps(args.seed, trials_scale=args.scale)
     rows = []
     for sweep in sweeps:

@@ -18,11 +18,13 @@ CSV files are read in one place, ``_csv_rows``: it opens the file as
 UTF-8, requires a header of the reader's shape and gives every data row
 the header's field count.  A file that cannot be opened or decoded is a
 ``ValidationError`` like any other malformed input.  The two dated
-readers (price/volume and returns) share one parser on top of it:
-ISO-8601 dates in the first column, strictly increasing, at least two
-rows, finite floats elsewhere; the sampling period is inferred from
-consecutive date deltas and echoed in reports.  A malformed row is a
-hard error, never skipped.
+readers (price/volume and returns) share ``_dated_csv``: ISO-8601 dates
+in the first column, strictly increasing, at least two rows, finite
+floats elsewhere; the sampling period is inferred from consecutive date
+deltas and echoed in reports.  A plain well-formed file is parsed by one
+``np.loadtxt`` call; any other goes to the per-cell parser on top of
+``_csv_rows``, so a malformed row is a hard error that names its cell,
+never skipped.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ import datetime as _dt
 import functools
 import json
 import math
+import operator
 from typing import Any
+
+import numpy as np
 
 from .errors import SpecFileError, ValidationError
 
@@ -335,9 +340,10 @@ def _csv_rows(path, header_ok,
     return header, rows
 
 
-def _dated_csv(path, header_ok, header_rule: str):
+def _dated_cells(path, header_ok, header_rule: str):
     """Header, dates and float rows of a file whose first column is a
-    date: at least two rows, dates strictly increasing."""
+    date, parsed cell by cell: at least two rows, dates strictly
+    increasing.  Every malformed input raises here, naming its cell."""
     header, rows = _csv_rows(path, header_ok, header_rule)
     dates = [_parse_date(row[0], where) for where, row in rows]
     values = [[_parse_float(cell, where) for cell in row[1:]] for where, row in rows]
@@ -345,22 +351,65 @@ def _dated_csv(path, header_ok, header_rule: str):
         raise ValidationError(f"{path}: need at least two rows")
     if any(b <= a for a, b in zip(dates, dates[1:])):
         raise ValidationError(f"{path}: dates must be strictly increasing")
+    return header, dates, np.array(values, dtype=float)
+
+
+def _dated_fast(path, header_ok):
+    """What ``_dated_cells`` returns, with the numbers parsed by one
+    ``np.loadtxt`` call, or None for any file it does not accept whole:
+    one with a quote, a carriage return, a NUL or a line over the csv
+    module's field limit, a bad header, a ragged row, a bad date, a cell
+    numpy cannot parse, a non-finite value, fewer than two rows or dates
+    that do not increase.  numpy parses a number as ``float`` does, so
+    the values are the same bits."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if ('"' in text or "\r" in text or "\0" in text or len(lines) < 3
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    header = lines[0].split(",")
+    if (not header_ok([h.strip().lower() for h in header])
+            or text.count(",") != len(lines) * (len(header) - 1)):
+        return None
+    firsts, _, rests = zip(*(line.partition(",") for line in lines[1:]))
+    try:
+        dates = list(map(_dt.date.fromisoformat, map(str.strip, firsts)))
+        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (values.shape != (len(rests), len(header) - 1) or not np.isfinite(values).all()
+            or not all(map(operator.lt, dates, dates[1:]))):
+        return None
     return header, dates, values
+
+
+def _dated_csv(path, header_ok, header_rule: str):
+    """Header, dates and an (n, columns) float array of a dated file: the
+    fast path when it accepts the file, else the per-cell parser, whose
+    error names the bad cell."""
+    return _dated_fast(path, header_ok) or _dated_cells(path, header_ok, header_rule)
 
 
 def read_price_volume_csv(path) -> tuple[list[_dt.date], list[float], list[float]]:
     """Read one asset file with header date,close,volume."""
     _, dates, values = _dated_csv(path, lambda cols: cols == ["date", "close", "volume"],
                                   "exactly date,close,volume")
-    for lineno, (close, volume) in enumerate(values, start=2):
-        if close <= 0.0 or volume <= 0.0:
-            raise ValidationError(f"{path}:{lineno}: close and volume must be positive")
-    return dates, [v[0] for v in values], [v[1] for v in values]
+    bad = np.flatnonzero((values <= 0.0).any(axis=1))
+    if bad.size:
+        raise ValidationError(f"{path}:{bad[0] + 2}: close and volume must be positive")
+    return dates, values[:, 0].tolist(), values[:, 1].tolist()
 
 
-def read_returns_csv(path) -> tuple[list[_dt.date], list[str], list[list[float]]]:
+def read_returns_csv(path) -> tuple[list[_dt.date], list[str], np.ndarray]:
     """Read a returns file with header date,<asset>,<asset>,...; the
-    asset names must be distinct, so weights can be matched to them."""
+    asset names must be distinct, so weights can be matched to them.
+    The returns come as an (n periods, n assets) array."""
     header, dates, rows = _dated_csv(
         path, lambda cols: len(cols) >= 3 and cols[0] == "date",
         "date plus at least two asset columns")

@@ -170,6 +170,24 @@ class TestGaussianRisk:
         assert within == {"kl_vs_quadrature": True, "w2_vs_sampling": True,
                           "regret_vs_loss_gap": False}
 
+    def test_verify_catches_planted_kl_fault(self, tmp_path, capsys, monkeypatch):
+        """A KL closed form scaled by 1 + 1e-7 fails the relative cubature
+        gate and exits 4, with only the KL entry out; an absolute 1e-6
+        gate let this spec's 2.4e-8 gap pass."""
+        from transrisk import cli
+        from transrisk.gaussian import RiskSplit
+
+        def planted(pair, _kl=cli.basic_output_risk_kl):
+            return RiskSplit(*(term * (1.0 + 1e-7) for term in _kl(pair)))
+
+        monkeypatch.setattr(cli, "basic_output_risk_kl", planted)
+        spec = write_spec(tmp_path, SPECS["basic"])
+        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify"])
+        assert code == 4
+        within = {e["name"]: e["within"] for e in report["oracle_check"]["entries"]}
+        assert within == {"kl_vs_quadrature": False, "w2_vs_sampling": True,
+                          "regret_vs_loss_gap": True}
+
     def test_regret_entry_is_deterministic(self, tmp_path, capsys):
         """The regret entry carries no standard error and does not move
         with --seed or --mc-samples."""
@@ -816,6 +834,32 @@ class TestVerifyProps:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("validation error: --scale")
+
+    @pytest.mark.parametrize("scale", ["1000.0000001", "1e4", "1.7e304"])
+    def test_scale_above_cap_exit_2(self, capsys, monkeypatch, scale):
+        """A --scale above 1000, whose largest sweep would exceed 10^7
+        trials, exits 2 with one line before any sweep starts."""
+        from transrisk import cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(cli, "run_property_sweeps", no_sweep)
+        assert main(["verify-props", f"--scale={scale}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"validation error: --scale must be in (0, 1000] (at most 10,000,000 trials "
+            f"a sweep), got {float(scale)}"]
+
+    def test_scale_at_cap_is_accepted(self, tmp_path, monkeypatch):
+        from transrisk import cli
+
+        scales = []
+        monkeypatch.setattr(cli, "run_property_sweeps",
+                            lambda seed, trials_scale: scales.append(trials_scale) or [])
+        assert main(["verify-props", "--scale=1000", "--out", str(tmp_path / "r.json")]) == 0
+        assert scales == [1000.0]
 
     def test_seed_taken_mod_2_64(self, capsys):
         """Seeds key a Philox stream modulo 2**64, so 2**64 and 2**80 run

@@ -1,10 +1,15 @@
 """Canonical serialization, schema validation, and CSV ingestion."""
 
+import csv
+import datetime
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from test_fuzz import SEED, mutated_csv, price_csv, returns_csv
+from transrisk import docio
 from transrisk.docio import (
     canonical_json,
     infer_period_days,
@@ -239,3 +244,132 @@ class TestCSVIngestion:
 
         dates = [dt.date(2024, 1, 1) + dt.timedelta(days=7 * i) for i in range(5)]
         assert infer_period_days(dates) == 7.0
+
+
+# --- the dated-CSV fast path against the per-cell parser --------------------
+
+def outcome(reader, path):
+    """A reader's result, floats as (shape, bytes) so equality means the
+    same bits, or its error message."""
+    try:
+        dates, *parts = reader(path)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return ("ok", dates, *[part if isinstance(part[0], str)
+                           else (np.shape(part), np.asarray(part, dtype=float).tobytes())
+                           for part in parts])
+
+
+def read_both(monkeypatch, reader, path):
+    """``reader``'s outcome as it runs, its outcome on the per-cell parser
+    alone, and whether the fast path accepted the file.  Whenever it
+    does, the per-cell parser must accept the file too and read the same
+    header, dates and float bits."""
+    accepted = []
+    fast = docio._dated_fast
+
+    def checked(path, header_ok):
+        result = fast(path, header_ok)
+        if result is not None:
+            try:
+                header, dates, values = docio._dated_cells(path, header_ok, "")
+            except ValidationError as exc:
+                pytest.fail(f"the fast path accepted a file the per-cell parser rejects: {exc}")
+            assert result[:2] == (header, dates) and result[2].shape == values.shape
+            assert result[2].tobytes() == values.tobytes()
+        accepted.append(result is not None)
+        return result
+
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a reader prints nothing but its error
+        patch.setattr(docio, "_dated_fast", checked)
+        as_run = outcome(reader, path)
+        patch.setattr(docio, "_dated_fast", lambda *args: None)
+        per_cell = outcome(reader, path)
+    return as_run, per_cell, accepted == [True]
+
+
+def repr_returns_csv(rng, n, d=3):
+    """Returns written as ``repr`` text over many magnitudes, as the
+    benchmark writes them."""
+    lines = ["date," + ",".join(f"b{i}" for i in range(d))]
+    day = datetime.date(2020, 1, 1)
+    for row in rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d)):
+        lines.append(day.isoformat() + "," + ",".join(map(repr, row.tolist())))
+        day += datetime.timedelta(days=int(rng.integers(1, 4)))
+    return "\n".join(lines) + "\n"
+
+
+READERS = {"returns": read_returns_csv, "price_volume": read_price_volume_csv}
+WRITERS = {"returns": (returns_csv, repr_returns_csv), "price_volume": (price_csv,)}
+RETURNS_TEXT = "date,a,b\n2024-01-01,0.01,-0.02\n2024-01-02,0.5,0.03\n2024-01-03,0.02,0.01\n"
+
+
+class TestDatedFastPath:
+    @pytest.mark.parametrize("kind", READERS)
+    def test_seeded_files_take_the_fast_path_bit_for_bit(self, tmp_path, monkeypatch, kind):
+        rng = np.random.default_rng([SEED, 7, len(kind)])
+        for i in range(30):
+            write = WRITERS[kind][i % len(WRITERS[kind])]
+            path = tmp_path / f"{i}.csv"
+            path.write_text(write(rng, int(rng.integers(2, 80))))
+            as_run, per_cell, fast = read_both(monkeypatch, READERS[kind], path)
+            assert fast and as_run[0] == "ok" and as_run == per_cell
+
+    @pytest.mark.parametrize("kind", READERS)
+    def test_fuzz_mutations_agree_with_the_per_cell_parser(self, tmp_path, monkeypatch, kind):
+        """tests/test_fuzz.py's CSV mutations: the same arrays and dates, or
+        the same message; the fast path accepts only what the per-cell
+        parser accepts."""
+        rng = np.random.default_rng([SEED, 8, len(kind)])
+        path = tmp_path / "m.csv"
+        fast_count = 0
+        for _ in range(200):
+            path.write_text(mutated_csv(WRITERS[kind][0](rng, 40), rng))
+            as_run, per_cell, fast = read_both(monkeypatch, READERS[kind], path)
+            assert as_run == per_cell
+            fast_count += fast
+        assert 0 < fast_count < 200
+
+    @pytest.mark.parametrize("old, new, expected", [
+        ("0.5", "nan", "{path}:3: non-finite value 'nan'"),
+        ("0.5", "inf", "{path}:3: non-finite value 'inf'"),
+        ("0.5", "1e309", "{path}:3: non-finite value '1e309'"),
+        ("0.5", "x", "{path}:3: 'x' is not a number"),
+        ("0.5", "", "{path}:3: '' is not a number"),
+        ("0.5,", "", "{path}:3: expected 3 fields, got 2"),
+        ("0.5", '"0.5"', None),
+        ("0.5", "1_0", None),
+        ("2024-01-02", "2024-01-01", "{path}: dates must be strictly increasing"),
+        ("2024-01-02", "2024-02-30", "{path}:3: '2024-02-30' is not an ISO-8601 date"),
+        ("date,a,b", "date,a, a", "{path}: duplicate asset names ['a']"),
+        ("date,a,b", 'date,"a",b', None),
+        ("\n", "\r\n", None),
+        (",0.01,-0.02\n2024-01-02,0.5,0.03\n2024-01-03,0.02,0.01",
+         ",\n2024-01-02,\n2024-01-03,0.02,0.01,1,2", "{path}:2: expected 3 fields, got 2"),
+        (",0.01,-0.02\n2024-01-02,0.5,0.03\n2024-01-03,0.02,0.01",
+         "\n2024-01-02\n2024-01-03", "{path}:2: expected 3 fields, got 1"),
+    ], ids=["nan", "inf", "overflow", "non-number", "empty", "short-row", "quoted",
+            "underscore", "non-increasing-dates", "bad-date", "duplicate-names",
+            "quoted-name", "crlf", "ragged-rows-balanced", "dates-only"])
+    def test_listed_inputs_give_the_per_cell_outcome(self, tmp_path, monkeypatch,
+                                                     old, new, expected):
+        """Every rejection keeps its message word for word, and only the
+        duplicate names, which the reader checks after either parser,
+        pass the fast path.  A file the per-cell parser accepts but the
+        fast path declines (a quoted cell or name, 1_0, CRLF line ends)
+        reads the same.  Two of the ragged files keep the comma count of
+        a good one, and one has no number at all."""
+        path = tmp_path / "r.csv"
+        path.write_text(RETURNS_TEXT.replace(old, new, 1))
+        as_run, per_cell, fast = read_both(monkeypatch, read_returns_csv, path)
+        assert as_run == per_cell and fast == (new == "date,a, a")
+        if expected is None:
+            assert per_cell[0] == "ok"
+        else:
+            assert per_cell == ("error", expected.format(path=path))
+
+    def test_line_over_the_csv_field_limit_is_left_to_the_csv_module(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(RETURNS_TEXT.replace("0.5", "0." + "0" * csv.field_size_limit() + "5"))
+        assert docio._dated_fast(path, lambda cols: True) is None

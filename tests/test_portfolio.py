@@ -15,7 +15,8 @@ from transrisk import (
     sharpe_optimize,
     sharpe_ratio,
 )
-from transrisk.portfolio import _Objective
+from transrisk import portfolio
+from transrisk.portfolio import CAPPED, CONVERGED, NO_INCREASE, _Objective, _spg
 from transrisk.errors import (
     DegenerateVariance,
     DimensionMismatch,
@@ -301,6 +302,131 @@ class TestSharpeOptimize:
     def test_non_psd_rejected(self):
         with pytest.raises(NonPSDSigma):
             sharpe_optimize(np.array([0.1, 0.2]), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def anchored_problems(seed, count):
+    """(objective, starts) of random anchored problems, d = 2..6, with
+    the starts sharpe_optimize uses: uniform, each vertex, the anchor."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(2, 7))
+        mu = rng.uniform(-0.05, 0.2, size=d)
+        anchor = project_simplex(rng.normal(size=d))
+        yield (_Objective(mu, random_market(rng, d), anchor, 0.2),
+               np.array([np.full(d, 1.0 / d), *np.eye(d), anchor]))
+
+
+def scan_projection(v):
+    """The sorted-threshold rule as a scalar scan over one vector."""
+    css = theta = 0.0
+    for i, ui in enumerate(sorted(v.tolist(), reverse=True), start=1):
+        css += ui
+        if ui - (css - 1.0) / i > 0.0:
+            theta = (css - 1.0) / i
+    return np.maximum(v - theta, 0.0)
+
+
+def ascent_from_one_start(obj, w):
+    """The monotone SPG ascent from one start as a plain loop, with the
+    scalar projection: the reference that each row of _spg matches."""
+    grad = obj.value_and_gradient(w)[1]
+    alpha = portfolio.STEP
+    for _ in range(portfolio.MAX_ITER):
+        moved = scan_projection(w + portfolio.STEP * grad) - w
+        if math.sqrt(moved @ moved) / portfolio.STEP <= portfolio.GRAD_TOL:
+            return w, CONVERGED
+        direction = scan_projection(w + alpha * grad) - w
+        slope = portfolio.ARMIJO * (grad @ direction)
+        for lam in (0.5 ** k for k in range(54)):
+            candidate = w + lam * direction
+            candidate /= candidate.sum()
+            gain = obj.gain(w, candidate, True)
+            if gain > 0.0 and gain >= lam * slope:
+                break
+        else:
+            return w, NO_INCREASE
+        step = candidate - w
+        new_grad = obj.value_and_gradient(candidate)[1]
+        curvature = step @ (grad - new_grad)
+        ratio = step @ step / curvature if curvature > 0.0 else portfolio.BB_MAX
+        alpha = min(max(ratio, portfolio.BB_MIN), portfolio.BB_MAX)
+        w, grad = candidate, new_grad
+    return w, CAPPED
+
+
+class TestBatchedSPG:
+    """_spg runs every start as one row of an array; rows share no
+    arithmetic, so a batch is its rows run alone."""
+
+    def test_projection_rows_match_scalar_scan(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            rows = rng.normal(scale=3.0, size=(int(rng.integers(1, 9)), int(rng.integers(1, 8))))
+            for row, projected in zip(rows, project_simplex(rows)):
+                assert np.array_equal(projected, scan_projection(row))
+
+    @pytest.mark.parametrize("grad_tol", [1e-8, -1.0])
+    def test_rows_match_a_loop_per_start(self, monkeypatch, grad_tol):
+        """Bit for bit, stop reasons included; a GRAD_TOL no row can meet
+        makes every row backtrack down to λ = 2⁻⁵³."""
+        monkeypatch.setattr(portfolio, "GRAD_TOL", grad_tol)
+        for obj, starts in anchored_problems(44, 15):
+            ends, stop = _spg(obj, starts)
+            for start, end, code in zip(starts, ends, stop):
+                want, want_code = ascent_from_one_start(obj, start)
+                assert np.array_equal(end, want) and code == want_code
+
+    def test_rows_match_single_row_batches(self):
+        for obj, starts in anchored_problems(40, 30):
+            ends, stop = _spg(obj, starts)
+            for start, end, code in zip(starts, ends, stop):
+                one, one_stop = _spg(obj, start[None])
+                np.testing.assert_allclose(one[0], end, rtol=0.0, atol=1e-15)
+                assert one_stop[0] == code
+
+    def test_start_at_optimum_stays_put(self):
+        for obj, starts in anchored_problems(41, 20):
+            best = max(_spg(obj, starts)[0], key=obj.value)
+            ends, stop = _spg(obj, np.vstack([best, starts]))
+            assert stop[0] == CONVERGED and np.array_equal(ends[0], best)
+            assert any(not np.array_equal(end, start) for end, start in zip(ends[1:], starts))
+
+    def test_each_stop_reason(self, monkeypatch):
+        """Converged at GRAD_TOL; with a GRAD_TOL no row can meet, no
+        increase down to λ = 2⁻⁵³, at a point still stationary to 1e-7;
+        with MAX_ITER = 1, the cap, after one step that did not lose."""
+        problems = list(anchored_problems(42, 10))
+        assert all(CONVERGED in _spg(obj, starts)[1] for obj, starts in problems)
+        monkeypatch.setattr(portfolio, "GRAD_TOL", -1.0)
+        for obj, starts in problems:
+            ends, stop = _spg(obj, starts)
+            assert set(stop) == {NO_INCREASE}
+            best = max(ends, key=obj.value)
+            assert stationarity(best, obj.mu, obj.sigma, obj.anchor, obj.penalty) <= 1e-7
+        monkeypatch.setattr(portfolio, "GRAD_TOL", 1e-8)
+        monkeypatch.setattr(portfolio, "MAX_ITER", 1)
+        for obj, starts in problems:
+            ends, stop = _spg(obj, starts)
+            capped = stop == CAPPED
+            assert capped.any() and set(stop[~capped]) <= {CONVERGED}
+            assert np.all(obj.value(ends) >= obj.value(starts))
+            assert not np.any(np.all(ends[capped] == starts[capped], axis=1))
+
+    @pytest.mark.parametrize("scale", [10.0, 100.0])
+    def test_relative_stationarity_at_large_means(self, scale):
+        """Means scaled by 10 or 100 raise the Sharpe ratio and the
+        rounding the ascent stops at, so the absolute 1e-7 of the tests
+        above does not always hold (about 1 in 130 solves at 10 and 1 in
+        13 at 100 miss it).  Relative to max(1, ‖μ‖/σ_φ) it does."""
+        rng = np.random.default_rng(int(scale))
+        for _ in range(100):
+            d = int(rng.integers(2, 7))
+            mu = scale * rng.uniform(-0.05, 0.2, size=d)
+            sigma = random_market(rng, d)
+            anchor = Portfolio(project_simplex(rng.normal(size=d)))
+            w = sharpe_optimize(mu, sigma, anchor=anchor, penalty=0.2).weights
+            bound = 1e-7 * max(1.0, np.linalg.norm(mu) / math.sqrt(w @ sigma @ w))
+            assert stationarity(w, mu, sigma, anchor.weights, 0.2) <= bound
 
 
 class TestPrescreenRisk:
