@@ -67,7 +67,7 @@ from .gaussian import (
     w2_gaussian_sq,
 )
 from .benchmarks import run_property_sweeps, signature_dataset
-from .mc import W2_SHARDS, SeededStream, kl_quadrature_1d, loss_gap_cubature, mc_w2_1d
+from .mc import W2_ROWS, W2_SHARDS, SeededStream, kl_quadrature_1d, loss_gap_cubature, mc_w2_1d
 from .portfolio import DEFAULT_PENALTY, ReturnsDataset, transfer_portfolio
 from .regression import (
     DEFAULT_SOURCE_LAMBDA,
@@ -152,12 +152,12 @@ def _oracle_entry(name: str, closed: float, oracle: float,
 
 # --- gaussian-risk -------------------------------------------------------
 
-def _oracle_entries(results: dict, pair, laws, stream: SeededStream, n: int) -> list[dict]:
+def _oracle_entries(results: dict, pair, laws, stream: SeededStream) -> list[dict]:
     """Check the closed forms already in ``results`` against ``laws``, the
     pair's target and intermediate output laws: KL by quadrature and W2
-    by sampling for 1-D laws, both by the generic Gaussian divergences
-    for wider ones, and in the basic case regret by the loss gap's
-    cubature."""
+    by sampling ``W2_ROWS`` rows for 1-D laws, both by the generic
+    Gaussian divergences for wider ones, and in the basic case regret by
+    the loss gap's cubature."""
     scalar = laws[0].dim == 1
     entries = []
     if results.get("kl") is not None:
@@ -171,7 +171,7 @@ def _oracle_entries(results: dict, pair, laws, stream: SeededStream, n: int) -> 
     if "w" in results:
         closed = results["w"]["total"]
         if scalar:
-            est, se = mc_w2_1d(*laws, n, stream.substream(1))
+            est, se = mc_w2_1d(*laws, W2_ROWS, stream.substream(1))
             entries.append(_oracle_entry("w2_vs_sampling", closed, est, se, None))
         else:
             entries.append(_oracle_entry("w2_vs_generic_divergence", closed,
@@ -191,9 +191,6 @@ def _oracle_entries(results: dict, pair, laws, stream: SeededStream, n: int) -> 
 # numpy's warnings would only print lines ahead of it.
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_gaussian_risk(args) -> int:
-    if args.verify and args.mc_samples < 2 * W2_SHARDS:
-        raise ValidationError(f"--mc-samples must be at least {2 * W2_SHARDS} with --verify, "
-                              f"got {args.mc_samples}")
     doc = _load_spec(args.spec, "gaussian_pair")
     case = doc["case"]
     source = _task_from_doc(doc["source"])
@@ -234,7 +231,7 @@ def cmd_gaussian_risk(args) -> int:
 
     check = None
     if args.verify:
-        entries = _oracle_entries(results, pair, laws, SeededStream(args.seed), args.mc_samples)
+        entries = _oracle_entries(results, pair, laws, SeededStream(args.seed))
         check = {"entries": entries, "all_within": all(e["within"] for e in entries)}
     _emit("gaussian_risk_report", doc, results, args.seed, args.out, oracle_check=check)
     if check is not None and not check["all_within"]:
@@ -444,12 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="task-pair spec document (JSON)")
     p.add_argument("--variant", choices=["kl", "w", "both"], default="both")
     p.add_argument("--verify", action="store_true",
-                   help="cross-check closed forms against the independent oracles")
+                   help="cross-check closed forms against the independent oracles; "
+                        f"the sampled W2 oracle draws {W2_ROWS} rows as antithetic "
+                        f"pairs (z, -z) in {W2_SHARDS} shards")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-samples", type=int, default=200_000,
-                   help="rows of the sampled W2 oracle for --verify, at least "
-                        f"{2 * W2_SHARDS}; n rows are drawn as antithetic pairs "
-                        "(z, -z), about n/2 normals")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_gaussian_risk)
 

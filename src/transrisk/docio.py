@@ -16,8 +16,8 @@ document is validated.
 
 CSV files are read in one place, ``_csv_rows``: it opens the file as
 UTF-8, requires a header of the reader's shape and gives every data row
-the header's field count.  A file that cannot be opened or decoded is a
-``ValidationError`` like any other malformed input.  The two dated
+the header's field count.  A file that cannot be opened, decoded or
+parsed is a ``ValidationError`` like any malformed input.  The two dated
 readers (price/volume and returns) share ``_dated_csv``: ISO-8601 dates
 in the first column, strictly increasing, at least two rows, finite
 floats elsewhere; the sampling period is inferred from consecutive date
@@ -324,7 +324,7 @@ def _csv_rows(path, header_ok,
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             records = list(csv.reader(handle))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     if not records:
         raise ValidationError(f"{path}: empty file")

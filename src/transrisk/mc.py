@@ -28,7 +28,8 @@ release that changes its ziggurat changes the stream.
 
 The sampled W2 oracle uses antithetic pairs (z, −z) (Hammersley &
 Morton, 1956) and comes back with a standard error, so checks of it are
-phrased in standard-error units.
+phrased in standard-error units.  ``gaussian-risk --verify`` runs it on
+``W2_ROWS`` = 2·10⁵ rows, 5,000 in each of ``W2_SHARDS`` = 40 shards.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .gaussian import AffineModel, GaussianDist, GaussianJointTask, cholesky_wit
 
 STREAM_ALGORITHM = "philox4x64/ziggurat"
 W2_SHARDS = 40   # batch-means shards of the sampled W2 oracle
+W2_ROWS = 200_000   # rows of the sampled W2 oracle behind gaussian-risk --verify
 
 @dataclass(frozen=True)
 class SeededStream:
@@ -104,32 +106,28 @@ def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int,
     never touches the Bures formula it is checked against.  (Sorting two
     independent samples instead would add the empirical W2² between
     them, about 6–8·σ²/m for m points per shard.)  The n rows are split
-    into ``W2_SHARDS`` shards, each from its own substream; the first
-    n mod W2_SHARDS shards take one row more than the rest.  A shard of m
-    rows draws ⌈m/2⌉ normals z and uses the antithetic rows
-    concat(z, −z)[:m].  The shard means stay i.i.d., so the mean over all
-    n rows comes back with the batch-means standard error of the shard
-    means, a Student t with W2_SHARDS − 1 degrees of freedom.
+    into ``W2_SHARDS`` equal shards of m rows, so n must be a multiple of
+    W2_SHARDS with m ≥ 2; each shard draws ⌈m/2⌉ normals z from its own
+    substream and uses the antithetic rows concat(z, −z)[:m].  The shard
+    means are i.i.d., so their mean comes back with the batch-means
+    standard error, a Student t with W2_SHARDS − 1 degrees of freedom.
     """
     if p.dim != 1 or q.dim != 1:
         raise NotOneDimensional("sampled W2 oracle is 1-D only")
-    if n < W2_SHARDS * 2:
-        raise DimensionMismatch(f"need n >= {W2_SHARDS * 2}")
-    sizes = np.full(W2_SHARDS, n // W2_SHARDS)
-    sizes[:n % W2_SHARDS] += 1
+    m, rest = divmod(n, W2_SHARDS)
+    if rest or m < 2:
+        raise DimensionMismatch(f"need n a multiple of {W2_SHARDS} and n >= {2 * W2_SHARDS}, "
+                                f"got {n}")
     sd_p = math.sqrt(max(p.cov[0, 0], 0.0))
     sd_q = math.sqrt(max(q.cov[0, 0], 0.0))
     estimates = np.empty(W2_SHARDS)
     for k in range(W2_SHARDS):
-        m = int(sizes[k])
         z = stream.substream(k).normals((m + 1) // 2)
         z = np.concatenate([z, -z])[:m]
         a = p.mean[0] + sd_p * z
         b = q.mean[0] + sd_q * z
         estimates[k] = float(np.mean((a - b) ** 2))
-    # shard weights m_k·W2_SHARDS/n are exactly 1.0 when the shards are equal
-    mean = float(np.mean(estimates * (sizes * W2_SHARDS / n)))
-    return mean, float(np.std(estimates, ddof=1) / math.sqrt(W2_SHARDS))
+    return float(np.mean(estimates)), float(np.std(estimates, ddof=1) / math.sqrt(W2_SHARDS))
 
 
 def cubature(k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -56,10 +56,11 @@ VARIANCE_FLOOR = 1e-14
 STEP = 1e-2  # step of the stationarity test ‖P(w + STEP·∇f) − w‖ / STEP
 GRAD_TOL = 1e-8
 MAX_ITER = 100_000
-BB_MIN, BB_MAX = 1e-10, 1e6  # Barzilai–Borwein step clamp; 1/BB_MIN > 2·penalty up to 5e9
+BB_MIN, BB_MAX = 1e-10, 1e6  # Barzilai–Borwein step clamp; 1/BB_MIN > 2·MAX_PENALTY
 ARMIJO = 1e-4
 CAPPED, CONVERGED, NO_INCREASE = range(3)  # a row's stop: MAX_ITER, GRAD_TOL, or λ < 2⁻⁵³
 DEFAULT_PENALTY = 0.2  # a portfolio job's pull penalty when it states none
+MAX_PENALTY = 100.0  # the stationarity reached grows as √penalty; at 1e3 a solve missed 1e-7
 UNBOUNDED = ("a feasible zero-variance portfolio with positive mean exists; "
              "the Sharpe objective is unbounded")
 
@@ -272,14 +273,15 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
     Its projected gradient is below 1e-7·max(1, ‖μ‖/σ_φ), σ_φ = √(φ'Σφ),
     since the rounding the ascent stops at grows with ‖μ‖/σ_φ: over 500
     random anchored solves at each mean scale 1 to 1000 the worst was 9e-9.
+    A penalty outside [0, MAX_PENALTY] is a ValidationError.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = _validate_sigma(sigma)
     d = mu.shape[0]
     if sigma.shape[0] != d:
         raise DimensionMismatch(f"mu has {d} assets but sigma is {sigma.shape}")
-    if penalty < 0.0:
-        raise ValidationError(f"penalty must be nonnegative, got {penalty}")
+    if not 0.0 <= penalty <= MAX_PENALTY:
+        raise ValidationError(f"penalty must lie in [0, {MAX_PENALTY:g}], got {penalty}")
     if anchor is not None and anchor.n_assets != d:
         raise DimensionMismatch("anchor dimension does not match mu")
 

@@ -119,8 +119,7 @@ class TestGaussianRisk:
                 return _fn(pair)
             monkeypatch.setattr(cli, name, counting)
         spec = write_spec(tmp_path, BASIC_SPEC)
-        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify", "--seed", "7",
-                                           "--mc-samples", "20000"])
+        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify", "--seed", "7"])
         assert code == 0
         assert calls == {"basic_output_risk_w": 1, "regret_risk_identity": 1,
                          "basic_output_risk_kl": 1}
@@ -132,9 +131,7 @@ class TestGaussianRisk:
 
     def test_verify_within_sigma(self, tmp_path, capsys):
         spec = write_spec(tmp_path, BASIC_SPEC)
-        code, report = run_report(capsys, [
-            "gaussian-risk", spec, "--verify", "--seed", "7",
-            "--mc-samples", "100000"])
+        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify", "--seed", "7"])
         assert code == 0
         check = report["oracle_check"]
         assert check["all_within"]
@@ -190,37 +187,17 @@ class TestGaussianRisk:
 
     def test_regret_entry_is_deterministic(self, tmp_path, capsys):
         """The regret entry carries no standard error and does not move
-        with --seed or --mc-samples."""
+        with --seed."""
         spec = write_spec(tmp_path, SPECS["basic"])
         entries = []
-        for seed, n in (("1", "80"), ("2", "5000")):
-            code, report = run_report(capsys, ["gaussian-risk", spec, "--verify",
-                                               "--seed", seed, "--mc-samples", n])
+        for seed in ("1", "2"):
+            code, report = run_report(capsys, ["gaussian-risk", spec, "--verify", "--seed", seed])
             assert code == 0
             (entry,) = [e for e in report["oracle_check"]["entries"]
                         if e["name"] == "regret_vs_loss_gap"]
             entries.append(entry)
         assert entries[0] == entries[1]
         assert "std_error" not in entries[0] and entries[0]["sigma_gap"] is None
-
-    @pytest.mark.parametrize("case", ["basic", "feature_aug", "output_aug"])
-    @pytest.mark.parametrize("samples", ["-1", "0", "79"])
-    def test_verify_rejects_too_few_mc_samples(self, tmp_path, capsys, case, samples):
-        """With --verify, fewer than two rows per W2 shard exits 2 with one
-        line naming the flag, whichever oracles the spec's case runs."""
-        spec = write_spec(tmp_path, SPECS[case])
-        assert main(["gaussian-risk", spec, "--verify", "--mc-samples", samples]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"validation error: --mc-samples must be at least 80 with --verify, got {samples}"]
-
-    @pytest.mark.parametrize("case", ["basic", "feature_aug", "output_aug"])
-    def test_verify_runs_at_minimum_mc_samples(self, tmp_path, capsys, case):
-        spec = write_spec(tmp_path, SPECS[case])
-        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify",
-                                           "--mc-samples", "80"])
-        assert code in (0, 4) and report["oracle_check"]["entries"]
 
     def test_parser_is_built_once_and_keeps_no_values(self, tmp_path):
         """main reuses one parser; a second call sees only its own flags
@@ -230,12 +207,11 @@ class TestGaussianRisk:
         spec = write_spec(tmp_path, SPECS["basic"])
         first, second = tmp_path / "r1.json", tmp_path / "r2.json"
         assert main(["gaussian-risk", spec, "--variant", "w", "--verify", "--seed", "5",
-                     "--mc-samples", "1000", "--out", str(first)]) == 0
+                     "--out", str(first)]) == 0
         assert main(["gaussian-risk", spec, "--out", str(second)]) == 0
         assert cli.build_parser() is cli.build_parser()
         args = cli.build_parser().parse_args(["gaussian-risk", spec])
-        assert (args.variant, args.verify, args.seed, args.mc_samples, args.out) == \
-            ("both", False, 0, 200_000, None)
+        assert (args.variant, args.verify, args.seed, args.out) == ("both", False, 0, None)
         one, two = (parse_document(path.read_text()) for path in (first, second))
         assert "oracle_check" in one and "kl" not in one["results"]
         assert "oracle_check" not in two and "kl" in two["results"]
@@ -244,10 +220,8 @@ class TestGaussianRisk:
     def test_byte_identical_reports(self, tmp_path):
         spec = write_spec(tmp_path, BASIC_SPEC)
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert main(["gaussian-risk", spec, "--verify", "--seed", "3",
-                     "--mc-samples", "50000", "--out", str(out1)]) == 0
-        assert main(["gaussian-risk", spec, "--verify", "--seed", "3",
-                     "--mc-samples", "50000", "--out", str(out2)]) == 0
+        assert main(["gaussian-risk", spec, "--verify", "--seed", "3", "--out", str(out1)]) == 0
+        assert main(["gaussian-risk", spec, "--verify", "--seed", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_invalid_spec_exit_2(self, tmp_path, capsys):
@@ -327,13 +301,13 @@ class TestGaussianRisk:
         spec = write_spec(tmp_path, doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["gaussian-risk", spec, "--verify", "--mc-samples", "400"]) == 2
+            assert main(["gaussian-risk", spec, "--verify"]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert captured.out == ""
         assert len(lines) == 1 and lines[0].startswith("validation error: non-finite")
 
-    @pytest.mark.parametrize("verify", [[], ["--verify", "--mc-samples", "400"]])
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
     def test_overflowing_intermediate_law_exit_2(self, tmp_path, capsys, verify):
         """An initial weight entry of 1e200 overflows the intermediate
         law's covariance; the law is rejected where it is built, with one
@@ -384,8 +358,7 @@ class TestGaussianRisk:
                        "cov": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.3], [0.5, 0.3, 1.0]]},
         }
         spec = write_spec(tmp_path, doc)
-        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify",
-                                           "--mc-samples", "50000"])
+        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify"])
         assert code == 0
         results = report["results"]
         assert results["kl"]["bias_term"] == 0.0
@@ -701,6 +674,33 @@ class TestPortfolio:
         np.testing.assert_allclose(results["transferred_weights"],
                                    results["direct_weights"], atol=1e-5)
 
+    @pytest.mark.parametrize("shift", [0.0, 0.002])
+    def test_penalty_at_bound_exit_0_without_warnings(self, tmp_path, capsys, shift):
+        """At MAX_PENALTY the transferred portfolio sits near the
+        pretrained one, and the run prints no warning."""
+        import warnings
+
+        from transrisk.portfolio import MAX_PENALTY
+
+        spec = self.make_job(tmp_path, seed=9, shift=shift, penalty=MAX_PENALTY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run_report(capsys, ["portfolio", spec])
+        assert code == 0
+        results = report["results"]
+        np.testing.assert_allclose(results["transferred_weights"],
+                                   results["pretrained_weights"], atol=1e-3)
+
+    @pytest.mark.parametrize("penalty", [100.00000000000001, 1e20, 1e308])
+    def test_penalty_above_bound_exit_2(self, tmp_path, capsys, penalty):
+        """A penalty above MAX_PENALTY ends in one line, not in numpy
+        overflow warnings and an exit 0."""
+        assert main(["portfolio", self.make_job(tmp_path, penalty=penalty)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"validation error: penalty must lie in [0, 100], got {penalty}"]
+
     def test_mean_shift_raises_prescreen_risk(self, tmp_path, capsys):
         spec_near = self.make_job(tmp_path, seed=21, shift=0.0)
         _, near = run_report(capsys, ["portfolio", spec_near])
@@ -884,6 +884,8 @@ INPUT_ROLES = {
 BAD_FILE_CASES = [(command, role, fault)
                   for command, roles in INPUT_ROLES.items() for role in roles
                   for fault in ("missing", "directory", "not_utf8")]
+BAD_FILE_CASES += [(command, role, "oversized_cell") for command, roles in INPUT_ROLES.items()
+                   for role in roles if role.endswith("csv")]
 BAD_FILE_CASES += [(command, "out", "unwritable") for command in INPUT_ROLES]
 BAD_FILE_CASES.append(("predict", "features_out", "unwritable"))
 
@@ -915,9 +917,10 @@ def good_run(tmp_path, command):
 @pytest.mark.parametrize("command, role, fault", BAD_FILE_CASES,
                          ids=["-".join(case) for case in BAD_FILE_CASES])
 def test_bad_file_exit_2(tmp_path, capsys, command, role, fault):
-    """A missing, directory or non-UTF-8 spec or CSV, and an --out or
-    --features-out that cannot be written, end in exit 2 with one
-    diagnostic line."""
+    """A missing, directory or non-UTF-8 spec or CSV, a CSV cell of
+    140,000 digits (over the csv module's 131,072-character field limit),
+    and an --out or --features-out that cannot be written, end in exit 2
+    with one diagnostic line."""
     argv, files = good_run(tmp_path, command)
     if fault == "unwritable":
         argv += ["--" + role.replace("_", "-"), str(tmp_path)]
@@ -925,6 +928,11 @@ def test_bad_file_exit_2(tmp_path, capsys, command, role, fault):
         path = Path(files[role])
         if fault == "not_utf8":
             path.write_bytes(b"\xff" + path.read_bytes())
+        elif fault == "oversized_cell":
+            lines = path.read_text().splitlines()
+            fields = lines[1].split(",")
+            lines[1] = ",".join(fields[:1] + ["9" * 140_000] + fields[2:])
+            path.write_text("\n".join(lines) + "\n")
         else:
             path.unlink()
             if fault == "directory":

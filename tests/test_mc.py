@@ -23,7 +23,7 @@ from transrisk import (
     sample_joint,
     w2_gaussian_sq,
 )
-from transrisk.errors import NotOneDimensional, SingularReference
+from transrisk.errors import DimensionMismatch, NotOneDimensional, SingularReference
 from transrisk.mc import W2_SHARDS
 
 
@@ -198,11 +198,18 @@ class TestMCW2:
         with pytest.raises(NotOneDimensional):
             mc_w2_1d(p, p, 1000, SeededStream(0))
 
-    @pytest.mark.parametrize("n", [W2_SHARDS * 25 + r for r in (1, 17, 39)])
-    def test_uses_all_draws(self, n, monkeypatch):
-        """n = 40·m + r: the first r shards take m + 1 rows, a shard of m_k
-        rows draws ⌈m_k/2⌉ normals z, and the estimate is the mean over the
-        antithetic rows concat(z, −z)[:m_k] of every shard."""
+    @pytest.mark.parametrize("n", [W2_SHARDS * 25 + r for r in (1, 17, 39)] + [W2_SHARDS])
+    def test_uneven_shards_rejected(self, n):
+        """n = 40·25 + r rows cannot fill the 40 shards equally, and n = 40
+        leaves one row a shard, too few for a standard error."""
+        p = GaussianDist([0.3], [[1.3]])
+        with pytest.raises(DimensionMismatch, match=f"got {n}"):
+            mc_w2_1d(p, p, n, SeededStream(5))
+
+    def test_uses_all_draws(self, monkeypatch):
+        """n = 40·25: each shard of 25 rows draws 13 normals z, and the
+        estimate is the mean over the antithetic rows concat(z, −z)[:25]
+        of every shard."""
         p = GaussianDist([0.3], [[1.3]])
         q = GaussianDist([-0.5], [[0.6]])
         drawn = []
@@ -214,16 +221,12 @@ class TestMCW2:
             return z
 
         monkeypatch.setattr(SeededStream, "normals", counting)
-        est, _ = mc_w2_1d(p, q, n, SeededStream(5))
-        r = n % W2_SHARDS
-        sizes = [26] * r + [25] * (W2_SHARDS - r)
-        assert [len(z) for z in drawn] == [(m + 1) // 2 for m in sizes]
-        z = np.concatenate([np.concatenate([z, -z])[:m] for z, m in zip(drawn, sizes)])
-        assert len(z) == n
+        est, _ = mc_w2_1d(p, q, W2_SHARDS * 25, SeededStream(5))
+        assert [len(z) for z in drawn] == [13] * W2_SHARDS
+        z = np.concatenate([np.concatenate([z, -z])[:25] for z in drawn])
         a = 0.3 + math.sqrt(1.3) * z
         b = -0.5 + math.sqrt(0.6) * z
         np.testing.assert_allclose(est, np.mean((a - b) ** 2), rtol=1e-13)
-        assert est != mc_w2_1d(p, q, 1000, SeededStream(5))[0]
 
     def test_consistency_ladder(self):
         """Error and standard error both shrink as n grows 10^3 → 10^5.

@@ -16,7 +16,7 @@ from transrisk import (
     sharpe_ratio,
 )
 from transrisk import portfolio
-from transrisk.portfolio import CAPPED, CONVERGED, NO_INCREASE, _Objective, _spg
+from transrisk.portfolio import CAPPED, CONVERGED, MAX_PENALTY, NO_INCREASE, _Objective, _spg
 from transrisk.errors import (
     DegenerateVariance,
     DimensionMismatch,
@@ -174,13 +174,31 @@ class TestSharpeOptimize:
             assert stationarity(w, mu, sigma) <= 1e-7
 
     def test_penalty_dominated_limit(self):
+        """The optimum φ is the projection of anchor + ∇S(φ)/(2·penalty),
+        S the Sharpe ratio, and the anchor is its own projection, so
+        ‖φ − anchor‖ ≤ ‖∇S(φ)‖/(2·penalty): φ tends to the anchor at rate
+        1/penalty, up to MAX_PENALTY."""
         rng = np.random.default_rng(7)
         anchor = Portfolio(project_simplex(rng.normal(size=4)))
         mu = rng.uniform(0.0, 0.2, size=4)
         a = rng.normal(size=(4, 4)) * 0.1
         sigma = a @ a.T + 0.02 * np.eye(4)
-        port = sharpe_optimize(mu, sigma, anchor=anchor, penalty=1e9)
-        assert np.linalg.norm(port.weights - anchor.weights) <= 1e-5
+        for penalty in (1.0, 10.0, MAX_PENALTY):
+            w = sharpe_optimize(mu, sigma, anchor=anchor, penalty=penalty).weights
+            sharpe_grad = _Objective(mu, sigma, None, 0.0).value_and_gradient(w)[1]
+            assert (np.linalg.norm(w - anchor.weights)
+                    <= np.linalg.norm(sharpe_grad) / (2.0 * penalty)), penalty
+            assert stationarity(w, mu, sigma, anchor.weights, penalty) <= 1e-7, penalty
+
+    @pytest.mark.parametrize("penalty", [np.nextafter(MAX_PENALTY, np.inf), 1e9, 1e308,
+                                         -1e-300, np.nan])
+    def test_penalty_outside_bound_rejected(self, penalty):
+        """Past MAX_PENALTY the anchored ascent cannot keep its
+        stationarity promise; such a penalty, a negative one and NaN are
+        rejected before any solve."""
+        anchor = Portfolio([0.5, 0.5])
+        with pytest.raises(ValidationError, match="penalty must lie in"):
+            sharpe_optimize(np.array([0.1, 0.2]), np.eye(2), anchor=anchor, penalty=penalty)
 
     def test_anchored_beats_anchor(self):
         rng = np.random.default_rng(8)
