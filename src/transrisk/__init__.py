@@ -62,7 +62,6 @@ from .regression import (
     RegressionDataset,
     Standardizer,
     evaluate,
-    pretrain_source,
     ridge_fit,
     transfer_output_risk,
 )
@@ -81,5 +80,4 @@ from .mc import (
     kl_quadrature_1d,
     loss_gap_cubature,
     mc_w2_1d,
-    sample_joint,
 )

@@ -92,12 +92,13 @@ MAX_SCALE = 1000.0   # verify-props --scale: the largest sweep runs 10000 x scal
 
 
 def _emit(kind: str, inputs: dict, results: dict, seed: int | None,
-          out_path: str | None, **blocks) -> None:
+          out_path: str | None, oracle_check: dict | None = None) -> None:
     """Build, validate, serialize and write one report: its envelope, plus
-    the optional top-level ``blocks`` (``oracle_check``) that are not None."""
+    the ``oracle_check`` block when it is not None."""
     report = {"version": 1, "kind": kind, "inputs": inputs, "results": results,
-              "provenance": {"tool": "transrisk", "tool_version": __version__, "seed": seed},
-              **{name: block for name, block in blocks.items() if block is not None}}
+              "provenance": {"tool": "transrisk", "tool_version": __version__, "seed": seed}}
+    if oracle_check is not None:
+        report["oracle_check"] = oracle_check
     validate_report(report)
     text = canonical_json(report)
     if out_path:
@@ -293,7 +294,7 @@ def _metrics_doc(theta, test: RegressionDataset) -> dict:
     m = evaluate(theta, test)
     return {"mse": m.mse, "r2": m.r2, "corr": m.corr,
             "corr_defined": bool(m.corr_defined),
-            "transfer_risk": transfer_output_risk(theta, test, 2.0)}
+            "transfer_risk": transfer_output_risk(theta, test)}
 
 
 def cmd_predict(args) -> int:

@@ -6,8 +6,8 @@ Three families live here:
   including the computable bracket around the gap between the model
   cross-entropy and the label cross-entropy against a common reference
   classifier (``cross_entropy_gap_bounds``);
-* exact one-dimensional Wasserstein costs between empirical samples via
-  sorted quantile coupling (optimal in 1-D, no LP solver needed), and
+* exact one-dimensional Wasserstein costs between empirical samples of
+  equal size via sorted quantile coupling (optimal in 1-D, no LP solver needed), and
   the label-anchored upper bound check built from them;
 * the Talagrand comparison W2² vs 2·KL for Gaussian pairs, surfaced as
   a *diagnostic* rather than an asserted inequality: it is guaranteed
@@ -128,31 +128,19 @@ def cross_entropy_gap_bounds(model_out: DiscreteDist, label_law: DiscreteDist,
 
 
 def wp_empirical_1d(a, b, p: float = 1.0) -> float:
-    """Exact W_p^p between two empirical measures on the line.
+    """Exact W_p^p between two empirical measures of equal size on the line.
 
-    Sorted quantile coupling is the optimal plan in 1-D.  Equal-size
-    samples pair order statistics directly, for any p ≥ 1.  Unequal
-    sizes are supported for p = 1 only, by integrating the gap between
-    the two quantile functions over the merged cumulative grid;
-    any other p with unequal sizes raises SizeMismatch.
+    Sorted quantile coupling is the optimal plan in 1-D, so order
+    statistics pair directly, for any p ≥ 1; samples of unequal size
+    raise SizeMismatch.
     """
     if p < 1.0:
         raise ValidationError(f"order p must be >= 1, got {p}")
     av = np.sort(_sample_values(a))
     bv = np.sort(_sample_values(b))
-    if av.size == bv.size:
-        return float(np.mean(np.abs(av - bv) ** p))
-    if p != 1.0:
-        raise SizeMismatch(
-            f"order-{p} coupling needs equal sizes, got {av.size} and {bv.size}")
-    # piecewise-quantile integration over the merged cumulative weights
-    cum_a = np.arange(1, av.size + 1) / av.size
-    cum_b = np.arange(1, bv.size + 1) / bv.size
-    grid = np.union1d(cum_a, cum_b)
-    qa = av[np.minimum(np.searchsorted(cum_a, grid - 1e-15), av.size - 1)]
-    qb = bv[np.minimum(np.searchsorted(cum_b, grid - 1e-15), bv.size - 1)]
-    widths = np.diff(np.concatenate(([0.0], grid)))
-    return float(np.sum(widths * np.abs(qa - qb)))
+    if av.size != bv.size:
+        raise SizeMismatch(f"samples need equal sizes, got {av.size} and {bv.size}")
+    return float(np.mean(np.abs(av - bv) ** p))
 
 
 class OutputBoundCheck(NamedTuple):

@@ -357,16 +357,20 @@ def _dated_cells(path, header_ok, header_rule: str):
 def _dated_fast(path, header_ok):
     """What ``_dated_cells`` returns, with the numbers parsed by one
     ``np.loadtxt`` call, or None for any file it does not accept whole:
-    one with a quote, a carriage return, a NUL or a line over the csv
-    module's field limit, a bad header, a ragged row, a bad date, a cell
-    numpy cannot parse, a non-finite value, fewer than two rows or dates
-    that do not increase.  numpy parses a number as ``float`` does, so
-    the values are the same bits."""
+    one with a quote, a carriage return not followed by a line feed, a
+    NUL or a line over the csv module's field limit, a bad header, a
+    ragged row, a bad date, a cell numpy cannot parse, a non-finite
+    value, fewer than two rows or dates that do not increase.  The csv
+    module ends a line at CRLF as at LF, so CRLF line ends are read as
+    LF.  numpy parses a number as ``float`` does, so the values are the
+    same bits."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError):
         return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()

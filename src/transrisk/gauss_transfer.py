@@ -32,7 +32,7 @@ them to its oracles.  The output-augmentation closed form *is* the
 generic split (``kl_split``, ``w2_split`` in ``gaussian``) on those
 laws.  The scalar closed forms of the other two cases are cross-checked
 in the test suite against the same generic divergences on explicitly
-constructed pushforward laws, and against the Monte-Carlo/quadrature
+constructed pushforward laws, and against the sampling and cubature
 oracles in ``mc``.
 """
 

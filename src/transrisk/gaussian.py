@@ -102,11 +102,12 @@ def validate_covariance(cov: np.ndarray, name: str = "cov") -> np.ndarray:
     return cov
 
 
-def cholesky_with_jitter(mat: np.ndarray, err: type[Exception] = SingularInputCovariance):
+def cholesky_with_jitter(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, retried once with 1e-10·trace/n jitter.
 
     The jitter retry is the documented fallback for near-singular
-    symmetric positive-definite solves; a second failure raises ``err``.
+    symmetric positive-definite solves; a second failure raises
+    SingularInputCovariance.
     """
     try:
         return np.linalg.cholesky(mat)
@@ -114,11 +115,12 @@ def cholesky_with_jitter(mat: np.ndarray, err: type[Exception] = SingularInputCo
         n = mat.shape[0]
         jitter = CHOLESKY_JITTER * float(np.trace(mat)) / max(n, 1)
         if jitter <= 0.0:
-            raise err("matrix is not positive definite") from None
+            raise SingularInputCovariance("matrix is not positive definite") from None
         try:
             return np.linalg.cholesky(mat + jitter * np.eye(n))
         except np.linalg.LinAlgError:
-            raise err("matrix is not positive definite, even with jitter") from None
+            raise SingularInputCovariance(
+                "matrix is not positive definite, even with jitter") from None
 
 
 def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -264,7 +266,7 @@ class AffineModel:
 def optimal_weight(cov_x: np.ndarray, cov_xy: np.ndarray) -> np.ndarray:
     """Σ_X⁻¹ Σ_XY, of shape (d, l), from a Cholesky factor of Σ_X; a
     singular Σ_X raises SingularInputCovariance."""
-    return chol_solve(cholesky_with_jitter(cov_x, SingularInputCovariance), cov_xy)
+    return chol_solve(cholesky_with_jitter(cov_x), cov_xy)
 
 
 def explained_variance(cov_x: np.ndarray, cov_xy: np.ndarray) -> float:

@@ -1,10 +1,12 @@
 """Independent sampling and cubature oracles.
 
-Every closed form in the library is cross-checked against an estimator
-in this module that shares no code path with it: joint draws go through
-the joint Cholesky factor, 1-D squared-W2 through common-quantile
-coupling, and the loss gap and the 1-D KL through Stroud's degree-3
-cubature rule (Stroud, 1971) in the standard normal variable z.  The
+The scalar closed forms behind ``gaussian-risk --verify`` are
+cross-checked against estimators in this module that share no code path
+with them: 1-D squared-W2 through common-quantile coupling, and the loss
+gap and the 1-D KL through Stroud's degree-3 cubature rule (Stroud,
+1971) in the standard normal variable z.  The wider output-augmentation
+laws have no oracle here: their ``*_vs_generic_divergence`` entries
+recompute the same generic split that produced the closed form.  The
 module needs numpy alone, and is shipped (not test-only) so downstream
 users can re-verify any number they get.
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotOneDimensional, SingularReference
-from .gaussian import AffineModel, GaussianDist, GaussianJointTask, cholesky_with_jitter
+from .gaussian import AffineModel, GaussianDist, GaussianJointTask
 
 STREAM_ALGORITHM = "philox4x64/ziggurat"
 W2_SHARDS = 40   # batch-means shards of the sampled W2 oracle
@@ -62,9 +64,10 @@ class SeededStream:
 
     _MIX = 0x9E3779B97F4A7C15  # odd multiplier; keeps nested splits disjoint
 
-    def _bit_generator(self) -> np.random.Philox:
-        return np.random.Philox(key=np.array(
-            [self.seed % (1 << 64), self.index % (1 << 64)], dtype=np.uint64))
+    def generator(self) -> np.random.Generator:
+        """A fresh numpy generator at the start of this stream."""
+        return np.random.Generator(np.random.Philox(key=np.array(
+            [self.seed % (1 << 64), self.index % (1 << 64)], dtype=np.uint64)))
 
     def substream(self, index: int) -> "SeededStream":
         child = (self.index * self._MIX + index + 1) % (1 << 64)
@@ -72,27 +75,12 @@ class SeededStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in (0, 1), clipped away from the endpoints."""
-        u = np.random.Generator(self._bit_generator()).random(n)
+        u = self.generator().random(n)
         return np.clip(u, 1e-15, 1.0 - 1e-15)
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals by the ziggurat method."""
-        return np.random.Generator(self._bit_generator()).standard_normal(n)
-
-
-def sample_joint(task: GaussianJointTask, n: int, stream: SeededStream) -> np.ndarray:
-    """n draws from the joint law, as an (n, d+l) matrix.
-
-    Draws standard normals from the stream and colors them with the
-    lower Cholesky factor of the joint covariance (jitter retry applies
-    for PSD-but-singular joints).
-    """
-    if n < 1:
-        raise DimensionMismatch("need at least one sample")
-    dim = task.dim_x + task.dim_y
-    chol = cholesky_with_jitter(task.cov)
-    z = stream.normals(n * dim).reshape(n, dim)
-    return z @ chol.T + task.mean
+        return self.generator().standard_normal(n)
 
 
 def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int,

@@ -7,11 +7,10 @@ Three fits cover the prediction pipelines:
 * transfer:   θ̂_T = argmin (1/T)Σ(x_t·θ − y_t)² + λ_T‖θ − θ̂_S‖²
 
 All reduce to one strictly convex quadratic solved through its normal
-equations (X'X/T + λP)θ = X'y/T + λP·anchor, with P the identity, or,
-when an intercept column is appended, the identity with the intercept
-coordinate zeroed: penalizing the intercept would couple the fit to the
-target's centering, so it is kept out of the penalty (and out of the
-anchor pull) by default in the pipelines.
+equations (X'X/T + λI)θ = X'y/T + λ·anchor.  No fit has an intercept:
+the pipeline standardizes every split by its training statistics, so on
+the training rows the features and the target have mean zero, and the
+best unpenalized intercept there is exactly zero.
 
 Evaluation reports mean squared error, R², and the Pearson correlation
 between predictions and realized targets; the correlation is flagged
@@ -116,34 +115,25 @@ class Standardizer:
 
 
 def ridge_fit(data: RegressionDataset, lam: float,
-              anchor: np.ndarray | None = None,
-              fit_intercept: bool = False) -> np.ndarray:
+              anchor: np.ndarray | None = None) -> np.ndarray:
     """Unique minimizer of the penalized least-squares objective.
 
-    Solves (X'X/T + λP)θ = X'y/T + λP·anchor by Cholesky; anchor = 0
-    recovers plain ridge.  With ``fit_intercept`` a constant column is
-    appended and P zeroes its coordinate, leaving the intercept (and
-    its distance to the anchor's intercept) unpenalized; the returned
-    vector then has d+1 entries, intercept last.  The anchor, when
-    given, must match the returned parameter length.
+    Solves (X'X/T + λI)θ = X'y/T + λ·anchor by Cholesky; anchor = 0
+    recovers plain ridge.  The anchor, when given, must have one entry
+    per feature.
     """
     if not lam > 0.0:
         raise NonpositiveLambda(f"lambda must be positive, got {lam}")
     x = data.features
-    if fit_intercept:
-        x = np.column_stack([x, np.ones(x.shape[0])])
     t, d = x.shape
-    penalty = np.eye(d)
-    if fit_intercept:
-        penalty[-1, -1] = 0.0
     if anchor is None:
         anchor = np.zeros(d)
     else:
         anchor = np.asarray(anchor, dtype=float)
         if anchor.shape != (d,):
             raise DimensionMismatch(f"anchor must have length {d}, got {anchor.shape}")
-    lhs = x.T @ x / t + lam * penalty
-    rhs = x.T @ data.targets / t + lam * (penalty @ anchor)
+    lhs = x.T @ x / t + lam * np.eye(d)
+    rhs = x.T @ data.targets / t + lam * anchor
     theta = chol_solve(cholesky_with_jitter(lhs), rhs)
     residual = float(np.linalg.norm(lhs @ theta - rhs))
     scale = max(float(np.linalg.norm(rhs)), 1e-30)
@@ -151,12 +141,6 @@ def ridge_fit(data: RegressionDataset, lam: float,
         raise ValidationError(
             f"normal equations solved to relative residual {residual / scale:.3e} only")
     return theta
-
-
-def pretrain_source(pooled: RegressionDataset, lam_source: float = DEFAULT_SOURCE_LAMBDA,
-                    fit_intercept: bool = False) -> np.ndarray:
-    """Plain ridge on the pooled source set; the transfer anchor."""
-    return ridge_fit(pooled, lam_source, anchor=None, fit_intercept=fit_intercept)
 
 
 class TransferFit(NamedTuple):
@@ -190,32 +174,28 @@ def ridge_transfer(source: RegressionDataset, train: RegressionDataset,
     directly and anchored to the pretrained parameter.
 
     The source is standardized by its own statistics, the target train
-    and test sets by the target train's.  The direct fit uses
-    ``lam_source``; every fit has an unpenalized intercept.
+    and test sets by the target train's.  The anchor is plain ridge on the
+    pooled source; the direct fit uses ``lam_source``.
     """
     src_columns, _, _, (source_std,) = _standardized(source)
     tgt_columns, y_mean, y_std, (train_std, test_std) = _standardized(train, test)
     if src_columns.n_kept != tgt_columns.n_kept:
         raise ValidationError(
             "source and target standardizers dropped different feature columns")
-    theta_source = pretrain_source(source_std, lam_source, fit_intercept=True)
     return TransferFit(
-        ridge_fit(train_std, lam_source, fit_intercept=True),
-        ridge_fit(train_std, lam_transfer, anchor=theta_source, fit_intercept=True),
+        ridge_fit(train_std, lam_source),
+        ridge_fit(train_std, lam_transfer, anchor=ridge_fit(source_std, lam_source)),
         test_std, y_mean, y_std)
 
 
 def predict(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Apply a fitted parameter; a (d+1)-length θ implies an intercept."""
+    """Apply a fitted parameter, one entry per feature column."""
     features = np.asarray(features, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if theta.shape[0] == features.shape[1] + 1:
-        return features @ theta[:-1] + theta[-1]
-    if theta.shape[0] == features.shape[1]:
-        return features @ theta
-    raise DimensionMismatch(
-        f"parameter length {theta.shape[0]} fits neither {features.shape[1]} "
-        f"nor {features.shape[1]}+1 features")
+    if theta.shape[0] != features.shape[1]:
+        raise DimensionMismatch(
+            f"parameter length {theta.shape[0]} does not fit {features.shape[1]} features")
+    return features @ theta
 
 
 class EvalMetrics(NamedTuple):
@@ -240,12 +220,11 @@ def evaluate(theta: np.ndarray, test: RegressionDataset) -> EvalMetrics:
     return EvalMetrics(mse, r2, corr, True)
 
 
-def transfer_output_risk(theta: np.ndarray, test: RegressionDataset,
-                         p: float = 2.0) -> float:
+def transfer_output_risk(theta: np.ndarray, test: RegressionDataset) -> float:
     """Empirical output transport cost of a fitted model on a test set.
 
-    W_p^p between the empirical law of predictions and the empirical law
+    W_2^2 between the empirical law of predictions and the empirical law
     of realized targets (label-anchored surrogate for the unobservable
     optimal-output law).
     """
-    return wp_empirical_1d(predict(theta, test.features), test.targets, p)
+    return wp_empirical_1d(predict(theta, test.features), test.targets, 2.0)

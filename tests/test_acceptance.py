@@ -8,6 +8,7 @@ runs the two synthetic end-to-end studies (under five minutes).
 """
 
 import numpy as np
+import pytest
 from scipy.stats import chi2, norm, t as student_t
 
 from transrisk import (
@@ -35,7 +36,6 @@ from transrisk import (
 )
 from transrisk.mc import W2_SHARDS
 from transrisk.benchmarks import (
-    pearson,
     portfolio_transfer_study,
     random_basic_pair,
     ridge_transfer_study,
@@ -49,6 +49,14 @@ from transrisk.gauss_transfer import (
     convex_rate,
     uncorrelated_aug_ratio,
 )
+
+
+@pytest.fixture(scope="module")
+def property_sweeps():
+    """The four property sweeps at their standard sizes, run once for
+    criteria 2 and 5: cross-entropy bounds, output bound, regret, and the
+    transport-entropy comparison, in that order."""
+    return run_property_sweeps(seed=20_240_401)
 
 
 def report(number, name, ok, detail=""):
@@ -67,22 +75,14 @@ def test_criterion_1_published_table_reproduction():
     report(1, "published risk table", worst <= 0.0025, f"max deviation {worst:.5f}")
 
 
-def test_criterion_2_regret_lower_bound_at_scale():
+def test_criterion_2_regret_lower_bound_at_scale(property_sweeps):
     """10^4 random pairs, d in 1..6: risk_w <= regret always, the identity
-    holds to 1e-9, and the residual is never below -1e-12."""
-    rng = np.random.default_rng(99_000)
-    violations = 0
-    worst_gap = 0.0
-    for _ in range(10_000):
-        pair = random_basic_pair(rng, int(rng.integers(1, 7)))
-        regret, risk_w, residual = regret_risk_identity(pair)
-        scale = max(1.0, abs(regret))
-        gap = abs(regret - (risk_w + residual)) / scale
-        worst_gap = max(worst_gap, gap)
-        if gap > 1e-9 or residual < -1e-12 or risk_w > regret + 1e-9 * scale:
-            violations += 1
-    report(2, "regret lower bound at scale", violations == 0,
-           f"0 violations target, got {violations}; worst identity gap {worst_gap:.2e}")
+    holds to 1e-9, and the residual is never below -1e-12 (the regret
+    sweep of ``run_property_sweeps``)."""
+    sweep = property_sweeps[2]
+    ok = sweep.name == "regret lower bound and identity" and sweep.checked == 10_000
+    report(2, "regret lower bound at scale", ok and sweep.passed,
+           f"0 violations target, got {sweep.failed}/{sweep.checked}; {sweep.detail}")
 
 
 def test_criterion_3_closed_forms_vs_oracles():
@@ -233,13 +233,14 @@ def test_criterion_4_augmentation_structure():
            f"shortcut gap {ratio_worst:.2e}")
 
 
-def test_criterion_5_inequality_suites():
+def test_criterion_5_inequality_suites(property_sweeps):
     """Cross-entropy gap bracket over 10^4 triples (K <= 20); the
     label-anchored output bound over 10^3 triples at p in {1, 2}; the
     transport-entropy comparison against N(0, I) over 10^3 pairs with
     covariance below identity, with the flat-curvature counterexample
-    flagged as a violation (checked inside the sweep)."""
-    sweeps = run_property_sweeps(seed=20_240_401)
+    flagged as a violation (checked inside the sweep).  The regret sweep
+    is criterion 2's."""
+    sweeps = [s for i, s in enumerate(property_sweeps) if i != 2]
     ok = all(s.passed for s in sweeps)
     detail = "; ".join(f"{s.name}: {s.checked - s.failed}/{s.checked}" for s in sweeps)
     report(5, "inequality suites", ok, detail)
@@ -294,12 +295,12 @@ def test_criterion_7_pipeline_properties():
     transfer beats direct fitting on test MSE for a majority of 50
     seeds; over 200 synthetic portfolio pairs the correlation between
     prescreen W2 risk and out-of-sample Sharpe is negative."""
-    ridge_cells = ridge_transfer_study(n_seeds=50)
+    ridge_cells = ridge_transfer_study()
     wins = sum(1 for c in ridge_cells if c.transfer_mse <= c.direct_mse)
 
-    portfolio_cells = portfolio_transfer_study(n_pairs=200)
-    corr = pearson([c.prescreen_risk for c in portfolio_cells],
-                   [c.transfer_sharpe for c in portfolio_cells])
+    portfolio_cells = portfolio_transfer_study()
+    corr = float(np.corrcoef([c.prescreen_risk for c in portfolio_cells],
+                             [c.transfer_sharpe for c in portfolio_cells])[0, 1])
 
     ok = wins > 25 and corr < 0.0
     report(7, "pipeline properties", ok,

@@ -120,18 +120,9 @@ class TestWpEmpirical1D:
                 np.testing.assert_allclose(wp_empirical_1d(a, b, p), brute, atol=1e-12)
 
     def test_unequal_sizes_p1(self):
-        # move half the mass from 0 to 1
-        np.testing.assert_allclose(wp_empirical_1d([0.0], [0.0, 1.0], 1.0), 0.5)
-
-    def test_unequal_sizes_p1_matches_fine_resampling(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=6)
-        b = rng.normal(size=9)
-        # common refinement: repeat each sample to equal total size
-        fine_a = np.repeat(np.sort(a), 3)
-        fine_b = np.repeat(np.sort(b), 2)
-        np.testing.assert_allclose(wp_empirical_1d(a, b, 1.0),
-                                   wp_empirical_1d(fine_a, fine_b, 1.0), atol=1e-12)
+        """Unequal sizes are rejected at every order, p = 1 included."""
+        with pytest.raises(SizeMismatch):
+            wp_empirical_1d([0.0], [0.0, 1.0], 1.0)
 
     def test_unequal_sizes_p2_rejected(self):
         with pytest.raises(SizeMismatch):

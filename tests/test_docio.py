@@ -303,6 +303,7 @@ def repr_returns_csv(rng, n, d=3):
 READERS = {"returns": read_returns_csv, "price_volume": read_price_volume_csv}
 WRITERS = {"returns": (returns_csv, repr_returns_csv), "price_volume": (price_csv,)}
 RETURNS_TEXT = "date,a,b\n2024-01-01,0.01,-0.02\n2024-01-02,0.5,0.03\n2024-01-03,0.02,0.01\n"
+CRLF_TEXT = RETURNS_TEXT.replace("\n", "\r\n")
 
 
 class TestDatedFastPath:
@@ -345,25 +346,30 @@ class TestDatedFastPath:
         ("date,a,b", "date,a, a", "{path}: duplicate asset names ['a']"),
         ("date,a,b", 'date,"a",b', None),
         ("\n", "\r\n", None),
+        (RETURNS_TEXT, CRLF_TEXT, None),
+        ("\n", "\r", None),
         (",0.01,-0.02\n2024-01-02,0.5,0.03\n2024-01-03,0.02,0.01",
          ",\n2024-01-02,\n2024-01-03,0.02,0.01,1,2", "{path}:2: expected 3 fields, got 2"),
         (",0.01,-0.02\n2024-01-02,0.5,0.03\n2024-01-03,0.02,0.01",
          "\n2024-01-02\n2024-01-03", "{path}:2: expected 3 fields, got 1"),
     ], ids=["nan", "inf", "overflow", "non-number", "empty", "short-row", "quoted",
             "underscore", "non-increasing-dates", "bad-date", "duplicate-names",
-            "quoted-name", "crlf", "ragged-rows-balanced", "dates-only"])
+            "quoted-name", "crlf", "crlf-every-line", "lone-cr", "ragged-rows-balanced",
+            "dates-only"])
     def test_listed_inputs_give_the_per_cell_outcome(self, tmp_path, monkeypatch,
                                                      old, new, expected):
         """Every rejection keeps its message word for word, and only the
         duplicate names, which the reader checks after either parser,
-        pass the fast path.  A file the per-cell parser accepts but the
-        fast path declines (a quoted cell or name, 1_0, CRLF line ends)
-        reads the same.  Two of the ragged files keep the comma count of
-        a good one, and one has no number at all."""
+        pass the fast path.  CRLF line ends, on one line or on all, take
+        the fast path with the per-cell parser's bits.  A file the
+        per-cell parser accepts but the fast path declines (a quoted cell
+        or name, 1_0, a lone carriage return) reads the same.  Two of the
+        ragged files keep the comma count of a good one, and one has no
+        number at all."""
         path = tmp_path / "r.csv"
         path.write_text(RETURNS_TEXT.replace(old, new, 1))
         as_run, per_cell, fast = read_both(monkeypatch, read_returns_csv, path)
-        assert as_run == per_cell and fast == (new == "date,a, a")
+        assert as_run == per_cell and fast == (new in ("date,a, a", "\r\n", CRLF_TEXT))
         if expected is None:
             assert per_cell[0] == "ok"
         else:

@@ -1,6 +1,5 @@
-"""Oracle infrastructure: stream determinism, sampler moments, the
-sampled W2 oracle's consistency ladder, and the exactness of the
-cubature oracles."""
+"""Oracle infrastructure: stream determinism, the sampled W2 oracle's
+consistency ladder, and the exactness of the cubature oracles."""
 
 import itertools
 import math
@@ -20,7 +19,6 @@ from transrisk import (
     kl_quadrature_1d,
     loss_gap_cubature,
     mc_w2_1d,
-    sample_joint,
     w2_gaussian_sq,
 )
 from transrisk.errors import DimensionMismatch, NotOneDimensional, SingularReference
@@ -58,54 +56,6 @@ class TestSeededStream:
         np.testing.assert_allclose(
             got, [0.03674125380393216, -0.588885431018047, -1.361403659119672],
             rtol=0, atol=1e-15)
-
-
-class TestSampleJoint:
-    def test_zero_covariance_returns_mean(self):
-        task = GaussianJointTask.__new__(GaussianJointTask)
-        # zero joint covariance is not constructible (input block must be PD),
-        # so degenerate sampling is exercised through an almost-zero scale
-        task = GaussianJointTask(1, 1, [2.0, -1.0], np.eye(2) * 1e-9)
-        draws = sample_joint(task, 10, SeededStream(0))
-        np.testing.assert_allclose(draws, np.tile([2.0, -1.0], (10, 1)), atol=1e-3)
-
-    def test_moments_converge(self):
-        """Studentized sample moments at n = 10^6 pass a Bonferroni gate.
-
-        Each mean is scored by (x̄ᵢ − μᵢ)/√(σᵢᵢ/n) and each covariance
-        entry i ≤ j by (ĉᵢⱼ − σᵢⱼ)/√((σᵢᵢσⱼⱼ + σᵢⱼ²)/n), its standard error
-        for Gaussian rows.  For a correct sampler the 4 + 10 scores are
-        about N(0, 1), so the gate max |score| <= Φ⁻¹(1 − α/28) = 3.97 with
-        α = 1e-3 fails by chance on at most 0.1% of seeds.  Colouring the
-        same normals with Lᵀ in place of L, or with Σ in place of L, fails
-        it."""
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(4, 4)) / 2.0
-        cov = a @ a.T + 0.3 * np.eye(4)
-        task = GaussianJointTask(3, 1, rng.normal(size=4), cov)
-        n, alpha = 10 ** 6, 1e-3
-        upper = np.triu_indices(4)
-        var = np.diag(cov)
-        mean_se = np.sqrt(var / n)
-        cov_se = np.sqrt((np.outer(var, var) + cov ** 2) / n)[upper]
-        gate = float(norm.isf(alpha / (2 * (4 + len(cov_se)))))
-
-        def worst_score(draws):
-            mean_z = (draws.mean(axis=0) - task.mean) / mean_se
-            cov_z = (np.cov(draws, rowvar=False) - cov)[upper] / cov_se
-            return float(np.max(np.abs(np.concatenate([mean_z, cov_z]))))
-
-        assert worst_score(sample_joint(task, n, SeededStream(55))) <= gate
-        z = SeededStream(55).normals(n * 4).reshape(n, 4)
-        chol = np.linalg.cholesky(cov)
-        assert worst_score(z @ chol + task.mean) > gate
-        assert worst_score(z @ cov + task.mean) > gate
-
-    def test_deterministic(self):
-        task = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.4], [0.4, 1.0]])
-        a = sample_joint(task, 100, SeededStream(9))
-        b = sample_joint(task, 100, SeededStream(9))
-        np.testing.assert_array_equal(a, b)
 
 
 class TestCubature:

@@ -7,12 +7,11 @@ from transrisk import (
     RegressionDataset,
     Standardizer,
     evaluate,
-    pretrain_source,
     ridge_fit,
     transfer_output_risk,
     wp_empirical_1d,
 )
-from transrisk.regression import concat_datasets, predict
+from transrisk.regression import concat_datasets, predict, ridge_transfer
 from transrisk.errors import (
     DimensionMismatch,
     NonpositiveLambda,
@@ -79,17 +78,6 @@ class TestRidgeFit:
                 for lam in (1e-3, 1.0, 1e3)]
         assert gaps[0] >= gaps[1] >= gaps[2]
 
-    def test_intercept_not_penalized(self):
-        """With an unpenalized intercept, shifting all targets by a constant
-        shifts only the intercept coordinate."""
-        rng = np.random.default_rng(5)
-        data, _ = random_dataset(rng, t=60, d=3)
-        theta = ridge_fit(data, 1.0, fit_intercept=True)
-        shifted = RegressionDataset(data.features, data.targets + 100.0)
-        theta_shifted = ridge_fit(shifted, 1.0, fit_intercept=True)
-        np.testing.assert_allclose(theta_shifted[:-1], theta[:-1], atol=1e-8)
-        np.testing.assert_allclose(theta_shifted[-1], theta[-1] + 100.0, atol=1e-8)
-
     def test_nonpositive_lambda(self):
         data = RegressionDataset(np.eye(2), np.ones(2))
         with pytest.raises(NonpositiveLambda):
@@ -109,20 +97,48 @@ class TestRidgeFit:
 
 
 class TestPretrainSource:
-    def test_single_asset_equals_direct(self):
-        rng = np.random.default_rng(7)
-        data, _ = random_dataset(rng)
-        np.testing.assert_array_equal(pretrain_source(data, 1.0),
-                                      ridge_fit(data, 1.0))
-
     def test_duplicated_pool_same_fit(self):
-        """Pooling two copies of one asset leaves the normal equations
-        unchanged (they are per-row averages)."""
+        """Pooling two copies of one asset leaves the normal equations of
+        the source ridge unchanged (they are per-row averages)."""
         rng = np.random.default_rng(8)
         data, _ = random_dataset(rng)
         doubled = concat_datasets([data, data])
-        np.testing.assert_allclose(pretrain_source(doubled, 1.0),
-                                   pretrain_source(data, 1.0), atol=1e-12)
+        np.testing.assert_allclose(ridge_fit(doubled, 1.0),
+                                   ridge_fit(data, 1.0), atol=1e-12)
+
+
+class TestRidgeTransfer:
+    def test_train_residual_mean_is_zero(self):
+        """No fit has an intercept because none would help: the pipeline
+        centres the train split, so every linear fit's mean train residual
+        vanishes, which is the normal equation of an unpenalized
+        intercept.  Passing the train split as the test split returns it
+        as the fits see it.  Features and targets are drawn off-centre,
+        so a pipeline that stopped centring would fail."""
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            d = int(rng.integers(1, 7))
+            loc = rng.normal(scale=20.0, size=d)
+            scale = rng.uniform(0.1, 10.0, size=d)
+
+            def dataset(t):
+                x = loc + scale * rng.normal(size=(t, d))
+                y = x @ rng.normal(size=d) + rng.normal(scale=5.0) + rng.normal(size=t)
+                return RegressionDataset(x, y)
+
+            source = concat_datasets([dataset(int(rng.integers(d + 2, 80))) for _ in range(2)])
+            train = dataset(int(rng.integers(d + 2, 80)))
+            fit = ridge_transfer(source, train, train, float(rng.uniform(0.1, 5.0)),
+                                 float(rng.uniform(0.1, 5.0)))
+            bound = 1e-13 * max(1.0, float(np.linalg.norm(fit.test.targets)))
+            for theta in (fit.direct, fit.transfer):
+                resid = fit.test.targets - predict(theta, fit.test.features)
+                assert abs(float(resid.mean())) <= bound
+
+    def test_parameter_length_checked(self):
+        """A parameter carries one entry per feature and nothing else."""
+        with pytest.raises(DimensionMismatch):
+            predict(np.ones(3), np.zeros((4, 2)))
 
 
 class TestStandardizer:
@@ -164,8 +180,8 @@ class TestEvaluate:
     def test_constant_prediction_r2_zero(self):
         rng = np.random.default_rng(12)
         y = rng.normal(size=25)
-        x = np.zeros((25, 1))
-        theta = np.array([0.0, float(y.mean())])  # intercept-only model
+        x = np.ones((25, 1))
+        theta = np.array([float(y.mean())])  # predicts the mean everywhere
         metrics = evaluate(theta, RegressionDataset(x, y))
         np.testing.assert_allclose(metrics.r2, 0.0, atol=1e-12)
         assert not metrics.corr_defined
@@ -196,19 +212,20 @@ class TestTransferOutputRisk:
         theta = rng.normal(size=3)
         x = rng.normal(size=(15, 3))
         data = RegressionDataset(x, x @ theta)
-        assert transfer_output_risk(theta, data, 2.0) <= 1e-25
+        assert transfer_output_risk(theta, data) <= 1e-25
 
-    def test_constant_shift_p1(self):
+    def test_constant_shift(self):
+        """Targets shifted by 0.5 from the predictions: W2² = 0.25."""
         rng = np.random.default_rng(15)
         theta = rng.normal(size=2)
         x = rng.normal(size=(15, 2))
-        data = RegressionDataset(x, x @ theta + 1.0)
-        np.testing.assert_allclose(transfer_output_risk(theta, data, 1.0), 1.0,
+        data = RegressionDataset(x, x @ theta + 0.5)
+        np.testing.assert_allclose(transfer_output_risk(theta, data), 0.25,
                                    atol=1e-12)
 
     def test_delegates_to_empirical_transport(self):
         rng = np.random.default_rng(16)
         data, theta = random_dataset(rng, t=40, d=3)
-        got = transfer_output_risk(theta, data, 2.0)
+        got = transfer_output_risk(theta, data)
         direct = wp_empirical_1d(predict(theta, data.features), data.targets, 2.0)
         assert got == direct
