@@ -84,7 +84,7 @@ def random_basic_pair(rng: np.random.Generator, dim: int) -> BasicCasePair:
     return BasicCasePair(random_task(), random_task())
 
 
-def sweep_cross_entropy_bounds(stream: SeededStream, trials: int = 10_000) -> SweepResult:
+def sweep_cross_entropy_bounds(stream: SeededStream, trials: int) -> SweepResult:
     """lower ≤ center ≤ upper for random discrete triples of 2 to 20 classes."""
     rng = stream.generator()
     failed = 0
@@ -101,7 +101,7 @@ def sweep_cross_entropy_bounds(stream: SeededStream, trials: int = 10_000) -> Sw
                        f"min slack {worst:.3e}")
 
 
-def sweep_output_bound(stream: SeededStream, trials: int = 1_000) -> SweepResult:
+def sweep_output_bound(stream: SeededStream, trials: int) -> SweepResult:
     """Label-anchored Wasserstein bound over random sample triples, at
     orders p = 1 and 2."""
     rng = stream.generator()
@@ -119,7 +119,7 @@ def sweep_output_bound(stream: SeededStream, trials: int = 1_000) -> SweepResult
     return SweepResult("label-anchored output bound", checked, failed, "")
 
 
-def sweep_regret_identity(stream: SeededStream, trials: int = 10_000) -> SweepResult:
+def sweep_regret_identity(stream: SeededStream, trials: int) -> SweepResult:
     """risk_w ≤ regret, identity to 1e-9, residual ≥ −1e-12, at scale,
     for input dimensions 1 to 6."""
     rng = stream.generator()
@@ -140,7 +140,7 @@ def sweep_regret_identity(stream: SeededStream, trials: int = 10_000) -> SweepRe
                        f"worst relative identity gap {worst_gap:.3e}")
 
 
-def sweep_talagrand(stream: SeededStream, trials: int = 1_000) -> SweepResult:
+def sweep_talagrand(stream: SeededStream, trials: int) -> SweepResult:
     """W2² ≤ 2·KL against N(0, I), for measures of dimension 1 to 3 with
     covariance ≼ I.
 
@@ -168,7 +168,7 @@ def sweep_talagrand(stream: SeededStream, trials: int = 1_000) -> SweepResult:
                        f"2KL={counter.two_kl:.3g}")
 
 
-def run_property_sweeps(seed: int = 20_240_401, *, trials_scale: float = 1.0) -> list[SweepResult]:
+def run_property_sweeps(seed: int, *, trials_scale: float = 1.0) -> list[SweepResult]:
     """The four sweeps at their standard sizes (scaled for quick runs)."""
     stream = SeededStream(seed)
     s = trials_scale

@@ -47,7 +47,7 @@ from .docio import (
     validate_report,
     validate_spec,
 )
-from .errors import NumericalError, SpecFileError, ValidationError
+from .errors import NumericalError, ValidationError
 from .gauss_transfer import (
     BasicCasePair,
     FeatureAugmentedPair,
@@ -118,10 +118,10 @@ def _load_spec(path: str, kind: str) -> dict:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise SpecFileError(f"cannot read spec {path}: {exc}") from None
+        raise ValidationError(f"cannot read spec {path}: {exc}") from None
     doc = parse_document(text)
     if validate_spec(doc) != kind:
-        raise SpecFileError(f"expected a {kind} spec, got {doc['kind']}")
+        raise ValidationError(f"expected a {kind} spec, got {doc['kind']}")
     return doc
 
 
@@ -206,7 +206,7 @@ def cmd_gaussian_risk(args) -> int:
         risk_of = lambda variant: feature_aug_risk(pair, variant)
     else:  # output_aug
         if "init_model" not in doc:
-            raise SpecFileError("output_aug spec requires an init_model")
+            raise ValidationError("output_aug spec requires an init_model")
         init = AffineModel(np.asarray(doc["init_model"]["weight"]),
                            np.asarray(doc["init_model"]["intercept"]))
         pair = OutputAugmentedPair(source, target, init)
@@ -304,7 +304,7 @@ def cmd_predict(args) -> int:
     try:
         split_date = _dt.date.fromisoformat(doc["split_date"])
     except ValueError:
-        raise SpecFileError(f"split_date {doc['split_date']!r} is not ISO-8601") from None
+        raise ValidationError(f"split_date {doc['split_date']!r} is not ISO-8601") from None
     lags = sorted(set(doc["lag"] if isinstance(doc["lag"], list) else [doc["lag"]]))
     orders = sorted(set(doc["order"] if isinstance(doc["order"], list) else [doc["order"]]))
     lam_s = float(doc.get("lambda_source", DEFAULT_SOURCE_LAMBDA))
@@ -482,7 +482,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFileError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

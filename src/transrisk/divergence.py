@@ -22,12 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySample,
-    SizeMismatch,
-    ValidationError,
-)
+from .errors import ValidationError
 from .gaussian import GaussianDist, kl_gaussian, w2_gaussian_sq
 
 PROB_SUM_TOL = 1e-9
@@ -76,7 +71,7 @@ class EmpiricalSample1D:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
-            raise EmptySample(f"sample must be a nonempty vector, got shape {v.shape}")
+            raise ValidationError(f"sample must be a nonempty vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("sample contains non-finite values")
         v.setflags(write=False)
@@ -97,7 +92,7 @@ def entropy(p: DiscreteDist) -> float:
 def cross_entropy(p: DiscreteDist, q: DiscreteDist) -> float:
     """H(p, q) = −Σ p(i) log q(i); at least entropy(p), with equality at p = q."""
     if p.size != q.size:
-        raise DimensionMismatch(f"class counts differ: {p.size} vs {q.size}")
+        raise ValidationError(f"class counts differ: {p.size} vs {q.size}")
     return float(-np.sum(p.probs * np.log(q.probs)))
 
 
@@ -121,7 +116,7 @@ def cross_entropy_gap_bounds(model_out: DiscreteDist, label_law: DiscreteDist,
     coordinatewise.  Returns (lower, center, upper).
     """
     if not (model_out.size == label_law.size == reference.size):
-        raise DimensionMismatch("all three distributions must share one class count")
+        raise ValidationError("all three distributions must share one class count")
     center = cross_entropy(model_out, reference) - cross_entropy(label_law, reference)
     lower = float(np.sum(np.log(reference.probs)))
     return GapBounds(lower, center, -lower)
@@ -132,14 +127,14 @@ def wp_empirical_1d(a, b, p: float = 1.0) -> float:
 
     Sorted quantile coupling is the optimal plan in 1-D, so order
     statistics pair directly, for any p ≥ 1; samples of unequal size
-    raise SizeMismatch.
+    raise ValidationError.
     """
     if p < 1.0:
         raise ValidationError(f"order p must be >= 1, got {p}")
     av = np.sort(_sample_values(a))
     bv = np.sort(_sample_values(b))
     if av.size != bv.size:
-        raise SizeMismatch(f"samples need equal sizes, got {av.size} and {bv.size}")
+        raise ValidationError(f"samples need equal sizes, got {av.size} and {bv.size}")
     return float(np.mean(np.abs(av - bv) ** p))
 
 

@@ -39,7 +39,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import SpecFileError, ValidationError
+from .errors import ValidationError
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +57,7 @@ def canonical_json(obj: Any) -> str:
 def _finite_number(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise SpecFileError(f"non-finite number {text} is not allowed")
+        raise ValidationError(f"non-finite number {text} is not allowed")
     return value
 
 
@@ -68,20 +68,20 @@ def _finite_int(text: str) -> int:
         value = int(text)
         float(value)
     except (OverflowError, ValueError):
-        raise SpecFileError(
+        raise ValidationError(
             f"integer literal of {len(text.lstrip('-'))} digits is too large") from None
     return value
 
 
 def parse_document(text: str) -> Any:
     """Parse JSON text; ``NaN``, ``Infinity`` and numbers, integer or
-    not, that overflow a double raise SpecFileError, so no non-finite
+    not, that overflow a double raise ValidationError, so no non-finite
     value reaches a solver."""
     try:
         return json.loads(text, parse_float=_finite_number, parse_int=_finite_int,
                           parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
-        raise SpecFileError(f"not valid JSON: {exc}") from None
+        raise ValidationError(f"not valid JSON: {exc}") from None
 
 
 # --- schemas ------------------------------------------------------------
@@ -260,14 +260,14 @@ def _first_error(name: str, doc: Any):
 def validate_spec(doc: Any) -> str:
     """Validate a task-spec document; returns its kind."""
     if not isinstance(doc, dict):
-        raise SpecFileError("spec document must be a JSON object")
+        raise ValidationError("spec document must be a JSON object")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _SPEC_SCHEMAS:
-        raise SpecFileError(
+        raise ValidationError(
             f"unknown spec kind {kind!r}; expected one of {sorted(_SPEC_SCHEMAS)}")
     error = _first_error(kind, doc)
     if error is not None:
-        raise SpecFileError(f"spec failed validation: {error.message}")
+        raise ValidationError(f"spec failed validation: {error.message}")
     return kind
 
 

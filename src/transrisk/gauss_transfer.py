@@ -44,13 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegeneratePushforward,
-    DimensionMismatch,
-    InconsistentAugmentation,
-    SingularIntermediateCovariance,
-    SingularReference,
-)
+from .errors import NumericalError, ValidationError
 from .gaussian import (
     AffineModel,
     GaussianDist,
@@ -86,7 +80,7 @@ def convex_rate(x: float) -> float:
     ½(x − 1 − log x), where log x dominates.
     """
     if x < 0.0:
-        raise ValueError(f"variance ratio must be nonnegative, got {x}")
+        raise ValidationError(f"variance ratio must be nonnegative, got {x}")
     if x == 0.0:
         return math.inf
     if x < 0.5:
@@ -118,9 +112,9 @@ class BasicCasePair:
 
     def __post_init__(self):
         if self.source.dim_y != 1 or self.target.dim_y != 1:
-            raise DimensionMismatch("basic case requires scalar outputs")
+            raise ValidationError("basic case requires scalar outputs")
         if self.source.dim_x != self.target.dim_x:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"input dims differ: {self.source.dim_x} vs {self.target.dim_x}")
 
 
@@ -141,7 +135,7 @@ def _basic_quadratics(pair: BasicCasePair) -> tuple[float, float, float]:
 
 def _check_variant(variant: str) -> None:
     if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+        raise ValidationError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
 def _scalar_split(target_var: float, inter_var: float, gap: float,
@@ -150,14 +144,14 @@ def _scalar_split(target_var: float, inter_var: float, gap: float,
     N(μ, inter_var), both variances ≥ 0, split variance + bias.
 
     KL: h(target_var/inter_var) + gap²/(2·inter_var); inter_var ≤ 1e-14
-    raises DegeneratePushforward, since the target law then has no
+    raises NumericalError, since the target law then has no
     density against the intermediate one.  ``inputs`` names the inputs
     the intermediate law is taken on, for that message.  W:
     (√inter_var − √target_var)² + gap², defined for degenerate laws too.
     """
     if variant == KL:
         if inter_var <= DEGENERATE_VARIANCE_TOL:
-            raise DegeneratePushforward(
+            raise NumericalError(
                 f"source model output has (near-)zero variance on {inputs} inputs; "
                 "no density to compare against")
         variance = convex_rate(target_var / inter_var)
@@ -237,10 +231,10 @@ class FeatureAugmentedPair:
     def __post_init__(self):
         src, tgt = self.source, self.target
         if src.dim_y != 1 or tgt.dim_y != 1:
-            raise DimensionMismatch("feature augmentation requires scalar outputs")
+            raise ValidationError("feature augmentation requires scalar outputs")
         d = src.dim_x
         if tgt.dim_x <= d:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"target input dim {tgt.dim_x} must exceed source input dim {d}")
         ok = (
             np.array_equal(tgt.mean_x[:d], src.mean_x)
@@ -250,7 +244,7 @@ class FeatureAugmentedPair:
             and np.array_equal(tgt.cov_y, src.cov_y)
         )
         if not ok:
-            raise InconsistentAugmentation(
+            raise ValidationError(
                 "target blocks restricted to the first d input coordinates "
                 "must equal the source blocks")
 
@@ -267,7 +261,7 @@ def feature_aug_risk(pair: FeatureAugmentedPair, variant: str = KL) -> RiskSplit
     ≥ 1 whenever the extra coordinates are informative (adding features
     can only grow the explained output variance).  A source model that
     explains nothing (den ≤ 1e-14) leaves the KL risk undefined
-    (DegeneratePushforward) and the W risk equal to num, as in the
+    (NumericalError) and the W risk equal to num, as in the
     basic case.
     """
     _check_variant(variant)
@@ -288,7 +282,7 @@ def uncorrelated_aug_ratio(base_quadratic: float, aug_cov_x: np.ndarray,
     the shortcut can be checked against the full computation.
     """
     if base_quadratic <= 0.0:
-        raise DegeneratePushforward("base quadratic form must be positive")
+        raise NumericalError("base quadratic form must be positive")
     aug_cov_xy = np.asarray(aug_cov_xy, dtype=float).reshape(-1, 1)
     return 1.0 + explained_variance(np.asarray(aug_cov_x, dtype=float),
                                     aug_cov_xy) / base_quadratic
@@ -311,14 +305,14 @@ class OutputAugmentedPair:
     def __post_init__(self):
         src, tgt = self.source, self.target
         if src.dim_x != tgt.dim_x:
-            raise DimensionMismatch("output augmentation keeps the input space fixed")
+            raise ValidationError("output augmentation keeps the input space fixed")
         l = src.dim_y
         if tgt.dim_y <= l:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"target output dim {tgt.dim_y} must exceed source output dim {l}")
         k = tgt.dim_y - l
         if self.init_model.dim_in != src.dim_x or self.init_model.dim_out != k:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"init model must map {src.dim_x} inputs to {k} new outputs")
         ok = (
             np.array_equal(tgt.mean_x, src.mean_x)
@@ -328,7 +322,7 @@ class OutputAugmentedPair:
             and np.array_equal(tgt.cov_y[:l, :l], src.cov_y)
         )
         if not ok:
-            raise InconsistentAugmentation(
+            raise ValidationError(
                 "target blocks restricted to the first l output coordinates "
                 "must equal the source blocks")
 
@@ -365,7 +359,7 @@ def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> RiskSplit:
     transferred block contributes no bias.  The risk vanishes exactly
     when the initialization reproduces the optimal regression of the new
     outputs on the inputs.  A rank-deficient intermediate law has no
-    density, so its KL raises SingularIntermediateCovariance.
+    density, so its KL raises NumericalError.
     """
     _check_variant(variant)
     laws = output_laws(pair)
@@ -373,8 +367,8 @@ def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> RiskSplit:
         return w2_split(*laws)
     try:
         return kl_split(*laws)
-    except SingularReference:
-        raise SingularIntermediateCovariance(
+    except NumericalError:
+        raise NumericalError(
             "stacked intermediate covariance is not positive definite; "
             "the initialization must give the new block full rank") from None
 

@@ -50,14 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AsymmetricCovariance,
-    DimensionMismatch,
-    NotPositiveSemidefinite,
-    SingularInputCovariance,
-    SingularReference,
-    ValidationError,
-)
+from .errors import NumericalError, ValidationError
 
 SYMMETRY_TOL = 1e-10
 PSD_REL_TOL = 1e-8
@@ -74,7 +67,7 @@ def _require_finite(x: np.ndarray, name: str) -> None:
 def _as_vector(x, name: str = "vector") -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {x.shape}")
+        raise ValidationError(f"{name} must be 1-D, got shape {x.shape}")
     _require_finite(x, name)
     return x
 
@@ -82,7 +75,7 @@ def _as_vector(x, name: str = "vector") -> np.ndarray:
 def _as_square(m, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
+        raise ValidationError(f"{name} must be square, got shape {m.shape}")
     return m
 
 
@@ -93,12 +86,12 @@ def validate_covariance(cov: np.ndarray, name: str = "cov") -> np.ndarray:
     _require_finite(cov, name)
     asym = float(np.max(np.abs(cov - cov.T))) if cov.size else 0.0
     if asym > SYMMETRY_TOL:
-        raise AsymmetricCovariance(f"{name}: max abs asymmetry {asym:.3e} > {SYMMETRY_TOL}")
+        raise ValidationError(f"{name}: max abs asymmetry {asym:.3e} > {SYMMETRY_TOL}")
     cov = 0.5 * (cov + cov.T)
     eigs = np.linalg.eigvalsh(cov)
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo < -PSD_REL_TOL * max(hi, 0.0):
-        raise NotPositiveSemidefinite(f"{name}: min eigenvalue {lo:.3e} (max {hi:.3e})")
+        raise ValidationError(f"{name}: min eigenvalue {lo:.3e} (max {hi:.3e})")
     return cov
 
 
@@ -107,7 +100,7 @@ def cholesky_with_jitter(mat: np.ndarray) -> np.ndarray:
 
     The jitter retry is the documented fallback for near-singular
     symmetric positive-definite solves; a second failure raises
-    SingularInputCovariance.
+    NumericalError.
     """
     try:
         return np.linalg.cholesky(mat)
@@ -115,11 +108,11 @@ def cholesky_with_jitter(mat: np.ndarray) -> np.ndarray:
         n = mat.shape[0]
         jitter = CHOLESKY_JITTER * float(np.trace(mat)) / max(n, 1)
         if jitter <= 0.0:
-            raise SingularInputCovariance("matrix is not positive definite") from None
+            raise NumericalError("matrix is not positive definite") from None
         try:
             return np.linalg.cholesky(mat + jitter * np.eye(n))
         except np.linalg.LinAlgError:
-            raise SingularInputCovariance(
+            raise NumericalError(
                 "matrix is not positive definite, even with jitter") from None
 
 
@@ -146,7 +139,7 @@ class GaussianDist:
         mean = _as_vector(self.mean, "mean")
         cov = validate_covariance(self.cov, "cov")
         if cov.shape[0] != mean.shape[0]:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"mean has dim {mean.shape[0]} but cov is {cov.shape[0]}x{cov.shape[1]}"
             )
         mean.setflags(write=False)
@@ -176,18 +169,18 @@ class GaussianJointTask:
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_y < 1:
-            raise DimensionMismatch("dim_x and dim_y must be positive")
+            raise ValidationError("dim_x and dim_y must be positive")
         n = self.dim_x + self.dim_y
         mean = _as_vector(self.mean, "mean")
         cov = validate_covariance(self.cov, "cov")
         if mean.shape[0] != n or cov.shape[0] != n:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"expected dimension {n}, got mean {mean.shape[0]}, cov {cov.shape[0]}"
             )
         sx = cov[: self.dim_x, : self.dim_x]
         min_eig = float(np.linalg.eigvalsh(sx)[0])
         if min_eig <= PD_MIN_EIG:
-            raise NotPositiveSemidefinite(
+            raise ValidationError(
                 f"input covariance block must be strictly PD; min eigenvalue {min_eig:.3e}"
             )
         mean.setflags(write=False)
@@ -236,10 +229,10 @@ class AffineModel:
         if w.ndim == 1:
             w = w.reshape(1, -1)
         if w.ndim != 2:
-            raise DimensionMismatch(f"weight must be a matrix, got shape {w.shape}")
+            raise ValidationError(f"weight must be a matrix, got shape {w.shape}")
         b = np.atleast_1d(np.asarray(self.intercept, dtype=float))
         if b.ndim != 1 or b.shape[0] != w.shape[0]:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"intercept of length {b.shape} does not match weight {w.shape}"
             )
         w.setflags(write=False)
@@ -265,7 +258,7 @@ class AffineModel:
 
 def optimal_weight(cov_x: np.ndarray, cov_xy: np.ndarray) -> np.ndarray:
     """Σ_X⁻¹ Σ_XY, of shape (d, l), from a Cholesky factor of Σ_X; a
-    singular Σ_X raises SingularInputCovariance."""
+    singular Σ_X raises NumericalError."""
     return chol_solve(cholesky_with_jitter(cov_x), cov_xy)
 
 
@@ -296,7 +289,7 @@ def pushforward_affine(model: AffineModel, input_mean, input_cov) -> GaussianDis
     mean = _as_vector(input_mean, "input_mean")
     cov = validate_covariance(input_cov, "input_cov")
     if mean.shape[0] != model.dim_in or cov.shape[0] != model.dim_in:
-        raise DimensionMismatch(
+        raise ValidationError(
             f"model expects inputs of dim {model.dim_in}, got {mean.shape[0]}"
         )
     out_cov = model.weight @ cov @ model.weight.T
@@ -306,7 +299,7 @@ def pushforward_affine(model: AffineModel, input_mean, input_cov) -> GaussianDis
 def compose_affine(outer: AffineModel, inner: AffineModel) -> AffineModel:
     """The map x ↦ outer(inner(x))."""
     if outer.dim_in != inner.dim_out:
-        raise DimensionMismatch(
+        raise ValidationError(
             f"outer expects dim {outer.dim_in}, inner produces {inner.dim_out}"
         )
     return AffineModel(outer.weight @ inner.weight,
@@ -326,14 +319,14 @@ def kl_split(p: GaussianDist, q: GaussianDist) -> RiskSplit:
 
     Both covariances go through ``numerically_singular``.  The reference
     q must pass it: a rank-deficient q (e.g. a degenerate pushforward)
-    has no density, absolute continuity fails and SingularReference is
+    has no density, absolute continuity fails and NumericalError is
     raised.  A rank-deficient p against a valid reference is singular
     with respect to q: its variance term, and so the total, is +∞.
     """
     if p.dim != q.dim:
-        raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
+        raise ValidationError(f"dimension mismatch: {p.dim} vs {q.dim}")
     if numerically_singular(q.cov):
-        raise SingularReference("reference covariance is not positive definite")
+        raise NumericalError("reference covariance is not positive definite")
     chol_q = np.linalg.cholesky(q.cov)
     trace_term = float(np.trace(chol_solve(chol_q, p.cov)))
     logdet_p = -math.inf if numerically_singular(p.cov) else np.linalg.slogdet(p.cov)[1]
@@ -355,7 +348,7 @@ def w2_split(p: GaussianDist, q: GaussianDist) -> RiskSplit:
     eigenvalues round to ±1e-16, real rather than NaN.
     """
     if p.dim != q.dim:
-        raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
+        raise ValidationError(f"dimension mismatch: {p.dim} vs {q.dim}")
     vals, vecs = np.linalg.eigh(p.cov)
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
     cross = np.sqrt(np.clip(np.linalg.eigvalsh(factor.T @ q.cov @ factor), 0.0, None))

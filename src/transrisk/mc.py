@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotOneDimensional, SingularReference
+from .errors import NumericalError, ValidationError
 from .gaussian import AffineModel, GaussianDist, GaussianJointTask
 
 STREAM_ALGORITHM = "philox4x64/ziggurat"
@@ -101,11 +101,11 @@ def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int,
     standard error, a Student t with W2_SHARDS − 1 degrees of freedom.
     """
     if p.dim != 1 or q.dim != 1:
-        raise NotOneDimensional("sampled W2 oracle is 1-D only")
+        raise ValidationError("sampled W2 oracle is 1-D only")
     m, rest = divmod(n, W2_SHARDS)
     if rest or m < 2:
-        raise DimensionMismatch(f"need n a multiple of {W2_SHARDS} and n >= {2 * W2_SHARDS}, "
-                                f"got {n}")
+        raise ValidationError(f"need n a multiple of {W2_SHARDS} and n >= {2 * W2_SHARDS}, "
+                              f"got {n}")
     sd_p = math.sqrt(max(p.cov[0, 0], 0.0))
     sd_q = math.sqrt(max(q.cov[0, 0], 0.0))
     estimates = np.empty(W2_SHARDS)
@@ -167,12 +167,12 @@ def kl_quadrature_1d(p: GaussianDist, q: GaussianDist) -> float:
     log-density is read at the offset from its own mean, so a large
     common mean cancels exactly."""
     if p.dim != 1 or q.dim != 1:
-        raise NotOneDimensional("quadrature oracle is 1-D only")
+        raise ValidationError("quadrature oracle is 1-D only")
     vp, vq = float(p.cov[0, 0]), float(q.cov[0, 0])
     if vq <= 0.0:
-        raise SingularReference("reference variance must be positive")
+        raise NumericalError("reference variance must be positive")
     if vp <= 0.0:
-        raise SingularReference("first argument has zero variance; KL undefined as a density integral")
+        raise NumericalError("first argument has zero variance; KL undefined as a density integral")
     z, w = cubature(1)
     dx_p = math.sqrt(vp) * z[:, 0]
     dx_q = dx_p + (float(p.mean[0]) - float(q.mean[0]))

@@ -42,14 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateVariance,
-    DimensionMismatch,
-    InsufficientHistory,
-    NonPSDSigma,
-    ValidationError,
-    ZeroVariancePortfolio,
-)
+from .errors import NumericalError, ValidationError
 from .gaussian import GaussianDist, w2_gaussian_sq
 
 VARIANCE_FLOOR = 1e-14
@@ -74,9 +67,9 @@ class ReturnsDataset:
     def __post_init__(self):
         r = np.asarray(self.returns, dtype=float)
         if r.ndim != 2:
-            raise DimensionMismatch(f"returns must be 2-D, got shape {r.shape}")
+            raise ValidationError(f"returns must be 2-D, got shape {r.shape}")
         if r.shape[0] < 2:
-            raise InsufficientHistory("need at least two return periods")
+            raise ValidationError("need at least two return periods")
         if r.shape[1] < 2:
             raise ValidationError("need at least two assets")
         if not np.all(np.isfinite(r)):
@@ -98,7 +91,7 @@ class Portfolio:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.shape[0] < 1:
-            raise DimensionMismatch(f"weights must be a vector, got shape {w.shape}")
+            raise ValidationError(f"weights must be a vector, got shape {w.shape}")
         if float(w.min()) < -1e-12:
             raise ValidationError(f"weights must be nonnegative, min is {w.min():.3e}")
         if abs(float(w.sum()) - 1.0) > 1e-9:
@@ -148,18 +141,18 @@ def sharpe_ratio(portfolio: Portfolio, mu: np.ndarray, sigma: np.ndarray) -> flo
     w = portfolio.weights
     var = float(w @ sigma @ w)
     if var <= VARIANCE_FLOOR:
-        raise ZeroVariancePortfolio(f"portfolio variance {var:.3e} below floor")
+        raise NumericalError(f"portfolio variance {var:.3e} below floor")
     return float(mu @ w) / math.sqrt(var)
 
 
 def _validate_sigma(sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise DimensionMismatch(f"sigma must be square, got {sigma.shape}")
+        raise ValidationError(f"sigma must be square, got {sigma.shape}")
     sigma = 0.5 * (sigma + sigma.T)
     eigs = np.linalg.eigvalsh(sigma)
     if eigs[0] < -1e-8 * max(float(eigs[-1]), 1.0):
-        raise NonPSDSigma(f"sigma has eigenvalue {eigs[0]:.3e}")
+        raise ValidationError(f"sigma has eigenvalue {eigs[0]:.3e}")
     return sigma
 
 
@@ -181,7 +174,7 @@ class _Objective(NamedTuple):
         sig_w = np.matvec(self.sigma, w)
         var, mean = np.vecdot(w, sig_w), np.vecdot(w, self.mu)
         if ((flat := var <= VARIANCE_FLOOR) & (mean > 0.0)).any():
-            raise DegenerateVariance(UNBOUNDED)
+            raise NumericalError(UNBOUNDED)
         sd = np.sqrt(var := np.where(flat, 1.0, var))  # flat rows score −∞ below
         value = mean / sd
         grad = self.mu / sd[..., None] - (mean / (sd * var))[..., None] * sig_w
@@ -197,7 +190,7 @@ class _Objective(NamedTuple):
         row whose mean is positive there)."""
         new_var = np.vecdot(np.vecmat(new, self.sigma), new)
         if ((flat := new_var <= VARIANCE_FLOOR) & live & (np.vecdot(new, self.mu) > 0.0)).any():
-            raise DegenerateVariance(UNBOUNDED)
+            raise NumericalError(UNBOUNDED)
         step = new - w
         step -= step.sum(axis=-1, keepdims=True) / step.shape[-1]  # off the plane by rounding only
         sig_w = np.matvec(self.sigma, w)
@@ -258,7 +251,7 @@ def _tangency(mu: np.ndarray, sigma: np.ndarray, chol: np.ndarray) -> np.ndarray
         ratios = np.where(sd > math.sqrt(VARIANCE_FLOOR), mu / sd, -math.inf)
         w = np.eye(mu.shape[0])[int(np.argmax(ratios))]
     if float(w @ sigma @ w) <= VARIANCE_FLOOR:
-        raise DegenerateVariance("the maximum-Sharpe portfolio has zero variance")
+        raise NumericalError("the maximum-Sharpe portfolio has zero variance")
     return w
 
 
@@ -279,15 +272,15 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
     sigma = _validate_sigma(sigma)
     d = mu.shape[0]
     if sigma.shape[0] != d:
-        raise DimensionMismatch(f"mu has {d} assets but sigma is {sigma.shape}")
+        raise ValidationError(f"mu has {d} assets but sigma is {sigma.shape}")
     if not 0.0 <= penalty <= MAX_PENALTY:
         raise ValidationError(f"penalty must lie in [0, {MAX_PENALTY:g}], got {penalty}")
     if anchor is not None and anchor.n_assets != d:
-        raise DimensionMismatch("anchor dimension does not match mu")
+        raise ValidationError("anchor dimension does not match mu")
 
     # a zero-variance vertex with positive mean makes the ratio unbounded
     if np.any((np.diag(sigma) <= VARIANCE_FLOOR) & (mu > 0.0)):
-        raise DegenerateVariance(
+        raise NumericalError(
             "an asset with zero variance and positive mean makes the Sharpe "
             "objective unbounded")
 
@@ -303,7 +296,7 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
     starts = [np.full(d, 1.0 / d), *np.eye(d)] + ([] if anchor is None else [anchor.weights])
     best_w = max(_spg(obj, np.array(starts))[0], key=obj.value)
     if not math.isfinite(obj.value(best_w)):
-        raise DegenerateVariance("no feasible portfolio with positive variance found")
+        raise NumericalError("no feasible portfolio with positive variance found")
     return Portfolio(best_w)
 
 
@@ -354,4 +347,4 @@ def transfer_portfolio(source: ReturnsDataset, train: ReturnsDataset,
 def _check_assets(*datasets: ReturnsDataset) -> None:
     counts = [data.n_assets for data in datasets]
     if len(set(counts)) != 1:
-        raise DimensionMismatch(f"asset counts differ: {' vs '.join(map(str, counts))}")
+        raise ValidationError(f"asset counts differ: {' vs '.join(map(str, counts))}")

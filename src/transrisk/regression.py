@@ -25,11 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .divergence import wp_empirical_1d
-from .errors import (
-    DimensionMismatch,
-    NonpositiveLambda,
-    ValidationError,
-)
+from .errors import ValidationError
 from .gaussian import cholesky_with_jitter, chol_solve
 
 DEFAULT_SOURCE_LAMBDA = 1.0
@@ -47,9 +43,9 @@ class RegressionDataset:
         x = np.asarray(self.features, dtype=float)
         y = np.asarray(self.targets, dtype=float)
         if x.ndim != 2:
-            raise DimensionMismatch(f"features must be 2-D, got shape {x.shape}")
+            raise ValidationError(f"features must be 2-D, got shape {x.shape}")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"targets {y.shape} do not align with features {x.shape}")
         if x.shape[0] < 1:
             raise ValidationError("dataset must contain at least one row")
@@ -76,7 +72,7 @@ def concat_datasets(datasets) -> RegressionDataset:
         raise ValidationError("nothing to pool")
     dims = {d.n_features for d in datasets}
     if len(dims) != 1:
-        raise DimensionMismatch(f"feature counts differ across pooled sets: {sorted(dims)}")
+        raise ValidationError(f"feature counts differ across pooled sets: {sorted(dims)}")
     return RegressionDataset(
         np.vstack([d.features for d in datasets]),
         np.concatenate([d.targets for d in datasets]),
@@ -109,7 +105,7 @@ class Standardizer:
     def transform(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=float)
         if data.shape[1] != self.kept.shape[0]:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"expected {self.kept.shape[0]} columns, got {data.shape[1]}")
         return (data[:, self.kept] - self.mean) / self.std
 
@@ -123,7 +119,7 @@ def ridge_fit(data: RegressionDataset, lam: float,
     per feature.
     """
     if not lam > 0.0:
-        raise NonpositiveLambda(f"lambda must be positive, got {lam}")
+        raise ValidationError(f"lambda must be positive, got {lam}")
     x = data.features
     t, d = x.shape
     if anchor is None:
@@ -131,7 +127,7 @@ def ridge_fit(data: RegressionDataset, lam: float,
     else:
         anchor = np.asarray(anchor, dtype=float)
         if anchor.shape != (d,):
-            raise DimensionMismatch(f"anchor must have length {d}, got {anchor.shape}")
+            raise ValidationError(f"anchor must have length {d}, got {anchor.shape}")
     lhs = x.T @ x / t + lam * np.eye(d)
     rhs = x.T @ data.targets / t + lam * anchor
     theta = chol_solve(cholesky_with_jitter(lhs), rhs)
@@ -193,7 +189,7 @@ def predict(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if theta.shape[0] != features.shape[1]:
-        raise DimensionMismatch(
+        raise ValidationError(
             f"parameter length {theta.shape[0]} does not fit {features.shape[1]} features")
     return features @ theta
 

@@ -30,13 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyIntermediateSet,
-    NegativeRisk,
-    NonpositiveLambda,
-    ValidationError,
-)
+from .errors import ValidationError
 from .gauss_transfer import BasicCasePair, basic_output_risk_w, output_laws
 from .gaussian import AffineModel, GaussianJointTask, fit_optimal_affine, pushforward_affine, w2_gaussian_sq
 from .mc import SeededStream
@@ -51,7 +45,7 @@ class RiskPair:
 
     def __post_init__(self):
         if not (self.input_risk >= 0.0) or not (self.output_risk >= 0.0):
-            raise NegativeRisk(
+            raise ValidationError(
                 f"risks must be nonnegative, got ({self.input_risk}, {self.output_risk})")
 
 
@@ -96,7 +90,7 @@ OFFICE31_TABLE_TOL = 0.0025  # published rounding: half of 5e-3, plus slack
 def linear_risk(pair: RiskPair, lam: float = 1.0) -> float:
     """E^O + λ·E^I for λ > 0 (λ defaults to 1 when a caller has no view)."""
     if not lam > 0.0:
-        raise NonpositiveLambda(f"lambda must be positive, got {lam}")
+        raise ValidationError(f"lambda must be positive, got {lam}")
     return pair.output_risk + lam * pair.input_risk
 
 
@@ -129,7 +123,7 @@ def min_risk_over_set(entries: Sequence[tuple[object, RiskPair]],
     risk alone, by monotonicity of any combiner.
     """
     if len(entries) == 0:
-        raise EmptyIntermediateSet("need at least one candidate model")
+        raise ValidationError("need at least one candidate model")
     best_value = math.inf
     best_id = None
     for model_id, pair in entries:
@@ -150,7 +144,7 @@ def affine_sup_distance(f1: AffineModel, f2: AffineModel, saturation: float) -> 
     if not saturation > 0.0:
         raise ValidationError(f"saturation must be positive, got {saturation}")
     if f1.weight.shape != f2.weight.shape or f1.intercept.shape != f2.intercept.shape:
-        raise DimensionMismatch("models must share dimensions")
+        raise ValidationError("models must share dimensions")
     if float(np.max(np.abs(f1.weight - f2.weight))) > 1e-12:
         return saturation
     return min(saturation, float(np.linalg.norm(f1.intercept - f2.intercept)))

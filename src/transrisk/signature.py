@@ -28,14 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegeneratePath,
-    DimensionMismatch,
-    OrderCapExceeded,
-    OrderZero,
-    ValidationError,
-    WindowTooLong,
-)
+from .errors import ValidationError
 
 MAX_ORDER = 6
 
@@ -43,9 +36,9 @@ MAX_ORDER = 6
 def _check_order(order: int) -> int:
     order = int(order)
     if order < 1:
-        raise OrderZero(f"truncation order must be >= 1, got {order}")
+        raise ValidationError(f"truncation order must be >= 1, got {order}")
     if order > MAX_ORDER:
-        raise OrderCapExceeded(f"truncation order capped at {MAX_ORDER}, got {order}")
+        raise ValidationError(f"truncation order capped at {MAX_ORDER}, got {order}")
     return order
 
 
@@ -87,10 +80,10 @@ class PiecewisePath:
         if v.ndim == 1:
             v = v.reshape(-1, 1)
         if t.ndim != 1 or v.ndim != 2 or t.shape[0] != v.shape[0]:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"times {t.shape} and values {v.shape} do not align")
         if t.shape[0] < 2:
-            raise DegeneratePath("a path needs at least two sample points")
+            raise ValidationError("a path needs at least two sample points")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
             raise ValidationError("path contains non-finite entries")
         if not np.all(np.diff(t) > 0.0):
@@ -118,7 +111,7 @@ class TruncatedSignature:
         expected = signature_dim(self.channels, order)
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.shape[0] != expected:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"expected {expected} coefficients for {self.channels} channels "
                 f"at order {order}, got shape {c.shape}")
         if c[0] != 1.0:
@@ -194,7 +187,7 @@ def signature_of_path(path: PiecewisePath, order: int) -> TruncatedSignature:
 def chen_product(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignature:
     """Signature of the concatenated path from the two halves' signatures."""
     if a.channels != b.channels or a.order != b.order:
-        raise DimensionMismatch("signatures must share channels and order")
+        raise ValidationError("signatures must share channels and order")
     levels = _chen_levels(_flat_levels(a), _flat_levels(b), a.order)
     return TruncatedSignature(a.order, a.channels, np.concatenate(levels)[:, 0])
 
@@ -221,14 +214,14 @@ def windowed_signature_features(series: np.ndarray, lag: int, order: int) -> np.
     if series.ndim == 1:
         series = series.reshape(-1, 1)
     if series.ndim != 2:
-        raise DimensionMismatch(f"series must be 2-D, got shape {series.shape}")
+        raise ValidationError(f"series must be 2-D, got shape {series.shape}")
     if not np.all(np.isfinite(series)):
         raise ValidationError("series contains non-finite entries")
     t_len, n = series.shape
     if lag < 2:
         raise ValidationError(f"lag must be >= 2, got {lag}")
     if lag > t_len:
-        raise WindowTooLong(f"lag {lag} exceeds series length {t_len}")
+        raise ValidationError(f"lag {lag} exceeds series length {t_len}")
     order = _check_order(order)
 
     windows = t_len - lag + 1
@@ -245,7 +238,7 @@ def write_features_csv(path, features: np.ndarray, channels: int, order: int) ->
     features = np.asarray(features, dtype=float)
     labels = word_labels(channels, order)
     if features.ndim != 2 or features.shape[1] != len(labels):
-        raise DimensionMismatch(
+        raise ValidationError(
             f"feature matrix has {features.shape} but {len(labels)} words expected")
     header = ",".join(labels)
     np.savetxt(path, features, delimiter=",", header=header, comments="",

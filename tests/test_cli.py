@@ -481,7 +481,9 @@ class TestGaussianRisk:
                                  2.0 * weight[None, :], rng.normal(size=1))
             spec = write_spec(tmp_path, doc)
             assert main(["gaussian-risk", spec]) == 3, seed
-            assert "numerical error" in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                "numerical error: stacked intermediate covariance is not positive definite; "
+                "the initialization must give the new block full rank\n")
             assert main(["gaussian-risk", spec, "--variant", "w"]) == 0, seed
             capsys.readouterr()
 

@@ -20,7 +20,7 @@ from transrisk.docio import (
     validate_report,
     validate_spec,
 )
-from transrisk.errors import SpecFileError, ValidationError
+from transrisk.errors import ValidationError
 
 GOOD_SPEC = {
     "version": 1,
@@ -83,16 +83,16 @@ class TestSpecValidation:
 
     def test_unknown_field_rejected(self):
         bad = dict(GOOD_SPEC, extra="nope")
-        with pytest.raises(SpecFileError):
+        with pytest.raises(ValidationError, match="spec failed validation"):
             validate_spec(bad)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SpecFileError):
+        with pytest.raises(ValidationError, match="unknown spec kind 'mystery'"):
             validate_spec({"version": 1, "kind": "mystery"})
 
     def test_missing_field_rejected(self):
         bad = {k: v for k, v in GOOD_SPEC.items() if k != "target"}
-        with pytest.raises(SpecFileError):
+        with pytest.raises(ValidationError, match="spec failed validation"):
             validate_spec(bad)
 
     def test_regression_job(self):
@@ -156,7 +156,7 @@ class TestValidationMessages:
     def test_bad_spec(self, bad):
         from transrisk.docio import GAUSSIAN_PAIR_SCHEMA
 
-        with pytest.raises(SpecFileError) as info:
+        with pytest.raises(ValidationError) as info:
             validate_spec(bad)
         expected = self.stock_message(bad, GAUSSIAN_PAIR_SCHEMA)
         assert str(info.value) == f"spec failed validation: {expected}"

@@ -30,7 +30,7 @@ from transrisk import (
 )
 from transrisk.gauss_transfer import convex_rate, output_laws
 from transrisk.benchmarks import random_basic_pair
-from transrisk.errors import DegeneratePushforward, InconsistentAugmentation
+from transrisk.errors import NumericalError, ValidationError
 
 
 def scalar_pair(cov_s, cov_t, mean_s=(0.0, 0.0), mean_t=(0.0, 0.0)):
@@ -62,6 +62,10 @@ class TestConvexRate:
 
     def test_zero_is_infinite(self):
         assert convex_rate(0.0) == math.inf
+
+    def test_negative_ratio_rejected(self):
+        with pytest.raises(ValidationError, match="variance ratio must be nonnegative, got -0.5"):
+            convex_rate(-0.5)
 
     @pytest.mark.parametrize("x", [1e-300, 1e-17, 5.6e-17, 1e-10, 1e-3, 0.3, 0.4999999])
     def test_small_ratio_accuracy(self, x):
@@ -103,7 +107,7 @@ class TestBasicCaseKL:
 
     def test_uncorrelated_source_rejected(self):
         pair = scalar_pair([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]])
-        with pytest.raises(DegeneratePushforward):
+        with pytest.raises(NumericalError, match="zero variance on target inputs"):
             basic_output_risk_kl(pair)
 
     def test_uncorrelated_source_w_still_finite(self):
@@ -308,7 +312,7 @@ class TestFeatureAugmentation:
         src = GaussianJointTask(1, 1, [0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
         cov = np.array([[1.1, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
         tgt = GaussianJointTask(2, 1, [0.0, 0.0, 0.0], cov)
-        with pytest.raises(InconsistentAugmentation):
+        with pytest.raises(ValidationError, match="restricted to the first d input coordinates"):
             FeatureAugmentedPair(src, tgt)
 
     def test_bias_is_identically_zero(self):
@@ -365,8 +369,12 @@ class TestFeatureAugmentation:
         assert bias == 0.0
 
     def test_uninformative_source_kl_rejected(self):
-        with pytest.raises(DegeneratePushforward):
+        with pytest.raises(NumericalError, match="zero variance on source inputs"):
             feature_aug_risk(self.uninformative_source_pair(), "kl")
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValidationError, match=r"variant must be one of \('kl', 'w'\), got 'tv'"):
+            feature_aug_risk(self.augmented_pair(), "tv")
 
     def test_ratio_at_least_one(self):
         rng = np.random.default_rng(9)
@@ -438,7 +446,7 @@ class TestOutputAugmentation:
         broken = GaussianJointTask(
             pair.source.dim_x, pair.source.dim_y,
             pair.source.mean + 0.1, pair.source.cov)
-        with pytest.raises(InconsistentAugmentation):
+        with pytest.raises(ValidationError, match="restricted to the first l output coordinates"):
             OutputAugmentedPair(broken, pair.target, pair.init_model)
 
     def test_neutralizing_initialization_zero_risk(self):

@@ -17,14 +17,7 @@ from transrisk import (
 )
 from transrisk import portfolio
 from transrisk.portfolio import CAPPED, CONVERGED, MAX_PENALTY, NO_INCREASE, _Objective, _spg
-from transrisk.errors import (
-    DegenerateVariance,
-    DimensionMismatch,
-    InsufficientHistory,
-    NonPSDSigma,
-    ValidationError,
-    ZeroVariancePortfolio,
-)
+from transrisk.errors import NumericalError, ValidationError
 
 
 class TestTypes:
@@ -36,7 +29,7 @@ class TestTypes:
         Portfolio([0.25, 0.75])
 
     def test_returns_need_two_periods(self):
-        with pytest.raises(InsufficientHistory):
+        with pytest.raises(ValidationError, match="need at least two return periods"):
             ReturnsDataset(np.zeros((1, 3)))
 
 
@@ -110,7 +103,7 @@ class TestSharpeRatio:
 
     def test_zero_variance_rejected(self):
         port = Portfolio([1.0, 0.0])
-        with pytest.raises(ZeroVariancePortfolio):
+        with pytest.raises(NumericalError, match=r"portfolio variance 0\.000e\+00 below floor"):
             sharpe_ratio(port, np.ones(2), np.diag([0.0, 1.0]))
 
 
@@ -289,7 +282,7 @@ class TestSharpeOptimize:
             assert np.linalg.norm(scaled - base) <= 1e-6
 
     def test_degenerate_variance_rejected(self):
-        with pytest.raises(DegenerateVariance):
+        with pytest.raises(NumericalError, match="an asset with zero variance and positive mean"):
             sharpe_optimize(np.array([0.1, 0.2]), np.diag([1.0, 0.0]))
 
     def test_rank_deficient_history_rejected(self):
@@ -300,7 +293,7 @@ class TestSharpeOptimize:
             returns = rng.normal(size=(n, 4)) * 0.1 + 0.01
         for rows in (returns, np.round(returns, 8)):
             mu, sigma = estimate_moments(ReturnsDataset(rows))
-            with pytest.raises(DegenerateVariance):
+            with pytest.raises(NumericalError, match="objective is unbounded|maximum-Sharpe portfolio has zero variance"):
                 sharpe_optimize(mu, sigma)
 
     def test_zero_mean_cash_column_feasible(self):
@@ -318,7 +311,7 @@ class TestSharpeOptimize:
         assert stationarity(port.weights, mu, sigma) <= 1e-7
 
     def test_non_psd_rejected(self):
-        with pytest.raises(NonPSDSigma):
+        with pytest.raises(ValidationError, match="sigma has eigenvalue"):
             sharpe_optimize(np.array([0.1, 0.2]), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
@@ -488,5 +481,5 @@ class TestPrescreenRisk:
         rng = np.random.default_rng(14)
         a = ReturnsDataset(rng.normal(size=(10, 2)))
         b = ReturnsDataset(rng.normal(size=(10, 3)))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="asset counts differ: 2 vs 3"):
             prescreen_risk_w2(a, b)

@@ -12,11 +12,7 @@ from transrisk import (
     wp_empirical_1d,
 )
 from transrisk.regression import concat_datasets, predict, ridge_transfer
-from transrisk.errors import (
-    DimensionMismatch,
-    NonpositiveLambda,
-    ValidationError,
-)
+from transrisk.errors import ValidationError
 
 
 def random_dataset(rng, t=50, d=4, theta=None, noise=0.1):
@@ -80,12 +76,12 @@ class TestRidgeFit:
 
     def test_nonpositive_lambda(self):
         data = RegressionDataset(np.eye(2), np.ones(2))
-        with pytest.raises(NonpositiveLambda):
+        with pytest.raises(ValidationError, match="lambda must be positive"):
             ridge_fit(data, 0.0)
 
     def test_anchor_length_checked(self):
         data = RegressionDataset(np.eye(2), np.ones(2))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="anchor must have length 2"):
             ridge_fit(data, 1.0, anchor=np.ones(3))
 
     def test_deterministic(self):
@@ -137,7 +133,7 @@ class TestRidgeTransfer:
 
     def test_parameter_length_checked(self):
         """A parameter carries one entry per feature and nothing else."""
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="parameter length 3 does not fit 2 features"):
             predict(np.ones(3), np.zeros((4, 2)))
 
 

@@ -21,12 +21,7 @@ from transrisk import (
     poly_risk,
     source_task_distance,
 )
-from transrisk.errors import (
-    EmptyIntermediateSet,
-    NegativeRisk,
-    NonpositiveLambda,
-    ValidationError,
-)
+from transrisk.errors import ValidationError
 
 
 class TestCombiners:
@@ -44,11 +39,11 @@ class TestCombiners:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_nonpositive_lambda_rejected(self):
-        with pytest.raises(NonpositiveLambda):
+        with pytest.raises(ValidationError, match="lambda must be positive"):
             linear_risk(RiskPair(0.1, 0.1), 0.0)
 
     def test_negative_risk_rejected(self):
-        with pytest.raises(NegativeRisk):
+        with pytest.raises(ValidationError, match=r"risks must be nonnegative, got \(-0.1, 0.2\)"):
             RiskPair(-0.1, 0.2)
 
     def test_negative_coefficients_rejected(self):
@@ -114,7 +109,7 @@ class TestMinRiskOverSet:
         assert min_risk_over_set(entries, 1.0).model_id == "a"
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyIntermediateSet):
+        with pytest.raises(ValidationError, match="need at least one candidate model"):
             min_risk_over_set([], 1.0)
 
 
