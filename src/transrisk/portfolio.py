@@ -5,17 +5,22 @@ transfer task maximizes the same objective minus a quadratic pull
 penalty·‖φ − anchor‖² toward a pretrained portfolio.
 
 Solver policy.  Unanchored with a positive definite Σ = LL': exact, as
-y ≥ 0 minimizing ½y'Σy − μ'y solves the NNLS problem ‖L'y − L⁻¹μ‖
-(Lawson–Hanson) and φ = y / Σy is the long-only tangency portfolio, or
-the best vertex when y = 0 (no positive mean).  Anchored, or Σ without
-a Cholesky factor: monotone spectral projected gradient (SPG) ascent
-(Birgin, Martínez & Raydan, SIAM J. Optim. 2000) from the uniform
-portfolio, every vertex and the anchor at once, one row each, keeping
-the best.  Each row has its own Barzilai–Borwein step in [1e-10, 1e6]
-and Armijo backtracking on increases measured from the step, and stops,
-keeping its iterate, once ‖P(w + 1e-2∇f) − w‖ / 1e-2 ≤ 1e-8, when no
-λ ≥ 2⁻⁵³ increases f, or after 1e5 iterations.  Steps never decrease
-the objective, so the result scores at least the anchor and the uniform.
+y ≥ 0 minimizing ½y'Σy − μ'y solves the NNLS problem ‖L'y − L⁻¹μ‖,
+and φ = y / Σy is the long-only tangency portfolio, or the best vertex
+when y = 0 (no positive mean).  y = Σ⁻¹μ when that is nonnegative;
+otherwise Lawson–Hanson's active set method (Solving Least Squares
+Problems, 1974) finds y, each passive-set subproblem a least-squares
+solve on columns of L' (never the normal equations, which a Σ that is
+singular up to rounding would break).  Anchored, Σ without a Cholesky
+factor, or an active set still cycling after 3d passes: monotone
+spectral projected gradient (SPG) ascent (Birgin, Martínez & Raydan,
+SIAM J. Optim. 2000) from the uniform portfolio, every vertex and the
+anchor at once, one row each, keeping the best.  Each row has its own
+Barzilai–Borwein step in [1e-10, 1e6] and Armijo backtracking on
+increases measured from the step, and stops, keeping its iterate, once
+‖P(w + 1e-2∇f) − w‖ / 1e-2 ≤ 1e-8, when no λ ≥ 2⁻⁵³ increases f, or
+after 1e5 iterations.  Steps never decrease the objective, so the
+result scores at least the anchor and the uniform.
 
 Sharpe convention: standard deviation in the denominator.  (Dividing by
 the variance instead changes the argmax off rays; the square-root form
@@ -30,8 +35,7 @@ portfolio achieves.  ``transfer_portfolio`` runs the whole pipeline
 (pretrain, direct, anchored, score, prescreen) for the CLI's portfolio
 job and for the synthetic portfolio study alike.
 
-Only NNLS comes from scipy, imported by the unanchored solve that uses
-it, so importing this module loads numpy only.
+Every solver here is numpy; no command loads scipy.
 """
 
 from __future__ import annotations
@@ -239,11 +243,40 @@ def _spg(obj: _Objective, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, stop
 
 
-def _tangency(mu: np.ndarray, sigma: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Exact unanchored optimum for Σ = LL' by NNLS (see the module docstring)."""
-    from scipy.optimize import nnls
+def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int) -> np.ndarray | None:
+    """Lawson–Hanson: y ≥ 0 minimizing ‖ay − b‖, or None when the active
+    set has not settled after ``max_iter`` passes (rounding can cycle it)."""
+    d = a.shape[1]
+    tol = 10 * d * np.finfo(float).eps * np.abs(a.T @ b).max()  # scipy's 10·d·ε, relative
+    y, passive = np.zeros(d), np.zeros(d, dtype=bool)
+    for _ in range(max_iter):
+        dual = a.T @ (b - a @ y)
+        if passive.all() or dual[~passive].max() <= tol:
+            return y
+        passive[np.argmax(np.where(passive, -np.inf, dual))] = True
+        while True:
+            z = np.zeros(d)
+            z[passive] = np.linalg.lstsq(a[:, passive], b)[0]
+            if (z[passive] > 0.0).all():
+                break
+            # step from y toward z until the first passive weight hits zero
+            blocking = passive & (z <= 0.0)
+            ratio = np.divide(y, y - z, out=np.zeros(d), where=blocking & (y > 0.0))
+            k = np.flatnonzero(blocking)[np.argmin(ratio[blocking])]
+            y += ratio[k] * (z - y)
+            y[k] = 0.0
+            passive &= y > 0.0
+        y = z
+    return None
 
-    y = nnls(chol.T, np.linalg.solve(chol, mu))[0]
+
+def _tangency(mu: np.ndarray, sigma: np.ndarray, chol: np.ndarray) -> np.ndarray | None:
+    """Exact unanchored optimum for Σ = LL' (see the module docstring), or
+    None when the active set cycles."""
+    b = np.linalg.solve(chol, mu)
+    y = np.linalg.solve(chol.T, b)
+    if y.min() < 0.0 and (y := _nnls(chol.T, b, 3 * mu.shape[0])) is None:
+        return None
     if y.sum() > 0.0:
         w = y / y.sum()
     else:  # no positive mean: the Sharpe ratio is quasi-convex, a vertex wins
@@ -260,12 +293,13 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
                     penalty: float = 0.0) -> Portfolio:
     """Maximize the (optionally anchored) Sharpe objective on the simplex.
 
-    Exact NNLS tangency portfolio without an anchor, one SPG pass over
-    the d + 2 starts otherwise (module docstring).  The result is
-    feasible and scores at least the anchor and the uniform portfolio.
-    Its projected gradient is below 1e-7·max(1, ‖μ‖/σ_φ), σ_φ = √(φ'Σφ),
-    since the rounding the ascent stops at grows with ‖μ‖/σ_φ: over 500
-    random anchored solves at each mean scale 1 to 1000 the worst was 9e-9.
+    Exact tangency portfolio without an anchor, one SPG pass over the
+    d + 2 starts otherwise or if the NNLS cycles (module docstring).
+    The result is feasible and scores at least the anchor and the
+    uniform portfolio.  Its projected gradient is below
+    1e-7·max(1, ‖μ‖/σ_φ), σ_φ = √(φ'Σφ), since the rounding the ascent
+    stops at grows with ‖μ‖/σ_φ: over 500 random anchored solves at each
+    mean scale 1 to 1000 the worst was 9e-9.
     A penalty outside [0, MAX_PENALTY] is a ValidationError.
     """
     mu = np.asarray(mu, dtype=float)
@@ -290,7 +324,8 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
         except np.linalg.LinAlgError:
             pass  # singular Σ: the iterative routine below
         else:
-            return Portfolio(_tangency(mu, sigma, chol))
+            if (w := _tangency(mu, sigma, chol)) is not None:
+                return Portfolio(w)
 
     obj = _Objective(mu, sigma, None if anchor is None else anchor.weights, penalty)
     starts = [np.full(d, 1.0 / d), *np.eye(d)] + ([] if anchor is None else [anchor.weights])

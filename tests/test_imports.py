@@ -1,16 +1,18 @@
-"""Import surface: scipy and jsonschema load on the first call that needs
-them, not when the package or the CLI is imported.  scipy is reached
-only by the NNLS of the unanchored Sharpe solve, so the closed forms,
-every --verify oracle, predict, office-table and the property sweeps
-load none.  The cubature oracles build their points with numpy alone,
-so neither the package nor --verify loads numpy.polynomial.
+"""Import surface: no command loads scipy, and jsonschema loads on the
+first call that needs it, not when the package or the CLI is imported.
+Every solver, closed form and --verify oracle runs on numpy; scipy is a
+test-only dependency, the reference some tests check against.  The
+cubature oracles build their points with numpy alone, so neither the
+package nor --verify loads numpy.polynomial.
 
 Each check runs in a fresh interpreter, because the test process has
 long since imported scipy.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,7 +111,7 @@ def test_verify_props_loads_no_scipy(tmp_path):
     assert scipy_modules(loaded) == []
 
 
-def test_portfolio_skips_quadrature(tmp_path):
+def portfolio_job(tmp_path) -> str:
     rng = np.random.default_rng(3)
     returns = lambda n: rng.normal(0.0005, 0.01, size=(n, 3))
     job = {"version": 1, "kind": "portfolio_job",
@@ -117,7 +119,51 @@ def test_portfolio_skips_quadrature(tmp_path):
            "target_train_csv": write_returns_csv(tmp_path / "train.csv", returns(120)),
            "target_test_csv": write_returns_csv(tmp_path / "test.csv", returns(150)),
            "penalty": 0.2, "seed": 3}
-    spec = write_spec(tmp_path, job, "pjob.json")
-    loaded = cli_loads(["portfolio", spec, "--out", str(tmp_path / "r.json")])
-    assert "scipy.integrate" not in loaded
-    assert "scipy.optimize" in loaded  # the unanchored solves are NNLS
+    return write_spec(tmp_path, job, "pjob.json")
+
+
+def test_portfolio_loads_no_scipy(tmp_path):
+    loaded = cli_loads(["portfolio", portfolio_job(tmp_path), "--out", str(tmp_path / "r.json")])
+    assert scipy_modules(loaded) == []
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """With ``import scipy`` made to fail, each of the five subcommands
+    still exits 0."""
+    job = {"version": 1, "kind": "regression_job",
+           "source_csvs": [write_price_csv(tmp_path / "src.csv", seed=100)],
+           "target_csv": write_price_csv(tmp_path / "target.csv", seed=55),
+           "lag": 2, "order": 2, "split_date": "2023-04-15"}
+    runs = [
+        ["gaussian-risk", write_spec(tmp_path, BASIC_SPEC), "--verify"],
+        ["predict", write_spec(tmp_path, job, "job.json")],
+        ["portfolio", portfolio_job(tmp_path)],
+        ["office-table", "--builtin"],
+        ["verify-props", "--scale", "0.01"],
+    ]
+    code = "sys.modules['scipy'] = None\nfrom transrisk import cli\n" + "".join(
+        f"assert cli.main({argv + ['--out', str(tmp_path / f'r{i}.json')]!r}) == 0\n"
+        for i, argv in enumerate(runs))
+    loaded_after(code)  # raises unless every call exits 0
+    for i in range(len(runs)):
+        assert json.loads((tmp_path / f"r{i}.json").read_text())["version"] == 1
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "transrisk").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert scipy_modules(imported) == []
+
+
+def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml")
+                            .read_text())["project"]
+    requirement_names = lambda reqs: [re.match(r"[A-Za-z0-9_.-]+", r).group() for r in reqs]
+    assert "scipy" not in requirement_names(project["dependencies"])
+    assert "scipy" in requirement_names(project["optional-dependencies"]["test"])

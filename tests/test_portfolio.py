@@ -139,6 +139,30 @@ def random_market(rng, d):
     return a @ a.T + 0.01 * np.eye(d)
 
 
+def assert_outcome_follows_linear_program(rows) -> bool:
+    """The Sharpe objective of a history is unbounded exactly when a
+    long-only portfolio φ with zero sample variance (R_c φ = 0, R_c the
+    centred returns) has positive mean; a linear program decides that
+    independently of the solver.  Such a history must raise; any other
+    must give a feasible, stationary portfolio.  Returns whether it was
+    unbounded."""
+    from scipy.optimize import linprog
+
+    mu, sigma = estimate_moments(ReturnsDataset(rows))
+    n, d = rows.shape
+    lp = linprog(-mu, A_eq=np.vstack([rows - rows.mean(axis=0), np.ones(d)]),
+                 b_eq=[*np.zeros(n), 1.0], bounds=(0.0, None))
+    if lp.status == 0 and -lp.fun > 0.0:
+        with pytest.raises(NumericalError, match="objective is unbounded"
+                           "|maximum-Sharpe portfolio has zero variance"):
+            sharpe_optimize(mu, sigma)
+        return True
+    w = sharpe_optimize(mu, sigma).weights
+    bound = 1e-7 * max(1.0, np.linalg.norm(mu) / math.sqrt(w @ sigma @ w))
+    assert stationarity(w, mu, sigma) <= bound
+    return False
+
+
 class TestSharpeOptimize:
     def test_symmetric_problem_centroid(self):
         port = sharpe_optimize(np.array([0.3, 0.3]), np.eye(2))
@@ -285,16 +309,37 @@ class TestSharpeOptimize:
         with pytest.raises(NumericalError, match="an asset with zero variance and positive mean"):
             sharpe_optimize(np.array([0.1, 0.2]), np.diag([1.0, 0.0]))
 
-    def test_rank_deficient_history_rejected(self):
-        """Three periods of four assets leave a rank-2 covariance with a
-        long-only zero-variance portfolio of positive mean: unbounded."""
+    def test_rank_deficient_history_follows_its_linear_program(self):
+        """Two or three periods of four assets leave a covariance of rank
+        one or two; some of these pass Cholesky by rounding, so they
+        reach the NNLS."""
         rng = np.random.default_rng(0)
+        unbounded = []
         for n in (2, 2, 2, 2, 3, 3, 3, 3):
             returns = rng.normal(size=(n, 4)) * 0.1 + 0.01
-        for rows in (returns, np.round(returns, 8)):
+            for rows in (returns, np.round(returns, 8)):
+                unbounded.append(assert_outcome_follows_linear_program(rows))
+        assert 0 < sum(unbounded) < len(unbounded)  # both outcomes are checked
+
+    def test_singular_sigma_through_the_active_set(self):
+        """Short rounded histories whose singular Σ passes Cholesky and
+        whose Σ⁻¹μ has a negative weight: the active-set NNLS runs on
+        numerically dependent columns of L', where solving its normal
+        equations instead raised LinAlgError on some of these."""
+        rng = np.random.default_rng(1)
+        checked = 0
+        for _ in range(600):
+            n, d = int(rng.integers(2, 5)), int(rng.integers(3, 7))
+            rows = np.round(rng.normal(size=(n, d)) * 0.1 + 0.01, 8)
             mu, sigma = estimate_moments(ReturnsDataset(rows))
-            with pytest.raises(NumericalError, match="objective is unbounded|maximum-Sharpe portfolio has zero variance"):
-                sharpe_optimize(mu, sigma)
+            try:
+                chol = np.linalg.cholesky(sigma)
+            except np.linalg.LinAlgError:
+                continue
+            if np.linalg.solve(chol.T, np.linalg.solve(chol, mu)).min() < 0.0:
+                assert_outcome_follows_linear_program(rows)
+                checked += 1
+        assert checked >= 100
 
     def test_zero_mean_cash_column_feasible(self):
         """A constant zero return has zero variance and zero mean: Σ is
@@ -313,6 +358,58 @@ class TestSharpeOptimize:
     def test_non_psd_rejected(self):
         with pytest.raises(ValidationError, match="sigma has eigenvalue"):
             sharpe_optimize(np.array([0.1, 0.2]), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def nnls_problem(rng, d, scale, interior):
+    """(L', L⁻¹μ) of a random market with μ = scale·Σu and some mean
+    positive: u > 0 puts the NNLS optimum inside the orthant, u of mixed
+    sign on its boundary."""
+    while True:
+        sigma = random_market(rng, d)
+        u = rng.uniform(0.5, 1.5, size=d) if interior else rng.uniform(-1.0, 1.0, size=d)
+        if (u.min() > 0.0) == interior and (sigma @ u).max() > 0.0:
+            chol = np.linalg.cholesky(sigma)
+            return chol.T, np.linalg.solve(chol, scale * (sigma @ u))
+
+
+class TestNNLS:
+    """The Lawson–Hanson solve of the unanchored tangency portfolio,
+    against scipy's NNLS as a reference."""
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+    def test_matches_scipy(self, scale):
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(int(100 * scale))
+        for d in range(2, 9):
+            for interior in (True, False) * 10:
+                a, b = nnls_problem(rng, d, scale, interior)
+                ref = nnls(a, b)[0]
+                y = portfolio._nnls(a, b, 3 * d)
+                np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-11 * np.abs(ref).max())
+                assert y.min() >= 0.0 and (y.min() > 0.0) == interior
+                # the solver: Σ⁻¹μ inside the orthant, Lawson–Hanson on its boundary
+                w = sharpe_optimize(a.T @ b, a.T @ a).weights
+                np.testing.assert_allclose(w, ref / ref.sum(), rtol=0.0, atol=1e-11)
+
+    def test_cap_hands_over_to_spg(self, monkeypatch):
+        """With the active-set cap at one pass no boundary problem
+        settles, so the solve ends in the projected-gradient ascent:
+        feasible and stationary, not an exception."""
+        nnls, spg, calls = portfolio._nnls, portfolio._spg, []
+        monkeypatch.setattr(portfolio, "_nnls", lambda a, b, max_iter: nnls(a, b, 1))
+        monkeypatch.setattr(portfolio, "_spg", lambda *args: calls.append(1) or spg(*args))
+        rng = np.random.default_rng(21)
+        for d in range(2, 7):
+            a, b = nnls_problem(rng, d, 1.0, interior=False)
+            assert nnls(a, b, 1) is None
+            mu, sigma = a.T @ b, a.T @ a
+            port = sharpe_optimize(mu, sigma)
+            assert len(calls) == d - 1
+            assert port.weights.min() >= 0.0 and abs(port.weights.sum() - 1.0) <= 1e-12
+            assert stationarity(port.weights, mu, sigma) <= 1e-7
+            best = best_sharpe_by_supports(mu, sigma)
+            assert abs(sharpe_ratio(port, mu, sigma) - best) <= 1e-9 * best
 
 
 def anchored_problems(seed, count):
