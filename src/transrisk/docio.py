@@ -11,8 +11,9 @@ Every document kind carries a JSON Schema with
 ``additionalProperties: false`` -- unknown fields are rejected up
 front, before any computation runs.  Reports must be finite
 everywhere: NaN or infinity anywhere in a result is a bug upstream,
-not something to serialize.  jsonschema is imported when the first
-document is validated.
+not something to serialize.  A small checker of the keywords the
+schemas use (``_accepts``) passes every valid document; jsonschema is
+imported only when the checker rejects one, to word the error.
 
 CSV files are read in one place, ``_csv_rows``: it opens the file as
 UTF-8, requires a header of the reader's shape and gives every data row
@@ -34,6 +35,7 @@ import datetime as _dt
 import functools
 import json
 import math
+import numbers
 import operator
 from typing import Any
 
@@ -235,23 +237,87 @@ REPORT_SCHEMA = {
 }
 
 
+_SCHEMAS = {**_SPEC_SCHEMAS, "report": REPORT_SCHEMA}
+
+_IS_TYPE = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "boolean": lambda value: isinstance(value, bool),
+    "null": lambda value: value is None,
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "number": lambda value: isinstance(value, numbers.Number) and not isinstance(value, bool),
+}
+
+
+def _equal(value, const) -> bool:
+    """jsonschema's equality against a string or integer constant:
+    ``True`` and ``1`` differ, ``1.0`` and ``1`` do not."""
+    return value is const or (not isinstance(value, bool) and not isinstance(const, bool)
+                              and value == const)
+
+
+def _accepts(schema: dict, value: Any) -> bool:
+    """Whether ``_validator`` would find no error in ``value``, for a
+    schema built from ``type``, ``properties``, ``required``,
+    ``additionalProperties: false``, ``items``, ``minItems``,
+    ``minimum``, ``exclusiveMinimum``, ``const``, ``enum`` and ``anyOf``
+    alone.  Each keyword is judged as jsonschema judges it, so an
+    acceptance is exact; any other keyword rejects, leaving the verdict
+    to jsonschema."""
+    for key, arg in schema.items():
+        if key == "type":
+            ok = _IS_TYPE[arg](value)
+        elif key == "properties":
+            ok = not isinstance(value, dict) or all(
+                _accepts(sub, value[name]) for name, sub in arg.items() if name in value)
+        elif key == "required":
+            ok = not isinstance(value, dict) or all(name in value for name in arg)
+        elif key == "additionalProperties" and arg is False:
+            ok = not isinstance(value, dict) or all(
+                name in schema.get("properties", ()) for name in value)
+        elif key == "items":
+            ok = not isinstance(value, list) or all(_accepts(arg, item) for item in value)
+        elif key == "minItems":
+            ok = not isinstance(value, list) or len(value) >= arg
+        elif key == "minimum":
+            ok = not _IS_TYPE["number"](value) or not value < arg
+        elif key == "exclusiveMinimum":
+            ok = not _IS_TYPE["number"](value) or not value <= arg
+        elif key == "const":
+            ok = _equal(value, arg)
+        elif key == "enum":
+            ok = any(_equal(value, each) for each in arg)
+        elif key == "anyOf":
+            ok = any(_accepts(sub, value) for sub in arg)
+        else:
+            ok = False
+        if not ok:
+            return False
+    return True
+
+
 @functools.cache
 def _validator(name: str):
-    """The validator of one schema, built and checked against its
-    metaschema on first use.  Its ``integer`` takes int literals only: a
-    dimension or lag of ``2.0`` would reach code that indexes with it."""
+    """The jsonschema validator of one schema, built and checked against
+    its metaschema on first use.  Its ``integer`` takes int literals
+    only: a dimension or lag of ``2.0`` would reach code that indexes
+    with it."""
     import jsonschema
 
-    schema = REPORT_SCHEMA if name == "report" else _SPEC_SCHEMAS[name]
+    schema = _SCHEMAS[name]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    checker = cls.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    checker = cls.TYPE_CHECKER.redefine("integer", lambda _, value: _IS_TYPE["integer"](value))
     return jsonschema.validators.extend(cls, type_checker=checker)(schema)
 
 
 def _first_error(name: str, doc: Any):
-    """The error ``jsonschema.validate`` would pick for ``doc``, or None."""
+    """None when ``doc`` is valid under schema ``name``; otherwise the
+    error ``jsonschema.validate`` would pick.  A document the checker
+    accepts loads no jsonschema."""
+    if _accepts(_SCHEMAS[name], doc):
+        return None
     import jsonschema
 
     return jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))

@@ -20,7 +20,9 @@ Barzilai–Borwein step in [1e-10, 1e6] and Armijo backtracking on
 increases measured from the step, and stops, keeping its iterate, once
 ‖P(w + 1e-2∇f) − w‖ / 1e-2 ≤ 1e-8, when no λ ≥ 2⁻⁵³ increases f, or
 after 1e5 iterations.  Steps never decrease the objective, so the
-result scores at least the anchor and the uniform.
+result scores at least the anchor and the uniform.  When every row
+stops at the iteration cap, the solve raises instead of returning an
+ascent that never settled.
 
 Sharpe convention: standard deviation in the denominator.  (Dividing by
 the variance instead changes the argmax off rays; the square-root form
@@ -300,7 +302,8 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
     1e-7·max(1, ‖μ‖/σ_φ), σ_φ = √(φ'Σφ), since the rounding the ascent
     stops at grows with ‖μ‖/σ_φ: over 500 random anchored solves at each
     mean scale 1 to 1000 the worst was 9e-9.
-    A penalty outside [0, MAX_PENALTY] is a ValidationError.
+    A penalty outside [0, MAX_PENALTY] is a ValidationError; an ascent
+    whose every start stops at MAX_ITER is a NumericalError.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = _validate_sigma(sigma)
@@ -329,7 +332,11 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
 
     obj = _Objective(mu, sigma, None if anchor is None else anchor.weights, penalty)
     starts = [np.full(d, 1.0 / d), *np.eye(d)] + ([] if anchor is None else [anchor.weights])
-    best_w = max(_spg(obj, np.array(starts))[0], key=obj.value)
+    ends, stops = _spg(obj, np.array(starts))
+    if (stops == CAPPED).all():
+        raise NumericalError(f"the Sharpe ascent stopped at MAX_ITER = {MAX_ITER} "
+                             "iterations from every start")
+    best_w = max(ends, key=obj.value)
     if not math.isfinite(obj.value(best_w)):
         raise NumericalError("no feasible portfolio with positive variance found")
     return Portfolio(best_w)

@@ -2,6 +2,7 @@
 
 import csv
 import datetime
+import json
 import math
 import warnings
 
@@ -135,16 +136,43 @@ class TestReportValidation:
             })
 
 
+GOOD_JOBS = {
+    "regression_job": {"version": 1, "kind": "regression_job", "source_csvs": ["a.csv"],
+                       "target_csv": "t.csv", "lag": [2, 5], "order": 2,
+                       "split_date": "2024-01-01"},
+    "portfolio_job": {"version": 1, "kind": "portfolio_job", "source_csv": "s.csv",
+                      "target_train_csv": "tr.csv", "target_test_csv": "te.csv",
+                      "penalty": 0.2, "seed": 3},
+}
+GOOD_REPORT = {"version": 1, "kind": "office_table_report", "inputs": {}, "results": {},
+               "provenance": {"tool": "transrisk", "tool_version": "0.1.0", "seed": None}}
+ORACLE_ENTRY = {"name": "x", "closed_form": 1.0, "oracle": 1.0, "abs_gap": 0.0,
+                "sigma_gap": 0.0, "within": True}
+
+
+def int_only_validator(schema):
+    """A jsonschema validator of ``schema`` whose ``integer`` takes ints
+    only, as the package's own does."""
+    import jsonschema
+
+    cls = jsonschema.validators.validator_for(schema)
+    checker = cls.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    return jsonschema.validators.extend(cls, type_checker=checker)
+
+
 class TestValidationMessages:
-    """The prebuilt validators report the error ``jsonschema.validate``
-    would raise, word for word."""
+    """Validation reports the error ``jsonschema.validate`` would raise
+    under the int-only ``integer``, word for word, including the inputs
+    where a checker that followed Python's types (``True == 1``,
+    ``isinstance(True, int)``) rather than jsonschema's would accept."""
 
     @staticmethod
     def stock_message(doc, schema):
         import jsonschema
 
         with pytest.raises(jsonschema.ValidationError) as info:
-            jsonschema.validate(doc, schema)
+            jsonschema.validate(doc, schema, cls=int_only_validator(schema))
         return info.value.message
 
     @pytest.mark.parametrize("bad", [
@@ -152,13 +180,18 @@ class TestValidationMessages:
         dict(GOOD_SPEC, case="sideways"),
         dict(GOOD_SPEC, source=dict(GOOD_SPEC["source"], dim_x=0)),
         {k: v for k, v in GOOD_SPEC.items() if k != "target"},
+        dict(GOOD_SPEC, source=dict(GOOD_SPEC["source"], dim_x=True)),
+        dict(GOOD_SPEC, source=dict(GOOD_SPEC["source"], dim_x=2.0)),
+        dict(GOOD_SPEC, version=True),
+        dict(GOOD_JOBS["regression_job"], lag=[1]),
+        dict(GOOD_JOBS["regression_job"], source_csvs=[]),
+        dict(GOOD_JOBS["regression_job"], lambda_source=0),
+        dict(GOOD_JOBS["portfolio_job"], seed=None),
     ])
     def test_bad_spec(self, bad):
-        from transrisk.docio import GAUSSIAN_PAIR_SCHEMA
-
         with pytest.raises(ValidationError) as info:
             validate_spec(bad)
-        expected = self.stock_message(bad, GAUSSIAN_PAIR_SCHEMA)
+        expected = self.stock_message(bad, docio._SCHEMAS[bad["kind"]])
         assert str(info.value) == f"spec failed validation: {expected}"
 
     @pytest.mark.parametrize("change", [
@@ -166,18 +199,166 @@ class TestValidationMessages:
         {"kind": "mystery_report"},
         {"provenance": {"tool": "other", "tool_version": "0.1.0", "seed": None}},
         {"oracle_check": {"entries": [{"name": "x"}], "all_within": True}},
+        {"oracle_check": {"entries": [dict(ORACLE_ENTRY, sigma_gap="x")],
+                          "all_within": True}},
+        {"provenance": {"tool": "transrisk", "tool_version": "0.1.0", "seed": True}},
     ])
     def test_bad_report(self, change):
         from transrisk.docio import REPORT_SCHEMA
 
-        bad = dict({"version": 1, "kind": "office_table_report", "inputs": {},
-                    "results": {}, "provenance": {"tool": "transrisk",
-                                                  "tool_version": "0.1.0", "seed": None}},
-                   **change)
+        bad = dict(GOOD_REPORT, **change)
         with pytest.raises(ValidationError) as info:
             validate_report(bad)
         expected = self.stock_message(bad, REPORT_SCHEMA)
         assert str(info.value) == f"report failed validation: {expected}"
+
+
+# the keywords docio._accepts judges, and the type names it knows
+CHECKED_KEYWORDS = {"type", "properties", "required", "additionalProperties", "items",
+                    "minItems", "minimum", "exclusiveMinimum", "const", "enum", "anyOf"}
+TYPE_NAMES = {"object", "array", "string", "boolean", "null", "integer", "number"}
+
+
+def subschemas(schema):
+    """``schema`` and every schema nested in it, depth first."""
+    yield schema
+    for sub in [*schema.get("properties", {}).values(), *schema.get("anyOf", []),
+                *([schema["items"]] if "items" in schema else [])]:
+        yield from subschemas(sub)
+
+
+def same_verdict(name, doc) -> bool:
+    """Asserts that the checker and jsonschema agree on ``doc`` under
+    schema ``name``, and returns their verdict."""
+    accepted = docio._accepts(docio._SCHEMAS[name], doc)
+    assert accepted == docio._validator(name).is_valid(doc), f"{name}: {doc!r}"
+    return accepted
+
+
+DROP = object()
+
+
+def changed(doc, path, value):
+    """A deep copy of ``doc`` with the field at ``path`` set to ``value``,
+    or removed for DROP."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+def report_variants(report):
+    """Hand-mutated copies of one report: each required field dropped,
+    an extra field, and wrong types or values in the envelope, the
+    provenance and the oracle block (given one if it has none)."""
+    changes = [((key,), DROP) for key in report]
+    changes += [(("provenance", key), DROP) for key in report["provenance"]]
+    changes += [(("version",), value) for value in (True, 1.0, "1", 2, None)]
+    changes += [(("kind",), value) for value in ("mystery_report", True, ["portfolio_report"])]
+    changes += [((key,), value) for key in ("inputs", "results") for value in ([], None, "x")]
+    changes += [(("oops",), 1)]
+    changes += [(("provenance", key), value) for key, value in [
+        ("seed", True), ("seed", 1.5), ("seed", "3"), ("seed", 2 ** 70), ("tool", "other"),
+        ("tool_version", 1), ("oops", None)]]
+    with_block = dict(report, oracle_check=report.get("oracle_check")
+                      or {"entries": [ORACLE_ENTRY], "all_within": True})
+    entry = ("oracle_check", "entries", 0)
+    block_changes = [(entry + (key,), value) for key, value in [
+        ("within", 1), ("within", False), ("sigma_gap", "x"), ("sigma_gap", None),
+        ("closed_form", True), ("closed_form", None), ("oracle", None), ("std_error", "x"),
+        ("abs_gap", 3), ("name", 0), ("oops", 0.0)]]
+    block_changes += [(("oracle_check", key), value) for key, value in [
+        ("all_within", 0), ("entries", {}), ("entries", [[]]), ("oops", True)]]
+    return ([changed(report, path, value) for path, value in changes] + [with_block]
+            + [changed(with_block, path, value) for path, value in block_changes])
+
+
+def emitted_reports(tmp_path):
+    """The reports of the five subcommands on tests/test_cli.py's inputs:
+    a passing run of each input-reading command, ``--verify`` on each of
+    the three gaussian-pair specs, the built-in office table and a small
+    property sweep."""
+    from test_cli import INPUT_ROLES, good_run, write_spec
+    from test_fuzz import SPECS
+    from transrisk.cli import main
+
+    runs = [good_run(tmp_path, command)[0] for command in INPUT_ROLES]
+    runs += [["gaussian-risk", write_spec(tmp_path, spec, f"{case}.json"), "--verify"]
+             for case, spec in SPECS.items()]
+    runs += [["office-table", "--builtin"], ["verify-props", "--scale", "0.01"]]
+    reports = []
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"report{i}.json"
+        assert main(argv + ["--out", str(out)]) in (0, 4), argv
+        reports.append(parse_document(out.read_text()))
+    return reports
+
+
+class TestSchemaChecker:
+    """``docio._accepts`` stands in for jsonschema on valid documents;
+    jsonschema runs only to word a rejection.  These tests hold the
+    checker to jsonschema's verdict and the schemas to its keywords."""
+
+    @pytest.mark.parametrize("name", sorted(docio._SCHEMAS))
+    def test_schema_passes_its_metaschema(self, name):
+        import jsonschema
+
+        schema = docio._SCHEMAS[name]
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("name", sorted(docio._SCHEMAS))
+    def test_schema_uses_only_checked_keywords(self, name):
+        for schema in subschemas(docio._SCHEMAS[name]):
+            assert set(schema) <= CHECKED_KEYWORDS, schema
+            assert schema.get("type", "null") in TYPE_NAMES, schema
+            assert schema.get("additionalProperties", False) is False, schema
+            for value in [schema.get("const", ""), *schema.get("enum", [])]:
+                assert type(value) in (str, int), schema
+
+    def test_agrees_with_jsonschema_on_mutated_specs(self, tmp_path):
+        """10,000 mutated gaussian-pair specs and 2,000 of each job kind,
+        as tests/test_fuzz.py draws them; every one that parses."""
+        from test_fuzz import csv_commands, mutate_job_leaf, mutated_json, mutated_text
+
+        jobs = {"regression_job": csv_commands(tmp_path)["predict"][1],
+                "portfolio_job": csv_commands(tmp_path)["portfolio"][1]}
+        rng = np.random.default_rng(SEED)
+        draws = [("gaussian_pair", mutated_text(rng)) for _ in range(10_000)]
+        draws += [(name, mutated_json(json.loads(json.dumps(job)), rng, mutate_job_leaf))
+                  for name, job in jobs.items() for _ in range(2_000)]
+        verdicts = []
+        for name, text in draws:
+            try:
+                doc = parse_document(text)
+            except ValidationError:
+                continue
+            verdicts.append(same_verdict(name, doc))
+        assert len(verdicts) >= 10_000
+        assert verdicts.count(True) >= 3_000 and verdicts.count(False) >= 3_000
+
+    def test_agrees_with_jsonschema_on_reports(self, tmp_path):
+        """Every report of ``emitted_reports``, its hand-mutated variants
+        and 200 leaf mutations of each."""
+        from test_fuzz import mutated_json
+
+        rng = np.random.default_rng(SEED)
+        verdicts = []
+        for report in emitted_reports(tmp_path):
+            assert same_verdict("report", report)
+            verdicts += [same_verdict("report", bad) for bad in report_variants(report)]
+            for _ in range(200):
+                text = mutated_json(json.loads(json.dumps(report)), rng)
+                try:
+                    verdicts.append(same_verdict("report", parse_document(text)))
+                except ValidationError:
+                    pass
+        assert verdicts.count(True) >= 500 and verdicts.count(False) >= 500
 
 
 class TestCSVIngestion:

@@ -1,5 +1,5 @@
-"""Import surface: no command loads scipy, and jsonschema loads on the
-first call that needs it, not when the package or the CLI is imported.
+"""Import surface: no command loads scipy, and jsonschema loads only to
+word the error of a rejected document, never in a run that exits 0.
 Every solver, closed form and --verify oracle runs on numpy; scipy is a
 test-only dependency, the reference some tests check against.  The
 cubature oracles build their points with numpy alone, so neither the
@@ -72,7 +72,7 @@ def test_gaussian_risk_without_verify_skips_oracle_modules(tmp_path):
     spec = write_spec(tmp_path, BASIC_SPEC)
     loaded = cli_loads(["gaussian-risk", spec, "--out", str(tmp_path / "r.json")])
     assert scipy_modules(loaded) == []
-    assert "jsonschema" in loaded  # the spec and report are still validated
+    assert "jsonschema" not in loaded  # docio's checker accepted the spec and report
 
 
 @pytest.mark.parametrize("case", list(SPECS))
@@ -127,9 +127,8 @@ def test_portfolio_loads_no_scipy(tmp_path):
     assert scipy_modules(loaded) == []
 
 
-def test_every_subcommand_runs_without_scipy(tmp_path):
-    """With ``import scipy`` made to fail, each of the five subcommands
-    still exits 0."""
+def passing_runs(tmp_path) -> list[list[str]]:
+    """argv of one run of each of the five subcommands that exits 0."""
     job = {"version": 1, "kind": "regression_job",
            "source_csvs": [write_price_csv(tmp_path / "src.csv", seed=100)],
            "target_csv": write_price_csv(tmp_path / "target.csv", seed=55),
@@ -141,23 +140,71 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         ["office-table", "--builtin"],
         ["verify-props", "--scale", "0.01"],
     ]
+    return [argv + ["--out", str(tmp_path / f"r{i}.json")] for i, argv in enumerate(runs)]
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """With ``import scipy`` made to fail, each of the five subcommands
+    still exits 0."""
+    runs = passing_runs(tmp_path)
     code = "sys.modules['scipy'] = None\nfrom transrisk import cli\n" + "".join(
-        f"assert cli.main({argv + ['--out', str(tmp_path / f'r{i}.json')]!r}) == 0\n"
-        for i, argv in enumerate(runs))
+        f"assert cli.main({argv!r}) == 0\n" for argv in runs)
     loaded_after(code)  # raises unless every call exits 0
     for i in range(len(runs)):
         assert json.loads((tmp_path / f"r{i}.json").read_text())["version"] == 1
+
+
+def test_every_subcommand_exits_0_without_jsonschema(tmp_path):
+    """Each of the five subcommands validates its spec and report and
+    exits 0 without loading jsonschema."""
+    code = "from transrisk import cli\n" + "".join(
+        f"assert cli.main({argv!r}) == 0\n" for argv in passing_runs(tmp_path))
+    assert loaded_after(code, ["jsonschema"]) == []
+
+
+def test_rejected_spec_loads_jsonschema_for_its_message(tmp_path):
+    """A spec the checker rejects exits 2 in a fresh interpreter with
+    jsonschema's message for it, the line the CLI has always printed."""
+    spec = write_spec(tmp_path, dict(BASIC_SPEC, source=dict(BASIC_SPEC["source"], dim_x=2.0)))
+    code = ("import contextlib, io\nfrom transrisk import cli\nerr = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    assert cli.main(['gaussian-risk', {spec!r}]) == 2\n"
+            "assert err.getvalue() == ('validation error: spec failed validation: '\n"
+            "                          \"2.0 is not of type 'integer'\\n\"), err.getvalue()\n")
+    assert "jsonschema" in loaded_after(code, ["jsonschema"])
+
+
+def imports_of(tree: ast.AST, package: str) -> list[ast.stmt]:
+    """The import statements in ``tree`` that load ``package`` or one of
+    its modules."""
+    loads = lambda name: name is not None and name.split(".")[0] == package
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(loads(a.name) for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0 and loads(node.module)]
+
+
+def test_jsonschema_is_imported_only_on_the_reject_path():
+    """``import jsonschema`` is a statement of ``docio._validator`` and of
+    ``docio._first_error``, there after the early return of an accepted
+    document, and appears nowhere else in the package."""
+    places = {}
+    for path in sorted(Path(SRC, "transrisk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in imports_of(tree, "jsonschema"):
+            owner = next((f for f in funcs if node in f.body), None)
+            assert owner is not None, f"{path.name}:{node.lineno}"
+            places[path.name, owner.name] = owner.body[:owner.body.index(node)]
+    assert sorted(places) == [("docio.py", "_first_error"), ("docio.py", "_validator")]
+    accept = places["docio.py", "_first_error"][-1]
+    assert isinstance(accept, ast.If) and isinstance(accept.body[-1], ast.Return)
 
 
 @pytest.mark.parametrize("path", sorted(Path(SRC, "transrisk").glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_module_imports_scipy(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names]
-    imported += [node.module for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.level == 0]
-    assert scipy_modules(imported) == []
+    assert imports_of(tree, "scipy") == []
 
 
 def test_scipy_is_a_test_dependency_only():

@@ -520,6 +520,28 @@ class TestBatchedSPG:
             assert np.all(obj.value(ends) >= obj.value(starts))
             assert not np.any(np.all(ends[capped] == starts[capped], axis=1))
 
+    @pytest.mark.parametrize("grad_tol", [1e-8, -1.0])
+    def test_solve_capped_at_every_start_raises(self, monkeypatch, grad_tol):
+        """With MAX_ITER = 10, a solve raises NumericalError naming the
+        cap exactly when every row stops at it; one row that converged
+        (GRAD_TOL 1e-8) or found no increase (GRAD_TOL −1) returns its
+        best endpoint, even when the other rows were capped."""
+        monkeypatch.setattr(portfolio, "GRAD_TOL", grad_tol)
+        monkeypatch.setattr(portfolio, "MAX_ITER", 10)
+        outcomes = set()
+        for obj, starts in anchored_problems(45, 40):
+            anchor = Portfolio(obj.anchor)
+            ends, stop = _spg(obj, starts)
+            if (stop == CAPPED).all():
+                with pytest.raises(NumericalError, match="MAX_ITER = 10 iterations"):
+                    sharpe_optimize(obj.mu, obj.sigma, anchor, obj.penalty)
+                outcomes.add("capped")
+            else:
+                w = sharpe_optimize(obj.mu, obj.sigma, anchor, obj.penalty).weights
+                assert np.array_equal(w, max(ends, key=obj.value))
+                outcomes.add("mixed" if CAPPED in stop else "settled")
+        assert {"capped", "mixed"} <= outcomes
+
     @pytest.mark.parametrize("scale", [10.0, 100.0])
     def test_relative_stationarity_at_large_means(self, scale):
         """Means scaled by 10 or 100 raise the Sharpe ratio and the
