@@ -261,8 +261,9 @@ class PortfolioStudyCell(NamedTuple):
     transfer_sharpe: float
 
 
-def _random_market(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annualized-scale mean vector and PSD covariance for d assets."""
+def _random_market(rng: np.random.Generator, d: int) -> GaussianDist:
+    """Annualized-scale Gaussian market of d assets, its covariance
+    positive definite."""
     mu = rng.uniform(0.0, 0.15, size=d)
     vols = rng.uniform(0.12, 0.30, size=d)
     a = rng.normal(size=(d, d))
@@ -270,7 +271,7 @@ def _random_market(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.nda
     dinv = 1.0 / np.sqrt(np.diag(corr_raw))
     corr = corr_raw * np.outer(dinv, dinv)
     sigma = corr * np.outer(vols, vols)
-    return mu, 0.5 * (sigma + sigma.T)
+    return GaussianDist(mu, 0.5 * (sigma + sigma.T))
 
 
 def portfolio_transfer_study() -> list[PortfolioStudyCell]:
@@ -290,21 +291,18 @@ def portfolio_transfer_study() -> list[PortfolioStudyCell]:
     """
     d = 4
     rng = np.random.default_rng(31_000)
-    mu_t, sigma_t = _random_market(rng, d)
-    chol_t = np.linalg.cholesky(sigma_t + 1e-12 * np.eye(d))
-    target_train = ReturnsDataset(rng.normal(size=(25, d)) @ chol_t.T + mu_t)
-    target_test = ReturnsDataset(rng.normal(size=(250, d)) @ chol_t.T + mu_t)
+    target = _random_market(rng, d)
+    target_train = ReturnsDataset(rng.normal(size=(25, d)) @ target.chol.T + target.mean)
+    target_test = ReturnsDataset(rng.normal(size=(250, d)) @ target.chol.T + target.mean)
 
     cells = []
     for seed in range(31_001, 31_201):
         rng = np.random.default_rng(seed)
         shift = float(rng.uniform(0.0, 1.0)) ** 2           # varied discrepancy
-        mu_s = mu_t + shift * rng.uniform(0.1, 0.25) * rng.choice([-1.0, 1.0], size=d)
-        mu_o, sigma_o = _random_market(rng, d)
-        sigma_s = (1.0 - shift) * sigma_t + shift * sigma_o
-
-        chol_s = np.linalg.cholesky(sigma_s + 1e-12 * np.eye(d))
-        source = ReturnsDataset(rng.normal(size=(750, d)) @ chol_s.T + mu_s)
+        mu_s = target.mean + shift * rng.uniform(0.1, 0.25) * rng.choice([-1.0, 1.0], size=d)
+        other = _random_market(rng, d)
+        law = GaussianDist(mu_s, (1.0 - shift) * target.cov + shift * other.cov)
+        source = ReturnsDataset(rng.normal(size=(750, d)) @ law.chol.T + law.mean)
         fit = transfer_portfolio(source, target_train, target_test, DEFAULT_PENALTY)
         cells.append(PortfolioStudyCell(fit.prescreen_risk_sq,
                                         fit.sharpe["transferred_out_of_sample"]))

@@ -41,10 +41,10 @@ class DiscreteDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = np.array(self.probs, dtype=float)  # a copy, frozen below
         if p.ndim != 1 or p.size < 1:
             raise ValidationError(f"probs must be a nonempty vector, got shape {p.shape}")
-        if np.any(p <= 0.0):
+        if not np.all(p > 0.0):  # NaN fails here too
             raise ValidationError("probabilities must be strictly positive; smooth zeros first")
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
@@ -69,7 +69,7 @@ class EmpiricalSample1D:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy, frozen below
         if v.ndim != 1 or v.size < 1:
             raise ValidationError(f"sample must be a nonempty vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):

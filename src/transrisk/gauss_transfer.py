@@ -341,13 +341,14 @@ def output_laws(pair: BasicCasePair | FeatureAugmentedPair | OutputAugmentedPair
     caller's initialization (remaining k).
     """
     src, tgt = pair.source, pair.target
-    target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.mean_x, tgt.cov_x)
+    target_inputs = tgt.input_marginal()
+    target_law = pushforward_affine(fit_optimal_affine(tgt), target_inputs)
     model = fit_optimal_affine(src)
     if isinstance(pair, OutputAugmentedPair):
         model = AffineModel(np.vstack([model.weight, pair.init_model.weight]),
                             np.concatenate([model.intercept, pair.init_model.intercept]))
-    inputs = src if isinstance(pair, FeatureAugmentedPair) else tgt
-    return target_law, pushforward_affine(model, inputs.mean_x, inputs.cov_x)
+    inputs = src.input_marginal() if isinstance(pair, FeatureAugmentedPair) else target_inputs
+    return target_law, pushforward_affine(model, inputs)
 
 
 def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> RiskSplit:

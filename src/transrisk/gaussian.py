@@ -26,26 +26,27 @@ Conventions
 * The Wasserstein divergence returns the *squared* distance (hence the
   ``_sq`` suffix); callers wanting a metric take the square root.
 
-Numerical policy: no matrix square root is formed.  The Bures term
-takes its cross trace from the eigenvalues of FᵀΣqF, with F = V·√Λ from
-a symmetric eigendecomposition of Σp, both eigenvalue sets clamped at
-max(0, λ) against round-off.  Linear solves go through numpy's Cholesky
-with a single retry after adding 1e-10·trace/n of diagonal jitter, then
-``np.linalg.solve`` on the factor and on its transpose.  Both choices
-are deterministic, and neither loads scipy.  The optimal weight
-Σ_X⁻¹Σ_XY and, for a scalar output, the explained variance
-Σ_YX Σ_X⁻¹ Σ_XY are computed by ``optimal_weight`` and
-``explained_variance`` alone.  A multivariate KL treats a law as rank
-deficient when its covariance has λ_min ≤ 1e-12·λ_max
-(``numerically_singular``), not when a Cholesky factor or a
+Numerical policy: a ``GaussianDist`` validates its covariance by one
+symmetric eigendecomposition Σ = VΛVᵀ and keeps it.  Its rank test
+``singular`` (λ_min ≤ 1e-12·λ_max), Cholesky factor ``chol`` (None where
+numpy's fails) and eigen factor ``root`` = V·√max(Λ, 0) come from the
+law, and no other module decomposes a matrix.  A KL treats a law as
+rank deficient by ``singular``, not when a Cholesky factor or a
 log-determinant's sign happens to fail: laws singular by construction
-reach about 1e-16 after round-off, which either test can miss.
+reach about 1e-16 after round-off, which either test can miss.  No
+matrix square root is formed: the Bures cross trace comes from the
+clamped eigenvalues of FᵀΣqF, F the ``root`` of p.  ``optimal_weight``
+and ``explained_variance`` alone compute Σ_X⁻¹Σ_XY and Σ_YX Σ_X⁻¹ Σ_XY;
+they and the ridge solve use numpy's Cholesky with a single retry after
+adding 1e-10·trace/n of diagonal jitter.  All of it is deterministic
+numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -62,37 +63,6 @@ RANK_REL_TOL = 1e-12
 def _require_finite(x: np.ndarray, name: str) -> None:
     if not np.isfinite(x).all():
         raise ValidationError(f"non-finite entries in {name}")
-
-
-def _as_vector(x, name: str = "vector") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError(f"{name} must be 1-D, got shape {x.shape}")
-    _require_finite(x, name)
-    return x
-
-
-def _as_square(m, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {m.shape}")
-    return m
-
-
-def validate_covariance(cov: np.ndarray, name: str = "cov") -> np.ndarray:
-    """Check finiteness, symmetry (within 1e-10) and PSD-ness; return the
-    exactly symmetrized copy that all downstream code works with."""
-    cov = _as_square(cov, name)
-    _require_finite(cov, name)
-    asym = float(np.max(np.abs(cov - cov.T))) if cov.size else 0.0
-    if asym > SYMMETRY_TOL:
-        raise ValidationError(f"{name}: max abs asymmetry {asym:.3e} > {SYMMETRY_TOL}")
-    cov = 0.5 * (cov + cov.T)
-    eigs = np.linalg.eigvalsh(cov)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo < -PSD_REL_TOL * max(hi, 0.0):
-        raise ValidationError(f"{name}: min eigenvalue {lo:.3e} (max {hi:.3e})")
-    return cov
 
 
 def cholesky_with_jitter(mat: np.ndarray) -> np.ndarray:
@@ -121,35 +91,72 @@ def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
 
-def numerically_singular(cov: np.ndarray) -> bool:
-    """Whether a symmetric PSD matrix has numerical rank below its size:
-    λ_min ≤ 1e-12·λ_max, which includes the zero matrix."""
-    eigs = np.linalg.eigvalsh(cov)
-    return bool(eigs[0] <= RANK_REL_TOL * eigs[-1])
+def _freeze(obj, **arrays: np.ndarray) -> None:
+    """Set read-only arrays on a frozen dataclass instance."""
+    for name, value in arrays.items():
+        value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
 class GaussianDist:
-    """A Gaussian law N(mean, cov); cov may be rank deficient."""
+    """A Gaussian law N(mean, cov); cov may be rank deficient.  Its one
+    decomposition cov = VΛVᵀ is kept as ``eigvals`` (ascending) and
+    ``eigvecs``."""
 
     mean: np.ndarray
     cov: np.ndarray
+    eigvals: np.ndarray = field(init=False, repr=False, compare=False)
+    eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = _as_vector(self.mean, "mean")
-        cov = validate_covariance(self.cov, "cov")
+        """Check finiteness, symmetry (within 1e-10) and PSD-ness; keep
+        copies, cov exactly symmetrized, and its eigendecomposition."""
+        mean = np.array(self.mean, dtype=float)  # a copy: the caller's stays writeable
+        if mean.ndim != 1:
+            raise ValidationError(f"mean must be 1-D, got shape {mean.shape}")
+        _require_finite(mean, "mean")
+        cov = np.asarray(self.cov, dtype=float)
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+            raise ValidationError(f"cov must be square, got shape {cov.shape}")
+        _require_finite(cov, "cov")
+        asym = float(np.max(np.abs(cov - cov.T))) if cov.size else 0.0
+        if asym > SYMMETRY_TOL:
+            raise ValidationError(f"cov: max abs asymmetry {asym:.3e} > {SYMMETRY_TOL}")
+        cov = 0.5 * (cov + cov.T)
+        vals, vecs = np.linalg.eigh(cov)
+        if vals[0] < -PSD_REL_TOL * max(vals[-1], 0.0):
+            # worded from eigvalsh, as always: far from PSD, the round-off
+            # in λ_max differs between the two LAPACK routines
+            lo, hi = (float(v) for v in np.linalg.eigvalsh(cov)[[0, -1]])
+            raise ValidationError(f"cov: min eigenvalue {lo:.3e} (max {hi:.3e})")
         if cov.shape[0] != mean.shape[0]:
             raise ValidationError(
                 f"mean has dim {mean.shape[0]} but cov is {cov.shape[0]}x{cov.shape[1]}"
             )
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        _freeze(self, mean=mean, cov=cov, eigvals=vals, eigvecs=vecs)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @property
+    def singular(self) -> bool:
+        """Rank below dim: λ_min ≤ 1e-12·λ_max (so too the zero matrix)."""
+        return bool(self.eigvals[0] <= RANK_REL_TOL * self.eigvals[-1])
+
+    @cached_property
+    def chol(self) -> np.ndarray | None:
+        """Lower Cholesky factor of cov, None where numpy's fails (no jitter)."""
+        try:
+            return np.linalg.cholesky(self.cov)
+        except np.linalg.LinAlgError:
+            return None
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """F = V·√max(Λ, 0), with F Fᵀ = cov up to round-off, singular or not."""
+        return self.eigvecs * np.sqrt(np.clip(self.eigvals, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -160,33 +167,28 @@ class GaussianJointTask:
     ``dim_y`` the output block.  The input block Σ_X must be strictly
     positive definite (smallest eigenvalue > 1e-10) so the optimal
     affine model is well defined; the full covariance only needs PSD.
+    The validated joint law is kept as ``law``.
     """
 
     dim_x: int
     dim_y: int
     mean: np.ndarray
     cov: np.ndarray
+    law: GaussianDist = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_y < 1:
             raise ValidationError("dim_x and dim_y must be positive")
-        n = self.dim_x + self.dim_y
-        mean = _as_vector(self.mean, "mean")
-        cov = validate_covariance(self.cov, "cov")
-        if mean.shape[0] != n or cov.shape[0] != n:
-            raise ValidationError(
-                f"expected dimension {n}, got mean {mean.shape[0]}, cov {cov.shape[0]}"
-            )
-        sx = cov[: self.dim_x, : self.dim_x]
-        min_eig = float(np.linalg.eigvalsh(sx)[0])
+        law = GaussianDist(self.mean, self.cov)
+        if law.dim != self.dim_x + self.dim_y:
+            raise ValidationError(f"expected dimension {self.dim_x + self.dim_y}, got {law.dim}")
+        min_eig = float(np.linalg.eigvalsh(law.cov[: self.dim_x, : self.dim_x])[0])
         if min_eig <= PD_MIN_EIG:
             raise ValidationError(
                 f"input covariance block must be strictly PD; min eigenvalue {min_eig:.3e}"
             )
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        for name, value in (("law", law), ("mean", law.mean), ("cov", law.cov)):
+            object.__setattr__(self, name, value)
 
     # partitioned views -------------------------------------------------
     @property
@@ -225,20 +227,17 @@ class AffineModel:
     intercept: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weight, dtype=float)
+        w = np.array(self.weight, dtype=float)
         if w.ndim == 1:
             w = w.reshape(1, -1)
         if w.ndim != 2:
             raise ValidationError(f"weight must be a matrix, got shape {w.shape}")
-        b = np.atleast_1d(np.asarray(self.intercept, dtype=float))
+        b = np.atleast_1d(np.array(self.intercept, dtype=float))
         if b.ndim != 1 or b.shape[0] != w.shape[0]:
             raise ValidationError(
                 f"intercept of length {b.shape} does not match weight {w.shape}"
             )
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "intercept", b)
+        _freeze(self, weight=w, intercept=b)
 
     @property
     def dim_in(self) -> int:
@@ -279,21 +278,17 @@ def fit_optimal_affine(task: GaussianJointTask) -> AffineModel:
     return AffineModel(weight, intercept)
 
 
-def pushforward_affine(model: AffineModel, input_mean, input_cov) -> GaussianDist:
-    """Law of model(X) for X ~ N(input_mean, input_cov).
+def pushforward_affine(model: AffineModel, law: GaussianDist) -> GaussianDist:
+    """Law of model(X) for X ~ ``law``, already validated.
 
     Returns N(W μ + b, W Σ Wᵀ).  The result may be rank deficient (a
     wide weight matrix collapses directions); that is permitted here and
     only rejected later by divergences that require a density.
     """
-    mean = _as_vector(input_mean, "input_mean")
-    cov = validate_covariance(input_cov, "input_cov")
-    if mean.shape[0] != model.dim_in or cov.shape[0] != model.dim_in:
-        raise ValidationError(
-            f"model expects inputs of dim {model.dim_in}, got {mean.shape[0]}"
-        )
-    out_cov = model.weight @ cov @ model.weight.T
-    return GaussianDist(model.weight @ mean + model.intercept, 0.5 * (out_cov + out_cov.T))
+    if law.dim != model.dim_in:
+        raise ValidationError(f"model expects inputs of dim {model.dim_in}, got {law.dim}")
+    out_cov = model.weight @ law.cov @ model.weight.T
+    return GaussianDist(model.weight @ law.mean + model.intercept, 0.5 * (out_cov + out_cov.T))
 
 
 def compose_affine(outer: AffineModel, inner: AffineModel) -> AffineModel:
@@ -317,19 +312,22 @@ def kl_split(p: GaussianDist, q: GaussianDist) -> RiskSplit:
     variance term ½[Tr(Σq⁻¹Σp) − log det(Σp)/det(Σq) − n], clamped at 0,
     and a bias term ½(μp−μq)ᵀ Σq⁻¹ (μp−μq).
 
-    Both covariances go through ``numerically_singular``.  The reference
-    q must pass it: a rank-deficient q (e.g. a degenerate pushforward)
-    has no density, absolute continuity fails and NumericalError is
-    raised.  A rank-deficient p against a valid reference is singular
-    with respect to q: its variance term, and so the total, is +∞.
+    Both laws go through their rank test ``singular``.  The reference q
+    must pass it and have a Cholesky factor: a rank-deficient q (e.g. a
+    degenerate pushforward) has no density, absolute continuity fails
+    and NumericalError is raised.  A rank-deficient p against a valid
+    reference is singular with respect to q: its variance term, and so
+    the total, is +∞.  log det Σp comes from ``slogdet``, whose last bits
+    the reports have always carried, not from the sum of p's log
+    eigenvalues.
     """
     if p.dim != q.dim:
         raise ValidationError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    if numerically_singular(q.cov):
+    chol_q = q.chol
+    if q.singular or chol_q is None:
         raise NumericalError("reference covariance is not positive definite")
-    chol_q = np.linalg.cholesky(q.cov)
     trace_term = float(np.trace(chol_solve(chol_q, p.cov)))
-    logdet_p = -math.inf if numerically_singular(p.cov) else np.linalg.slogdet(p.cov)[1]
+    logdet_p = -math.inf if p.singular else np.linalg.slogdet(p.cov)[1]
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(chol_q))))
     variance = max(0.5 * (trace_term - (logdet_p - logdet_q) - p.dim), 0.0)
     diff = p.mean - q.mean
@@ -342,15 +340,15 @@ def w2_split(p: GaussianDist, q: GaussianDist) -> RiskSplit:
     into a variance term Tr(Σp + Σq − 2 (Σp^½ Σq Σp^½)^½), clamped at 0,
     and a bias term ‖μp−μq‖².
 
-    With F = V·√max(Λ, 0) from Σp = VΛVᵀ, Σp^½ Σq Σp^½ = V (FᵀΣqF) Vᵀ,
+    With F = V·√max(Λ, 0) from Σp = VΛVᵀ (``p.root``),
+    Σp^½ Σq Σp^½ = V (FᵀΣqF) Vᵀ,
     so the cross trace is Σ√max(μᵢ, 0) over the eigenvalues μᵢ of
     FᵀΣqF.  Both clamps keep rank-deficient p and q, whose zero
     eigenvalues round to ±1e-16, real rather than NaN.
     """
     if p.dim != q.dim:
         raise ValidationError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    vals, vecs = np.linalg.eigh(p.cov)
-    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    factor = p.root
     cross = np.sqrt(np.clip(np.linalg.eigvalsh(factor.T @ q.cov @ factor), 0.0, None))
     variance = max(float(np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.sum(cross)), 0.0)
     diff = p.mean - q.mean

@@ -13,7 +13,8 @@ users can re-verify any number they get.
 The cubature oracles are exact, not sampled: the loss gap and the KL
 log-ratio are quadratics in z, and the rule integrates every polynomial
 of degree ≤ 3 under N(0, I_k) exactly.  They read only the joint law,
-the models or the two densities, never a closed-form quantity.
+the models or the two densities, never a closed-form quantity, and
+take the joint law's own factor rather than decompose a matrix.
 
 Randomness: a single documented generator, ``SeededStream``, built on
 the Philox 4x64 counter-based engine with normals drawn by numpy's
@@ -141,15 +142,11 @@ def loss_gap_cubature(model_a: AffineModel, model_b: AffineModel,
     summed as (u_a − u_b)·(u_a + u_b), for u = c and u = Mz, so neither
     two nearly equal models nor a huge output variance, which M·z carries
     identically for both models, loses digits to cancellation.  F is the
-    Cholesky factor of the joint covariance, or for a singular PSD joint
-    V·√max(Λ, 0) from its eigendecomposition; a jittered factor would
-    change the law, and with it the gap, by far more than rounding.
+    joint law's ``chol``, or its ``root`` when Cholesky fails; a jittered
+    factor would change the law, and with it the gap, by far more than
+    rounding.
     """
-    try:
-        factor = np.linalg.cholesky(task.cov)
-    except np.linalg.LinAlgError:
-        lam, vec = np.linalg.eigh(task.cov)
-        factor = vec * np.sqrt(np.maximum(lam, 0.0))
+    factor = task.law.root if task.law.chol is None else task.law.chol
     z, weights = cubature(task.dim_x + task.dim_y)
 
     def residual(model: AffineModel) -> tuple[np.ndarray, np.ndarray]:

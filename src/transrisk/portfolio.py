@@ -4,22 +4,25 @@ The source task maximizes μ'φ / √(φ'Σφ) over the unit simplex; the
 transfer task maximizes the same objective minus a quadratic pull
 penalty·‖φ − anchor‖² toward a pretrained portfolio.
 
-Solver policy.  Unanchored with a positive definite Σ = LL': exact, as
-y ≥ 0 minimizing ½y'Σy − μ'y solves the NNLS problem ‖L'y − L⁻¹μ‖,
-and φ = y / Σy is the long-only tangency portfolio, or the best vertex
-when y = 0 (no positive mean).  y = Σ⁻¹μ when that is nonnegative;
-otherwise Lawson–Hanson's active set method (Solving Least Squares
-Problems, 1974) finds y, each passive-set subproblem a least-squares
-solve on columns of L' (never the normal equations, which a Σ that is
-singular up to rounding would break).  Anchored, Σ without a Cholesky
-factor, or an active set still cycling after 3d passes: monotone
-spectral projected gradient (SPG) ascent (Birgin, Martínez & Raydan,
-SIAM J. Optim. 2000) from the uniform portfolio, every vertex and the
-anchor at once, one row each, keeping the best.  Each row has its own
-Barzilai–Borwein step in [1e-10, 1e6] and Armijo backtracking on
-increases measured from the step, and stops, keeping its iterate, once
-‖P(w + 1e-2∇f) − w‖ / 1e-2 ≤ 1e-8, when no λ ≥ 2⁻⁵³ increases f, or
-after 1e5 iterations.  Steps never decrease the objective, so the
+Solver policy.  Each market is the moment-matched Gaussian law that
+``estimate_moments`` returns: validated once, with its eigen and
+Cholesky factors kept by the law, so this module decomposes no matrix
+itself and judges PSD-ness by the law's one threshold.  Unanchored with
+the law's Cholesky factor Σ = LL': exact, as y ≥ 0 minimizing
+½y'Σy − μ'y solves the NNLS problem ‖L'y − L⁻¹μ‖, and φ = y / Σy is the
+long-only tangency portfolio, or the best vertex when y = 0 (no positive
+mean).  y = Σ⁻¹μ when that is nonnegative; otherwise Lawson–Hanson's
+active set method (Solving Least Squares Problems, 1974) finds y, each
+passive-set subproblem a least-squares solve on columns of L' (never
+the normal equations, which a Σ that is singular up to rounding would
+break).  Anchored, a law without a Cholesky factor, or an active set
+still cycling after 3d passes: monotone spectral projected gradient
+(SPG) ascent (Birgin, Martínez & Raydan, SIAM J. Optim. 2000) from the
+uniform portfolio, every vertex and the anchor at once, one row each,
+keeping the best.  Each row has its own Barzilai–Borwein step in
+[1e-10, 1e6] and Armijo backtracking on increases measured from the
+step, and stops, keeping its iterate, once ‖P(w + 1e-2∇f) − w‖ / 1e-2
+≤ 1e-8, when no λ ≥ 2⁻⁵³ increases f, or after 1e5 iterations.  Steps never decrease the objective, so the
 result scores at least the anchor and the uniform.  When every row
 stops at the iteration cap, the solve raises instead of returning an
 ascent that never settled.
@@ -30,12 +33,13 @@ is the one actually optimized and reported.)  Annualization is the
 caller's business; nothing here assumes a data frequency.
 
 The prescreen distance between two return datasets is the squared
-Wasserstein-2 distance between their moment-matched Gaussian
-approximations: cheap to compute before any optimization, and
-correlated (negatively) with the out-of-sample Sharpe a transferred
-portfolio achieves.  ``transfer_portfolio`` runs the whole pipeline
-(pretrain, direct, anchored, score, prescreen) for the CLI's portfolio
-job and for the synthetic portfolio study alike.
+Wasserstein-2 distance between their moment-matched Gaussian laws,
+taken through the source law's kept eigen factor: cheap to compute
+before any optimization, and correlated (negatively) with the
+out-of-sample Sharpe a transferred portfolio achieves.
+``transfer_portfolio`` runs the whole pipeline (pretrain, direct,
+anchored, score, prescreen) for the CLI's portfolio job and for the
+synthetic portfolio study alike.
 
 Every solver here is numpy; no command loads scipy.
 """
@@ -71,7 +75,7 @@ class ReturnsDataset:
     returns: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.returns, dtype=float)
+        r = np.array(self.returns, dtype=float)  # a copy, frozen below
         if r.ndim != 2:
             raise ValidationError(f"returns must be 2-D, got shape {r.shape}")
         if r.shape[0] < 2:
@@ -98,12 +102,12 @@ class Portfolio:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.shape[0] < 1:
             raise ValidationError(f"weights must be a vector, got shape {w.shape}")
-        if float(w.min()) < -1e-12:
+        if not float(w.min()) >= -1e-12:  # NaN fails here too
             raise ValidationError(f"weights must be nonnegative, min is {w.min():.3e}")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValidationError(f"weights sum to {w.sum()!r}, not 1")
         w = np.clip(w, 0.0, None)
-        w = w / w.sum()
+        w = w / w.sum()  # a new array: the caller's stays writeable
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -112,21 +116,22 @@ class Portfolio:
         return self.weights.shape[0]
 
 
-def estimate_moments(data: ReturnsDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and unbiased sample covariance, symmetrized and
-    eigenvalue-clamped at zero so downstream code sees an exact PSD.
-    Returns so large that a moment overflows are a ValidationError."""
+def estimate_moments(data: ReturnsDataset) -> GaussianDist:
+    """The moment-matched Gaussian law: sample mean and unbiased sample
+    covariance, symmetrized and, if the law's spectrum has a negative
+    eigenvalue, clamped at zero into a new law, so downstream code sees
+    an exact PSD.  Returns so large that a moment overflows are a
+    ValidationError."""
     with np.errstate(over="ignore", invalid="ignore"):
         mu = data.returns.mean(axis=0)
         sigma = np.cov(data.returns, rowvar=False, ddof=1)
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise ValidationError("non-finite sample moments: the returns are too large")
-    sigma = 0.5 * (sigma + sigma.T)
-    vals, vecs = np.linalg.eigh(sigma)
-    if vals[0] < 0.0:
-        sigma = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        sigma = 0.5 * (sigma + sigma.T)
-    return mu, sigma
+    law = GaussianDist(mu, 0.5 * (sigma + sigma.T))
+    if law.eigvals[0] < 0.0:
+        sigma = (law.eigvecs * np.clip(law.eigvals, 0.0, None)) @ law.eigvecs.T
+        law = GaussianDist(mu, 0.5 * (sigma + sigma.T))
+    return law
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -142,24 +147,14 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(rows - t[np.arange(len(t)), last, None], 0.0).reshape(v.shape)
 
 
-def sharpe_ratio(portfolio: Portfolio, mu: np.ndarray, sigma: np.ndarray) -> float:
-    """μ'φ / √(φ'Σφ); raises if the portfolio variance is (near) zero."""
+def sharpe_ratio(portfolio: Portfolio, law: GaussianDist) -> float:
+    """μ'φ / √(φ'Σφ) under ``law``; raises if the portfolio variance is
+    (near) zero."""
     w = portfolio.weights
-    var = float(w @ sigma @ w)
+    var = float(w @ law.cov @ w)
     if var <= VARIANCE_FLOOR:
         raise NumericalError(f"portfolio variance {var:.3e} below floor")
-    return float(mu @ w) / math.sqrt(var)
-
-
-def _validate_sigma(sigma: np.ndarray) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValidationError(f"sigma must be square, got {sigma.shape}")
-    sigma = 0.5 * (sigma + sigma.T)
-    eigs = np.linalg.eigvalsh(sigma)
-    if eigs[0] < -1e-8 * max(float(eigs[-1]), 1.0):
-        raise ValidationError(f"sigma has eigenvalue {eigs[0]:.3e}")
-    return sigma
+    return float(law.mean @ w) / math.sqrt(var)
 
 
 class _Objective(NamedTuple):
@@ -272,9 +267,10 @@ def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int) -> np.ndarray | None:
     return None
 
 
-def _tangency(mu: np.ndarray, sigma: np.ndarray, chol: np.ndarray) -> np.ndarray | None:
-    """Exact unanchored optimum for Σ = LL' (see the module docstring), or
-    None when the active set cycles."""
+def _tangency(law: GaussianDist) -> np.ndarray | None:
+    """Exact unanchored optimum for the law's Σ = LL' (see the module
+    docstring), or None when the active set cycles."""
+    mu, sigma, chol = law.mean, law.cov, law.chol
     b = np.linalg.solve(chol, mu)
     y = np.linalg.solve(chol.T, b)
     if y.min() < 0.0 and (y := _nnls(chol.T, b, 3 * mu.shape[0])) is None:
@@ -290,10 +286,10 @@ def _tangency(mu: np.ndarray, sigma: np.ndarray, chol: np.ndarray) -> np.ndarray
     return w
 
 
-def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
-                    anchor: Portfolio | None = None,
+def sharpe_optimize(law: GaussianDist, anchor: Portfolio | None = None,
                     penalty: float = 0.0) -> Portfolio:
-    """Maximize the (optionally anchored) Sharpe objective on the simplex.
+    """Maximize the (optionally anchored) Sharpe objective of the market
+    ``law`` (means μ, covariance Σ) on the simplex.
 
     Exact tangency portfolio without an anchor, one SPG pass over the
     d + 2 starts otherwise or if the NNLS cycles (module docstring).
@@ -305,11 +301,7 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
     A penalty outside [0, MAX_PENALTY] is a ValidationError; an ascent
     whose every start stops at MAX_ITER is a NumericalError.
     """
-    mu = np.asarray(mu, dtype=float)
-    sigma = _validate_sigma(sigma)
-    d = mu.shape[0]
-    if sigma.shape[0] != d:
-        raise ValidationError(f"mu has {d} assets but sigma is {sigma.shape}")
+    mu, sigma, d = law.mean, law.cov, law.dim
     if not 0.0 <= penalty <= MAX_PENALTY:
         raise ValidationError(f"penalty must lie in [0, {MAX_PENALTY:g}], got {penalty}")
     if anchor is not None and anchor.n_assets != d:
@@ -321,14 +313,8 @@ def sharpe_optimize(mu: np.ndarray, sigma: np.ndarray,
             "an asset with zero variance and positive mean makes the Sharpe "
             "objective unbounded")
 
-    if anchor is None:
-        try:
-            chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            pass  # singular Σ: the iterative routine below
-        else:
-            if (w := _tangency(mu, sigma, chol)) is not None:
-                return Portfolio(w)
+    if anchor is None and law.chol is not None and (w := _tangency(law)) is not None:
+        return Portfolio(w)
 
     obj = _Objective(mu, sigma, None if anchor is None else anchor.weights, penalty)
     starts = [np.full(d, 1.0 / d), *np.eye(d)] + ([] if anchor is None else [anchor.weights])
@@ -350,8 +336,7 @@ def prescreen_risk_w2(source: ReturnsDataset, target: ReturnsDataset) -> float:
     any portfolio is fitted.
     """
     _check_assets(source, target)
-    return w2_gaussian_sq(GaussianDist(*estimate_moments(source)),
-                          GaussianDist(*estimate_moments(target)))
+    return w2_gaussian_sq(estimate_moments(source), estimate_moments(target))
 
 
 class PortfolioTransfer(NamedTuple):
@@ -369,19 +354,19 @@ def transfer_portfolio(source: ReturnsDataset, train: ReturnsDataset,
 
     Both fits are scored in sample (on ``train``) and out of sample (on
     ``test``); the prescreen risk is ``prescreen_risk_w2(source, test)``.
-    Each history's moments are estimated once.
+    Each history's law is estimated, and decomposed, once.
     """
     _check_assets(source, train, test)
-    moments_s, moments_in, moments_out = map(estimate_moments, (source, train, test))
-    pretrained = sharpe_optimize(*moments_s)
-    direct = sharpe_optimize(*moments_in)
-    transferred = sharpe_optimize(*moments_in, anchor=pretrained, penalty=penalty)
-    risk_sq = w2_gaussian_sq(GaussianDist(*moments_s), GaussianDist(*moments_out))
+    law_s, law_in, law_out = map(estimate_moments, (source, train, test))
+    pretrained = sharpe_optimize(law_s)
+    direct = sharpe_optimize(law_in)
+    transferred = sharpe_optimize(law_in, anchor=pretrained, penalty=penalty)
+    risk_sq = w2_gaussian_sq(law_s, law_out)
     sharpe = {
-        "direct_in_sample": sharpe_ratio(direct, *moments_in),
-        "direct_out_of_sample": sharpe_ratio(direct, *moments_out),
-        "transferred_in_sample": sharpe_ratio(transferred, *moments_in),
-        "transferred_out_of_sample": sharpe_ratio(transferred, *moments_out),
+        "direct_in_sample": sharpe_ratio(direct, law_in),
+        "direct_out_of_sample": sharpe_ratio(direct, law_out),
+        "transferred_in_sample": sharpe_ratio(transferred, law_in),
+        "transferred_out_of_sample": sharpe_ratio(transferred, law_out),
     }
     return PortfolioTransfer(pretrained, direct, transferred, sharpe, risk_sq)
 

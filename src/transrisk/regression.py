@@ -40,8 +40,8 @@ class RegressionDataset:
     targets: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.targets, dtype=float)
+        x = np.array(self.features, dtype=float)  # copies, frozen below
+        y = np.array(self.targets, dtype=float)
         if x.ndim != 2:
             raise ValidationError(f"features must be 2-D, got shape {x.shape}")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:

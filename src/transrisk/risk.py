@@ -65,7 +65,7 @@ class PolyCombiner:
 
     def __post_init__(self):
         coefs = (self.coef_input, self.coef_output_sq, self.coef_output, self.coef_input_sq)
-        if any(c < 0.0 for c in coefs):
+        if not all(c >= 0.0 for c in coefs):  # NaN fails here too
             raise ValidationError(f"combiner coefficients must be nonnegative, got {coefs}")
 
 
@@ -155,7 +155,7 @@ def source_task_distance(input_distance: float, model_distance: float) -> float:
     saturated model metric.  Both components come from genuine metrics
     (e.g. the square root of the squared-W2, and affine_sup_distance),
     so the sum is one too."""
-    if input_distance < 0.0:
+    if not input_distance >= 0.0:  # NaN fails here too
         raise ValidationError(f"input distance must be nonnegative, got {input_distance}")
     return input_distance + model_distance
 
@@ -188,6 +188,7 @@ def continuity_probe_input(pair: BasicCasePair, delta: float, trials: int,
         raise ValidationError("need at least one trial")
     base = basic_output_risk_w(pair).total
     d = pair.source.dim_x
+    source_inputs = pair.source.input_marginal()
     worst = 0.0
     for k in range(trials):
         direction = stream.substream(k).normals(d)
@@ -197,8 +198,8 @@ def continuity_probe_input(pair: BasicCasePair, delta: float, trials: int,
         shift = direction * (delta / norm)
         moved = _with_source_mean_x(pair, pair.source.mean_x + shift)
         risk = basic_output_risk_w(moved).total
-        input_distance = math.sqrt(w2_gaussian_sq(
-            moved.source.input_marginal(), pair.source.input_marginal()))
+        input_distance = math.sqrt(w2_gaussian_sq(moved.source.input_marginal(),
+                                                  source_inputs))
         worst = max(worst, abs(risk - base) / input_distance)
     return worst
 
@@ -220,12 +221,12 @@ def continuity_probe_model(pair: BasicCasePair, delta: float, trials: int,
         return 0.0
     if trials < 1:
         raise ValidationError("need at least one trial")
-    tgt = pair.target
+    target_inputs = pair.target.input_marginal()
     source_model = fit_optimal_affine(pair.source)
     target_law = output_laws(pair)[0]
 
     def risk_of(model: AffineModel) -> float:
-        return w2_gaussian_sq(pushforward_affine(model, tgt.mean_x, tgt.cov_x), target_law)
+        return w2_gaussian_sq(pushforward_affine(model, target_inputs), target_law)
 
     base = risk_of(source_model)
     d = source_model.dim_in

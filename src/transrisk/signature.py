@@ -75,8 +75,8 @@ class PiecewisePath:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        t = np.array(self.times, dtype=float)  # copies, frozen below
+        v = np.array(self.values, dtype=float)
         if v.ndim == 1:
             v = v.reshape(-1, 1)
         if t.ndim != 1 or v.ndim != 2 or t.shape[0] != v.shape[0]:
@@ -109,7 +109,7 @@ class TruncatedSignature:
     def __post_init__(self):
         order = _check_order(self.order)
         expected = signature_dim(self.channels, order)
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)  # a copy, frozen below
         if c.ndim != 1 or c.shape[0] != expected:
             raise ValidationError(
                 f"expected {expected} coefficients for {self.channels} channels "

@@ -122,8 +122,8 @@ def test_criterion_3_closed_forms_vs_oracles():
         tgt = pair.target
         tgt_model = fit_optimal_affine(tgt)
         src_model = fit_optimal_affine(pair.source)
-        target_law = pushforward_affine(tgt_model, tgt.mean_x, tgt.cov_x)
-        inter_law = pushforward_affine(src_model, tgt.mean_x, tgt.cov_x)
+        target_law = pushforward_affine(tgt_model, tgt.input_marginal())
+        inter_law = pushforward_affine(src_model, tgt.input_marginal())
 
         kl_gap = abs(basic_output_risk_kl(pair).total
                      - kl_quadrature_1d(target_law, inter_law))

@@ -798,6 +798,65 @@ class TestPortfolio:
         assert main(["portfolio", write_spec(tmp_path, job, "mm.json")]) == 2
 
 
+class TestCholeskyJitterRetry:
+    """Both callers of ``cholesky_with_jitter`` reach its retry from input
+    that the CLI accepts, so the retry stays: a factorization fails, the
+    same matrix plus 1e-10·trace/n on its diagonal factors next, and the
+    run exits 0."""
+
+    @staticmethod
+    def record_cholesky(monkeypatch) -> list:
+        """(matrix, factored) of each numpy Cholesky call to come."""
+        factor, calls = np.linalg.cholesky, []
+
+        def cholesky(a):
+            calls.append((np.array(a), False))
+            result = factor(a)
+            calls[-1] = (calls[-1][0], True)
+            return result
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        return calls
+
+    @staticmethod
+    def retries(calls) -> int:
+        from transrisk.gaussian import CHOLESKY_JITTER
+
+        count = 0
+        for (a, a_ok), (b, b_ok) in zip(calls, calls[1:]):
+            jitter = CHOLESKY_JITTER * np.trace(a) / len(a)
+            count += (not a_ok and b_ok
+                      and np.array_equal(b, a + jitter * np.eye(len(a))))
+        return count
+
+    def test_gaussian_risk_ill_conditioned_input_block(self, tmp_path, monkeypatch):
+        """An input block Σ_X with eigenvalues 4.7e-10 and 8.7e6: accepted,
+        since λ_min > 1e-10, but numpy's Cholesky of it fails.  (Found by
+        drawing d = 2 blocks with λ_max in 1e6–1e9 and λ_min near 1e-9.)"""
+        target_cov = [[2960150.948563502, -4135835.876333927, -6789252.879749565],
+                      [-4135835.876333927, 5778468.292055032, 9485744.518264493],
+                      [-6789252.879749565, 9485744.518264493, 15571488.895762945]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.array(target_cov)[:2, :2])
+        spec = write_spec(tmp_path, {
+            "version": 1, "kind": "gaussian_pair", "case": "basic",
+            "source": task_doc(2, 1, [0.0, 0.0, 0.0],
+                               [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.5, 0.5, 1.0]]),
+            "target": task_doc(2, 1, [0.0, 0.0, 0.0], target_cov)})
+        calls = self.record_cholesky(monkeypatch)
+        assert main(["gaussian-risk", spec, "--out", str(tmp_path / "r.json")]) == 0
+        assert self.retries(calls) >= 1
+
+    def test_predict_with_tiny_source_lambda(self, prediction_job, monkeypatch):
+        """λ_source = 1e-20 leaves X'X/t + λI singular to rounding: each
+        ridge fit at that λ needs the retry."""
+        tmp_path, job = prediction_job
+        spec = write_spec(tmp_path, dict(job, lambda_source=1e-20), "tiny_lambda.json")
+        calls = self.record_cholesky(monkeypatch)
+        assert main(["predict", spec, "--out", str(tmp_path / "tiny.json")]) == 0
+        assert self.retries(calls) == 2
+
+
 class TestVerifyProps:
     def test_smoke_run_passes(self, tmp_path, capsys):
         code, report = run_report(capsys, ["verify-props", "--scale", "0.02",

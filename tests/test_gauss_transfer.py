@@ -122,9 +122,9 @@ class TestBasicCaseKL:
         for _ in range(50):
             pair = random_basic_pair(rng, int(rng.integers(1, 5)))
             tgt = pair.target
-            target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.mean_x, tgt.cov_x)
+            target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.input_marginal())
             inter_law = pushforward_affine(fit_optimal_affine(pair.source),
-                                           tgt.mean_x, tgt.cov_x)
+                                           tgt.input_marginal())
             closed = basic_output_risk_kl(pair).total
             np.testing.assert_allclose(closed, kl_gaussian(target_law, inter_law),
                                        atol=1e-10 * max(1.0, closed))
@@ -152,9 +152,9 @@ class TestBasicCaseW:
         for _ in range(50):
             pair = random_basic_pair(rng, int(rng.integers(1, 5)))
             tgt = pair.target
-            target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.mean_x, tgt.cov_x)
+            target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.input_marginal())
             inter_law = pushforward_affine(fit_optimal_affine(pair.source),
-                                           tgt.mean_x, tgt.cov_x)
+                                           tgt.input_marginal())
             closed = basic_output_risk_w(pair).total
             np.testing.assert_allclose(closed, w2_gaussian_sq(target_law, inter_law),
                                        atol=1e-10 * max(1.0, closed))
@@ -346,9 +346,9 @@ class TestFeatureAugmentation:
 
         pair = self.augmented_pair(rho_cross=0.0, rho_new=0.3)
         tgt = pair.target
-        target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.mean_x, tgt.cov_x)
+        target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.input_marginal())
         src = pair.source
-        inter_law = pushforward_affine(fit_optimal_affine(src), src.mean_x, src.cov_x)
+        inter_law = pushforward_affine(fit_optimal_affine(src), src.input_marginal())
         oracle = kl_quadrature_1d(target_law, inter_law)
         np.testing.assert_allclose(feature_aug_risk(pair, "kl").total, oracle,
                                    atol=1e-8)
@@ -400,16 +400,16 @@ class TestOutputLaws:
         for _ in range(50):
             pair = random_basic_pair(rng, int(rng.integers(1, 5)))
             tgt = pair.target
-            target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.mean_x, tgt.cov_x)
+            target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.input_marginal())
             inter_law = pushforward_affine(fit_optimal_affine(pair.source),
-                                           tgt.mean_x, tgt.cov_x)
+                                           tgt.input_marginal())
             self.assert_same_laws(output_laws(pair), (target_law, inter_law))
 
     def test_feature_augmentation_takes_source_inputs(self):
         pair = TestFeatureAugmentation.augmented_pair(rho_cross=0.0, rho_new=0.3)
         tgt, src = pair.target, pair.source
-        target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.mean_x, tgt.cov_x)
-        inter_law = pushforward_affine(fit_optimal_affine(src), src.mean_x, src.cov_x)
+        target_law = pushforward_affine(fit_optimal_affine(tgt), tgt.input_marginal())
+        inter_law = pushforward_affine(fit_optimal_affine(src), src.input_marginal())
         self.assert_same_laws(output_laws(pair), (target_law, inter_law))
 
 

@@ -3,7 +3,8 @@ word the error of a rejected document, never in a run that exits 0.
 Every solver, closed form and --verify oracle runs on numpy; scipy is a
 test-only dependency, the reference some tests check against.  The
 cubature oracles build their points with numpy alone, so neither the
-package nor --verify loads numpy.polynomial.
+package nor --verify loads numpy.polynomial.  And only ``gaussian``
+names numpy's matrix decompositions: a law decomposes its covariance.
 
 Each check runs in a fresh interpreter, because the test process has
 long since imported scipy.
@@ -214,3 +215,21 @@ def test_scipy_is_a_test_dependency_only():
     requirement_names = lambda reqs: [re.match(r"[A-Za-z0-9_.-]+", r).group() for r in reqs]
     assert "scipy" not in requirement_names(project["dependencies"])
     assert "scipy" in requirement_names(project["optional-dependencies"]["test"])
+
+
+DECOMPOSITIONS = {"cholesky", "eigh", "eigvalsh", "slogdet"}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(Path(SRC, "transrisk").glob("*.py"))
+                                  if p.name != "gaussian.py"], ids=lambda p: p.name)
+def test_only_gaussian_decomposes_a_matrix(path):
+    """A covariance is decomposed by the ``GaussianDist`` that owns it, so
+    no module but ``gaussian`` names numpy's Cholesky, ``eigh``,
+    ``eigvalsh`` or ``slogdet``, by attribute or by import.  (The
+    least-squares solves of ``portfolio._nnls`` are not covered.)"""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in DECOMPOSITIONS
+             or isinstance(node, ast.ImportFrom)
+             and any(alias.name in DECOMPOSITIONS for alias in node.names)]
+    assert found == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from transrisk import (
+    GaussianDist,
     Portfolio,
     ReturnsDataset,
     estimate_moments,
@@ -63,16 +64,15 @@ class TestProjectSimplex:
 class TestEstimateMoments:
     def test_identical_rows_zero_covariance(self):
         data = ReturnsDataset(np.tile([0.01, 0.02], (2, 1)))
-        mu, sigma = estimate_moments(data)
-        np.testing.assert_allclose(mu, [0.01, 0.02])
-        np.testing.assert_allclose(sigma, np.zeros((2, 2)), atol=1e-18)
+        law = estimate_moments(data)
+        np.testing.assert_allclose(law.mean, [0.01, 0.02])
+        np.testing.assert_allclose(law.cov, np.zeros((2, 2)), atol=1e-18)
 
     def test_constant_column_zero_variance(self):
         rng = np.random.default_rng(3)
         data = ReturnsDataset(np.column_stack([np.full(30, 0.01),
                                                rng.normal(size=30)]))
-        _, sigma = estimate_moments(data)
-        assert sigma[0, 0] <= 1e-18
+        assert estimate_moments(data).cov[0, 0] <= 1e-18
 
     def test_generator_round_trip(self):
         rng = np.random.default_rng(4)
@@ -81,7 +81,8 @@ class TestEstimateMoments:
         sigma_true = a @ a.T + 0.01 * np.eye(3)
         n = 10 ** 5
         draws = rng.multivariate_normal(mu_true, sigma_true, size=n)
-        mu, sigma = estimate_moments(ReturnsDataset(draws))
+        law = estimate_moments(ReturnsDataset(draws))
+        mu, sigma = law.mean, law.cov
         se_mu = np.sqrt(np.diag(sigma_true) / n)
         assert np.all(np.abs(mu - mu_true) <= 3.0 * se_mu)
         assert np.linalg.norm(sigma - sigma_true) <= 0.01
@@ -90,7 +91,7 @@ class TestEstimateMoments:
 class TestSharpeRatio:
     def test_uniform_four_assets(self):
         port = Portfolio(np.full(4, 0.25))
-        value = sharpe_ratio(port, np.ones(4), np.eye(4))
+        value = sharpe_ratio(port, GaussianDist(np.ones(4), np.eye(4)))
         np.testing.assert_allclose(value, 2.0, atol=1e-12)
 
     def test_homogeneous_in_mu(self):
@@ -98,13 +99,13 @@ class TestSharpeRatio:
         port = Portfolio(project_simplex(rng.normal(size=3)))
         mu = rng.normal(size=3)
         sigma = np.eye(3)
-        base = sharpe_ratio(port, mu, sigma)
-        np.testing.assert_allclose(sharpe_ratio(port, 3.0 * mu, sigma), 3.0 * base)
+        base = sharpe_ratio(port, GaussianDist(mu, sigma))
+        np.testing.assert_allclose(sharpe_ratio(port, GaussianDist(3.0 * mu, sigma)), 3.0 * base)
 
     def test_zero_variance_rejected(self):
         port = Portfolio([1.0, 0.0])
         with pytest.raises(NumericalError, match=r"portfolio variance 0\.000e\+00 below floor"):
-            sharpe_ratio(port, np.ones(2), np.diag([0.0, 1.0]))
+            sharpe_ratio(port, GaussianDist(np.ones(2), np.diag([0.0, 1.0])))
 
 
 def best_sharpe_by_supports(mu, sigma):
@@ -148,16 +149,17 @@ def assert_outcome_follows_linear_program(rows) -> bool:
     unbounded."""
     from scipy.optimize import linprog
 
-    mu, sigma = estimate_moments(ReturnsDataset(rows))
+    law = estimate_moments(ReturnsDataset(rows))
+    mu, sigma = law.mean, law.cov
     n, d = rows.shape
     lp = linprog(-mu, A_eq=np.vstack([rows - rows.mean(axis=0), np.ones(d)]),
                  b_eq=[*np.zeros(n), 1.0], bounds=(0.0, None))
     if lp.status == 0 and -lp.fun > 0.0:
         with pytest.raises(NumericalError, match="objective is unbounded"
                            "|maximum-Sharpe portfolio has zero variance"):
-            sharpe_optimize(mu, sigma)
+            sharpe_optimize(law)
         return True
-    w = sharpe_optimize(mu, sigma).weights
+    w = sharpe_optimize(law).weights
     bound = 1e-7 * max(1.0, np.linalg.norm(mu) / math.sqrt(w @ sigma @ w))
     assert stationarity(w, mu, sigma) <= bound
     return False
@@ -165,12 +167,12 @@ def assert_outcome_follows_linear_program(rows) -> bool:
 
 class TestSharpeOptimize:
     def test_symmetric_problem_centroid(self):
-        port = sharpe_optimize(np.array([0.3, 0.3]), np.eye(2))
+        port = sharpe_optimize(GaussianDist([0.3, 0.3], np.eye(2)))
         np.testing.assert_allclose(port.weights, [0.5, 0.5], atol=1e-6)
 
     def test_two_asset_example_matches_grid(self):
         """argmax of (0.2w + 0.1(1−w))/‖(w,1−w)‖ sits at (2/3, 1/3)."""
-        port = sharpe_optimize(np.array([0.2, 0.1]), np.eye(2))
+        port = sharpe_optimize(GaussianDist([0.2, 0.1], np.eye(2)))
         np.testing.assert_allclose(port.weights, [2.0 / 3.0, 1.0 / 3.0], atol=1e-4)
         grid = np.linspace(0.0, 1.0, 100001)
         values = (0.2 * grid + 0.1 * (1 - grid)) / np.sqrt(grid ** 2 + (1 - grid) ** 2)
@@ -184,7 +186,7 @@ class TestSharpeOptimize:
             mu = rng.uniform(-0.1, 0.2, size=d)
             a = rng.normal(size=(d, d)) * 0.1
             sigma = a @ a.T + 0.01 * np.eye(d)
-            port = sharpe_optimize(mu, sigma)
+            port = sharpe_optimize(GaussianDist(mu, sigma))
             w = port.weights
             assert w.min() >= -1e-12
             np.testing.assert_allclose(w.sum(), 1.0, atol=1e-9)
@@ -201,7 +203,7 @@ class TestSharpeOptimize:
         a = rng.normal(size=(4, 4)) * 0.1
         sigma = a @ a.T + 0.02 * np.eye(4)
         for penalty in (1.0, 10.0, MAX_PENALTY):
-            w = sharpe_optimize(mu, sigma, anchor=anchor, penalty=penalty).weights
+            w = sharpe_optimize(GaussianDist(mu, sigma), anchor=anchor, penalty=penalty).weights
             sharpe_grad = _Objective(mu, sigma, None, 0.0).value_and_gradient(w)[1]
             assert (np.linalg.norm(w - anchor.weights)
                     <= np.linalg.norm(sharpe_grad) / (2.0 * penalty)), penalty
@@ -215,7 +217,7 @@ class TestSharpeOptimize:
         rejected before any solve."""
         anchor = Portfolio([0.5, 0.5])
         with pytest.raises(ValidationError, match="penalty must lie in"):
-            sharpe_optimize(np.array([0.1, 0.2]), np.eye(2), anchor=anchor, penalty=penalty)
+            sharpe_optimize(GaussianDist([0.1, 0.2], np.eye(2)), anchor=anchor, penalty=penalty)
 
     def test_anchored_beats_anchor(self):
         rng = np.random.default_rng(8)
@@ -225,7 +227,7 @@ class TestSharpeOptimize:
             a = rng.normal(size=(d, d)) * 0.1
             sigma = a @ a.T + 0.02 * np.eye(d)
             anchor = Portfolio(project_simplex(rng.normal(size=d)))
-            port = sharpe_optimize(mu, sigma, anchor=anchor, penalty=0.2)
+            port = sharpe_optimize(GaussianDist(mu, sigma), anchor=anchor, penalty=0.2)
             obj = _Objective(mu, sigma, anchor.weights, 0.2)
             assert obj.value(port.weights) >= obj.value(anchor.weights) - 1e-9
             uniform = np.full(d, 1.0 / d)
@@ -242,7 +244,7 @@ class TestSharpeOptimize:
             mu = rng.uniform(-0.05, 0.2, size=d)
             sigma = random_market(rng, d) + 0.01 * np.eye(d)
             anchor = Portfolio(project_simplex(rng.normal(size=d)))
-            port = sharpe_optimize(mu, sigma, anchor=anchor, penalty=100.0)
+            port = sharpe_optimize(GaussianDist(mu, sigma), anchor=anchor, penalty=100.0)
             assert stationarity(port.weights, mu, sigma, anchor.weights, 100.0) <= 1e-7
 
     def test_stationarity_on_reported_market(self):
@@ -253,9 +255,10 @@ class TestSharpeOptimize:
         sigma = np.array([[2.4034, -0.7426, 0.3765],
                           [-0.7426, 2.5792, -0.3791],
                           [0.3765, -0.3791, 1.3798]])
-        port = sharpe_optimize(mu, sigma)
+        law = GaussianDist(mu, sigma)
+        port = sharpe_optimize(law)
         assert stationarity(port.weights, mu, sigma) <= 1e-7
-        got = sharpe_ratio(port, mu, sigma)
+        got = sharpe_ratio(port, law)
         assert abs(got - best_sharpe_by_supports(mu, sigma)) <= 1e-12 * got
 
     @pytest.mark.parametrize("kind", ["interior", "face", "nonpositive"])
@@ -274,8 +277,9 @@ class TestSharpeOptimize:
                 mu[0] = abs(mu[0])
             else:
                 mu = -rng.uniform(0.0, 0.2, size=d)
-            port = sharpe_optimize(mu, sigma)
-            got = sharpe_ratio(port, mu, sigma)
+            law = GaussianDist(mu, sigma)
+            port = sharpe_optimize(law)
+            got = sharpe_ratio(port, law)
             best = best_sharpe_by_supports(mu, sigma)
             assert abs(got - best) <= 1e-12 * abs(best)
             if kind == "interior":
@@ -291,8 +295,9 @@ class TestSharpeOptimize:
             mu = rng.uniform(-0.1, 0.2, size=d)
             sigma = random_market(rng, d)
             perm = rng.permutation(d)
-            base = sharpe_optimize(mu, sigma).weights
-            relabelled = sharpe_optimize(mu[perm], sigma[np.ix_(perm, perm)]).weights
+            base = sharpe_optimize(GaussianDist(mu, sigma)).weights
+            law = GaussianDist(mu[perm], sigma[np.ix_(perm, perm)])
+            relabelled = sharpe_optimize(law).weights
             np.testing.assert_allclose(relabelled, base[perm], rtol=0.0, atol=1e-12)
 
     def test_scale_invariance_of_argmax(self):
@@ -300,14 +305,14 @@ class TestSharpeOptimize:
         mu = rng.uniform(0.05, 0.2, size=4)
         a = rng.normal(size=(4, 4)) * 0.15
         sigma = a @ a.T + 0.02 * np.eye(4)
-        base = sharpe_optimize(mu, sigma).weights
+        base = sharpe_optimize(GaussianDist(mu, sigma)).weights
         for c in (0.5, 2.0, 10.0):
-            scaled = sharpe_optimize(c * mu, sigma).weights
+            scaled = sharpe_optimize(GaussianDist(c * mu, sigma)).weights
             assert np.linalg.norm(scaled - base) <= 1e-6
 
     def test_degenerate_variance_rejected(self):
         with pytest.raises(NumericalError, match="an asset with zero variance and positive mean"):
-            sharpe_optimize(np.array([0.1, 0.2]), np.diag([1.0, 0.0]))
+            sharpe_optimize(GaussianDist([0.1, 0.2], np.diag([1.0, 0.0])))
 
     def test_rank_deficient_history_follows_its_linear_program(self):
         """Two or three periods of four assets leave a covariance of rank
@@ -331,12 +336,10 @@ class TestSharpeOptimize:
         for _ in range(600):
             n, d = int(rng.integers(2, 5)), int(rng.integers(3, 7))
             rows = np.round(rng.normal(size=(n, d)) * 0.1 + 0.01, 8)
-            mu, sigma = estimate_moments(ReturnsDataset(rows))
-            try:
-                chol = np.linalg.cholesky(sigma)
-            except np.linalg.LinAlgError:
+            law = estimate_moments(ReturnsDataset(rows))
+            if law.chol is None:
                 continue
-            if np.linalg.solve(chol.T, np.linalg.solve(chol, mu)).min() < 0.0:
+            if np.linalg.solve(law.chol.T, np.linalg.solve(law.chol, law.mean)).min() < 0.0:
                 assert_outcome_follows_linear_program(rows)
                 checked += 1
         assert checked >= 100
@@ -346,18 +349,20 @@ class TestSharpeOptimize:
         singular but the Sharpe optimum is finite."""
         rng = np.random.default_rng(20)
         returns = np.column_stack([np.zeros(50), rng.normal(0.01, 0.05, size=(50, 3))])
-        mu, sigma = estimate_moments(ReturnsDataset(returns))
-        port = sharpe_optimize(mu, sigma)
+        law = estimate_moments(ReturnsDataset(returns))
+        mu, sigma = law.mean, law.cov
+        port = sharpe_optimize(law)
         assert port.weights.min() >= 0.0
         np.testing.assert_allclose(port.weights.sum(), 1.0, atol=1e-12)
-        got = sharpe_ratio(port, mu, sigma)
+        got = sharpe_ratio(port, law)
         np.testing.assert_allclose(got, best_sharpe_by_supports(mu[1:], sigma[1:, 1:]),
                                    rtol=1e-9)
         assert stationarity(port.weights, mu, sigma) <= 1e-7
 
     def test_non_psd_rejected(self):
-        with pytest.raises(ValidationError, match="sigma has eigenvalue"):
-            sharpe_optimize(np.array([0.1, 0.2]), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        """A market law is validated once, by the law's own PSD test."""
+        with pytest.raises(ValidationError, match="cov: min eigenvalue"):
+            sharpe_optimize(GaussianDist([0.1, 0.2], [[1.0, 2.0], [2.0, 1.0]]))
 
 
 def nnls_problem(rng, d, scale, interior):
@@ -389,7 +394,7 @@ class TestNNLS:
                 np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-11 * np.abs(ref).max())
                 assert y.min() >= 0.0 and (y.min() > 0.0) == interior
                 # the solver: Σ⁻¹μ inside the orthant, Lawson–Hanson on its boundary
-                w = sharpe_optimize(a.T @ b, a.T @ a).weights
+                w = sharpe_optimize(GaussianDist(a.T @ b, a.T @ a)).weights
                 np.testing.assert_allclose(w, ref / ref.sum(), rtol=0.0, atol=1e-11)
 
     def test_cap_hands_over_to_spg(self, monkeypatch):
@@ -404,12 +409,13 @@ class TestNNLS:
             a, b = nnls_problem(rng, d, 1.0, interior=False)
             assert nnls(a, b, 1) is None
             mu, sigma = a.T @ b, a.T @ a
-            port = sharpe_optimize(mu, sigma)
+            law = GaussianDist(mu, sigma)
+            port = sharpe_optimize(law)
             assert len(calls) == d - 1
             assert port.weights.min() >= 0.0 and abs(port.weights.sum() - 1.0) <= 1e-12
             assert stationarity(port.weights, mu, sigma) <= 1e-7
             best = best_sharpe_by_supports(mu, sigma)
-            assert abs(sharpe_ratio(port, mu, sigma) - best) <= 1e-9 * best
+            assert abs(sharpe_ratio(port, law) - best) <= 1e-9 * best
 
 
 def anchored_problems(seed, count):
@@ -530,14 +536,14 @@ class TestBatchedSPG:
         monkeypatch.setattr(portfolio, "MAX_ITER", 10)
         outcomes = set()
         for obj, starts in anchored_problems(45, 40):
-            anchor = Portfolio(obj.anchor)
+            anchor, law = Portfolio(obj.anchor), GaussianDist(obj.mu, obj.sigma)
             ends, stop = _spg(obj, starts)
             if (stop == CAPPED).all():
                 with pytest.raises(NumericalError, match="MAX_ITER = 10 iterations"):
-                    sharpe_optimize(obj.mu, obj.sigma, anchor, obj.penalty)
+                    sharpe_optimize(law, anchor, obj.penalty)
                 outcomes.add("capped")
             else:
-                w = sharpe_optimize(obj.mu, obj.sigma, anchor, obj.penalty).weights
+                w = sharpe_optimize(law, anchor, obj.penalty).weights
                 assert np.array_equal(w, max(ends, key=obj.value))
                 outcomes.add("mixed" if CAPPED in stop else "settled")
         assert {"capped", "mixed"} <= outcomes
@@ -554,7 +560,7 @@ class TestBatchedSPG:
             mu = scale * rng.uniform(-0.05, 0.2, size=d)
             sigma = random_market(rng, d)
             anchor = Portfolio(project_simplex(rng.normal(size=d)))
-            w = sharpe_optimize(mu, sigma, anchor=anchor, penalty=0.2).weights
+            w = sharpe_optimize(GaussianDist(mu, sigma), anchor=anchor, penalty=0.2).weights
             bound = 1e-7 * max(1.0, np.linalg.norm(mu) / math.sqrt(w @ sigma @ w))
             assert stationarity(w, mu, sigma, anchor.weights, 0.2) <= bound
 
@@ -584,7 +590,7 @@ class TestPrescreenRisk:
     def test_matches_closed_form_at_scale(self):
         """Moment estimates from 10^5 draws land near the population
         squared-W2 between the true Gaussians."""
-        from transrisk import GaussianDist, w2_gaussian_sq
+        from transrisk import w2_gaussian_sq
 
         rng = np.random.default_rng(13)
         mu_a, mu_b = np.array([0.05, 0.0]), np.array([0.02, 0.03])
