@@ -43,8 +43,8 @@ from .regression import (
     concat_datasets,
     evaluate,
     ridge_transfer,
+    signature_dataset,
 )
-from .signature import windowed_signature_features
 
 
 class SweepResult(NamedTuple):
@@ -204,28 +204,6 @@ def simulate_price_volume(rng: np.random.Generator, n_periods: int) -> np.ndarra
     log_price = np.concatenate(([0.0], np.cumsum(returns))) + math.log(100.0)
     log_volume = math.log(1e6) + np.cumsum(rng.normal(scale=0.1, size=n_periods))
     return np.column_stack([log_price, log_volume])
-
-
-class SignatureDataset(NamedTuple):
-    """Windowed signature features of one asset and the regression they feed."""
-
-    features: np.ndarray        # one row per window
-    data: RegressionDataset     # every window but the last, with its next log return
-    end_dates: list             # the window-end date of each row of ``data``
-
-
-def signature_dataset(log_pv: np.ndarray, lag: int, order: int,
-                      dates=None) -> SignatureDataset:
-    """Windowed signature features paired with next-period log returns.
-
-    The feature row of the window ending at t predicts the return over
-    (t, t+1].  ``dates``, one per row of ``log_pv``, gives the rows'
-    window-end dates; without it ``end_dates`` is empty.
-    """
-    features = windowed_signature_features(log_pv, lag, order)
-    y = np.diff(log_pv[:, 0])[lag - 1:]
-    end_dates = [] if dates is None else dates[lag - 1:len(dates) - 1]
-    return SignatureDataset(features, RegressionDataset(features[:-1], y), end_dates)
 
 
 def ridge_transfer_study() -> list[RidgeStudyCell]:

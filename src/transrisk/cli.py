@@ -25,6 +25,9 @@ stderr carries diagnostics only.
 All randomness enters through ``--seed`` and is threaded into
 ``SeededStream``; there are no hidden entropy sources, so reports are
 byte-identical across runs.
+
+Each command imports the modules it runs when it starts, so a process
+loads only those, plus ``mc`` for the ``--verify`` help.
 """
 
 from __future__ import annotations
@@ -48,38 +51,6 @@ from .docio import (
     validate_spec,
 )
 from .errors import NumericalError, ValidationError
-from .gauss_transfer import (
-    BasicCasePair,
-    FeatureAugmentedPair,
-    OutputAugmentedPair,
-    basic_output_risk_kl,
-    basic_output_risk_w,
-    feature_aug_risk,
-    output_aug_risk,
-    output_laws,
-    regret_risk_identity,
-)
-from .gaussian import (
-    AffineModel,
-    GaussianJointTask,
-    fit_optimal_affine,
-    kl_gaussian,
-    w2_gaussian_sq,
-)
-from .benchmarks import run_property_sweeps, signature_dataset
-from .mc import W2_ROWS, W2_SHARDS, SeededStream, kl_quadrature_1d, loss_gap_cubature, mc_w2_1d
-from .portfolio import DEFAULT_PENALTY, ReturnsDataset, transfer_portfolio
-from .regression import (
-    DEFAULT_SOURCE_LAMBDA,
-    DEFAULT_TRANSFER_LAMBDA,
-    RegressionDataset,
-    concat_datasets,
-    evaluate,
-    ridge_transfer,
-    transfer_output_risk,
-)
-from .risk import OFFICE31_COMBINER, OFFICE31_TABLE, OFFICE31_TABLE_TOL, RiskPair, poly_risk
-from .signature import signature_dim, write_features_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -125,11 +96,6 @@ def _load_spec(path: str, kind: str) -> dict:
     return doc
 
 
-def _task_from_doc(doc: dict) -> GaussianJointTask:
-    return GaussianJointTask(doc["dim_x"], doc["dim_y"],
-                             np.asarray(doc["mean"]), np.asarray(doc["cov"]))
-
-
 def _split_doc(split) -> dict:
     return {"total": float(split[0]), "variance_term": float(split[1]),
             "bias_term": float(split[2])}
@@ -153,49 +119,69 @@ def _oracle_entry(name: str, closed: float, oracle: float,
 
 # --- gaussian-risk -------------------------------------------------------
 
-def _oracle_entries(results: dict, pair, laws, stream: SeededStream) -> list[dict]:
-    """Check the closed forms already in ``results`` against ``laws``, the
-    pair's target and intermediate output laws: KL by quadrature and W2
-    by sampling ``W2_ROWS`` rows for 1-D laws, both by the generic
-    Gaussian divergences for wider ones, and in the basic case regret by
-    the loss gap's cubature."""
-    scalar = laws[0].dim == 1
-    entries = []
-    if results.get("kl") is not None:
-        closed = results["kl"]["total"]
-        if scalar:
-            entries.append(_oracle_entry("kl_vs_quadrature", closed, kl_quadrature_1d(*laws),
-                                         None, CUBATURE_ORACLE_RTOL * max(1.0, abs(closed))))
-        else:
-            entries.append(_oracle_entry("kl_vs_generic_divergence", closed,
-                                         kl_gaussian(*laws), None, DIVERGENCE_ORACLE_TOL))
-    if "w" in results:
-        closed = results["w"]["total"]
-        if scalar:
-            est, se = mc_w2_1d(*laws, W2_ROWS, stream.substream(1))
-            entries.append(_oracle_entry("w2_vs_sampling", closed, est, se, None))
-        else:
-            entries.append(_oracle_entry("w2_vs_generic_divergence", closed,
-                                         w2_gaussian_sq(*laws), None, DIVERGENCE_ORACLE_TOL))
-    if "regret" in results:
-        src_model, tgt_model = fit_optimal_affine(pair.source), fit_optimal_affine(pair.target)
-        closed = results["regret"]
-        entries.append(_oracle_entry("regret_vs_loss_gap", closed,
-                                     loss_gap_cubature(src_model, tgt_model, pair.target), None,
-                                     CUBATURE_ORACLE_RTOL * max(1.0, abs(closed))))
-    return entries
-
-
 # Extreme spec numbers (say 1e300) can overflow a pushforward, a closed
 # form or an oracle.  A non-finite law is rejected where it is built, and
 # any other non-finite result by validate_report, as one validation error;
 # numpy's warnings would only print lines ahead of it.
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_gaussian_risk(args) -> int:
+    from .gauss_transfer import (
+        BasicCasePair,
+        FeatureAugmentedPair,
+        OutputAugmentedPair,
+        basic_output_risk_kl,
+        basic_output_risk_w,
+        feature_aug_risk,
+        output_aug_risk,
+        output_laws,
+        regret_risk_identity,
+    )
+    from .gaussian import (
+        AffineModel,
+        GaussianJointTask,
+        fit_optimal_affine,
+        kl_gaussian,
+        w2_gaussian_sq,
+    )
+    from .mc import W2_ROWS, SeededStream, kl_quadrature_1d, loss_gap_cubature, mc_w2_1d
+
+    def oracle_entries(results: dict, pair, laws, stream: SeededStream) -> list[dict]:
+        """Check the closed forms already in ``results`` against ``laws``, the
+        pair's target and intermediate output laws: KL by quadrature and W2
+        by sampling ``W2_ROWS`` rows for 1-D laws, both by the generic
+        Gaussian divergences for wider ones, and in the basic case regret by
+        the loss gap's cubature."""
+        scalar = laws[0].dim == 1
+        entries = []
+        if results.get("kl") is not None:
+            closed = results["kl"]["total"]
+            if scalar:
+                entries.append(_oracle_entry("kl_vs_quadrature", closed, kl_quadrature_1d(*laws),
+                                             None, CUBATURE_ORACLE_RTOL * max(1.0, abs(closed))))
+            else:
+                entries.append(_oracle_entry("kl_vs_generic_divergence", closed,
+                                             kl_gaussian(*laws), None, DIVERGENCE_ORACLE_TOL))
+        if "w" in results:
+            closed = results["w"]["total"]
+            if scalar:
+                est, se = mc_w2_1d(*laws, W2_ROWS, stream.substream(1))
+                entries.append(_oracle_entry("w2_vs_sampling", closed, est, se, None))
+            else:
+                entries.append(_oracle_entry("w2_vs_generic_divergence", closed,
+                                             w2_gaussian_sq(*laws), None, DIVERGENCE_ORACLE_TOL))
+        if "regret" in results:
+            src_model, tgt_model = fit_optimal_affine(pair.source), fit_optimal_affine(pair.target)
+            closed = results["regret"]
+            entries.append(_oracle_entry("regret_vs_loss_gap", closed,
+                                         loss_gap_cubature(src_model, tgt_model, pair.target), None,
+                                         CUBATURE_ORACLE_RTOL * max(1.0, abs(closed))))
+        return entries
+
     doc = _load_spec(args.spec, "gaussian_pair")
     case = doc["case"]
-    source = _task_from_doc(doc["source"])
-    target = _task_from_doc(doc["target"])
+    source, target = (GaussianJointTask(task["dim_x"], task["dim_y"], np.asarray(task["mean"]),
+                                        np.asarray(task["cov"]))
+                      for task in (doc["source"], doc["target"]))
     results: dict = {"case": case}
     if case == "basic":
         pair = BasicCasePair(source, target)
@@ -232,7 +218,7 @@ def cmd_gaussian_risk(args) -> int:
 
     check = None
     if args.verify:
-        entries = _oracle_entries(results, pair, laws, SeededStream(args.seed))
+        entries = oracle_entries(results, pair, laws, SeededStream(args.seed))
         check = {"entries": entries, "all_within": all(e["within"] for e in entries)}
     _emit("gaussian_risk_report", doc, results, args.seed, args.out, oracle_check=check)
     if check is not None and not check["all_within"]:
@@ -244,6 +230,8 @@ def cmd_gaussian_risk(args) -> int:
 # --- office-table ---------------------------------------------------------
 
 def cmd_office_table(args) -> int:
+    from .risk import OFFICE31_COMBINER, OFFICE31_TABLE, OFFICE31_TABLE_TOL, RiskPair, poly_risk
+
     if args.builtin:
         rows = [(label, ei, eo) for label, ei, eo, _ in OFFICE31_TABLE]
         published = {label: risk for label, _, _, risk in OFFICE31_TABLE}
@@ -285,20 +273,30 @@ def cmd_office_table(args) -> int:
 
 # --- predict ---------------------------------------------------------------
 
-def _rows(data: RegressionDataset, mask: np.ndarray, dim: int) -> RegressionDataset:
-    """The rows of ``data`` picked by ``mask``, with its first ``dim`` feature columns."""
-    return RegressionDataset(data.features[:, :dim][mask], data.targets[mask])
-
-
-def _metrics_doc(theta, test: RegressionDataset) -> dict:
-    m = evaluate(theta, test)
-    return {"mse": m.mse, "r2": m.r2, "corr": m.corr,
-            "corr_defined": bool(m.corr_defined),
-            "transfer_risk": transfer_output_risk(theta, test)}
-
-
 def cmd_predict(args) -> int:
     import datetime as _dt
+
+    from .regression import (
+        DEFAULT_SOURCE_LAMBDA,
+        DEFAULT_TRANSFER_LAMBDA,
+        RegressionDataset,
+        concat_datasets,
+        evaluate,
+        ridge_transfer,
+        signature_dataset,
+        transfer_output_risk,
+    )
+    from .signature import signature_dim, write_features_csv
+
+    def rows(data: RegressionDataset, mask: np.ndarray, dim: int) -> RegressionDataset:
+        """The rows of ``data`` picked by ``mask``, with its first ``dim`` feature columns."""
+        return RegressionDataset(data.features[:, :dim][mask], data.targets[mask])
+
+    def metrics_doc(theta, test: RegressionDataset) -> dict:
+        m = evaluate(theta, test)
+        return {"mse": m.mse, "r2": m.r2, "corr": m.corr,
+                "corr_defined": bool(m.corr_defined),
+                "transfer_risk": transfer_output_risk(theta, test)}
 
     doc = _load_spec(args.job, "regression_job")
     try:
@@ -345,9 +343,9 @@ def cmd_predict(args) -> int:
 
         for order in orders:
             dim = signature_dim(3, order)
-            train = _rows(target.data, before, dim)
-            test = _rows(target.data, ~before, dim)
-            fit = ridge_transfer(concat_datasets(_rows(d, m, dim) for d, m in sources),
+            train = rows(target.data, before, dim)
+            test = rows(target.data, ~before, dim)
+            fit = ridge_transfer(concat_datasets(rows(d, m, dim) for d, m in sources),
                                  train, test, lam_s, lam_t)
             grid.append({
                 "lag": lag,
@@ -355,8 +353,8 @@ def cmd_predict(args) -> int:
                 "feature_dim": dim,
                 "train_rows": train.n_rows,
                 "test_rows": test.n_rows,
-                "direct": _metrics_doc(fit.direct, fit.test),
-                "transfer": _metrics_doc(fit.transfer, fit.test),
+                "direct": metrics_doc(fit.direct, fit.test),
+                "transfer": metrics_doc(fit.transfer, fit.test),
                 "target_standardization": {"mean": fit.y_mean, "std": fit.y_std},
             })
 
@@ -378,6 +376,8 @@ def cmd_predict(args) -> int:
 # --- portfolio ---------------------------------------------------------------
 
 def cmd_portfolio(args) -> int:
+    from .portfolio import DEFAULT_PENALTY, ReturnsDataset, transfer_portfolio
+
     doc = _load_spec(args.job, "portfolio_job")
     penalty = float(doc.get("penalty", DEFAULT_PENALTY))
     seed = int(doc.get("seed", 0))
@@ -407,6 +407,8 @@ def cmd_portfolio(args) -> int:
 # --- verify-props --------------------------------------------------------
 
 def cmd_verify_props(args) -> int:
+    from .benchmarks import run_property_sweeps
+
     if not 0.0 < args.scale <= MAX_SCALE:
         raise ValidationError(f"--scale must be in (0, {MAX_SCALE:g}] (at most "
                               f"{10_000 * MAX_SCALE:,.0f} trials a sweep), got {args.scale}")
@@ -430,7 +432,10 @@ def cmd_verify_props(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; each ``parse_args`` call
-    returns a fresh namespace."""
+    returns a fresh namespace.  Building it loads ``mc`` for the sample
+    counts that the ``--verify`` help states."""
+    from .mc import W2_ROWS, W2_SHARDS
+
     parser = argparse.ArgumentParser(
         prog="transrisk",
         description="Transfer risk, regret, and transfer-learning pipelines "

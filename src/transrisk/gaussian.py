@@ -119,8 +119,10 @@ class GaussianDist:
         cov = np.asarray(self.cov, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValidationError(f"cov must be square, got shape {cov.shape}")
+        if cov.size == 0:
+            raise ValidationError("cov is empty: a law needs at least one dimension")
         _require_finite(cov, "cov")
-        asym = float(np.max(np.abs(cov - cov.T))) if cov.size else 0.0
+        asym = float(np.max(np.abs(cov - cov.T)))
         if asym > SYMMETRY_TOL:
             raise ValidationError(f"cov: max abs asymmetry {asym:.3e} > {SYMMETRY_TOL}")
         cov = 0.5 * (cov + cov.T)

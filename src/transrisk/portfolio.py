@@ -55,7 +55,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gaussian import GaussianDist, w2_gaussian_sq
 
-VARIANCE_FLOOR = 1e-14
+VARIANCE_FLOOR = 1e-14  # times λ_max: a variance at or below it counts as zero
 STEP = 1e-2  # step of the stationarity test ‖P(w + STEP·∇f) − w‖ / STEP
 GRAD_TOL = 1e-8
 MAX_ITER = 100_000
@@ -147,12 +147,19 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(rows - t[np.arange(len(t)), last, None], 0.0).reshape(v.shape)
 
 
+def _floor(law: GaussianDist) -> float:
+    """The variance at or below which a portfolio counts as riskless:
+    VARIANCE_FLOOR times the law's largest eigenvalue, so that rescaling
+    the returns rescales the test with them."""
+    return VARIANCE_FLOOR * float(law.eigvals[-1])
+
+
 def sharpe_ratio(portfolio: Portfolio, law: GaussianDist) -> float:
     """μ'φ / √(φ'Σφ) under ``law``; raises if the portfolio variance is
     (near) zero."""
     w = portfolio.weights
     var = float(w @ law.cov @ w)
-    if var <= VARIANCE_FLOOR:
+    if var <= _floor(law):
         raise NumericalError(f"portfolio variance {var:.3e} below floor")
     return float(law.mean @ w) / math.sqrt(var)
 
@@ -160,12 +167,14 @@ def sharpe_ratio(portfolio: Portfolio, law: GaussianDist) -> float:
 class _Objective(NamedTuple):
     """Sharpe ratio with optional anchoring penalty, and its gradient, of
     a portfolio or of each row of a stack; row-wise ``matvec``, ``vecmat``
-    and ``vecdot`` give each row the bits it would have alone."""
+    and ``vecdot`` give each row the bits it would have alone.  A variance
+    at or below ``floor`` counts as zero."""
 
     mu: np.ndarray
     sigma: np.ndarray
     anchor: np.ndarray | None
     penalty: float
+    floor: float
 
     def value(self, w: np.ndarray):
         return self.value_and_gradient(w)[0]
@@ -174,7 +183,7 @@ class _Objective(NamedTuple):
         """One fused evaluation; −∞ and a zero gradient at zero variance."""
         sig_w = np.matvec(self.sigma, w)
         var, mean = np.vecdot(w, sig_w), np.vecdot(w, self.mu)
-        if ((flat := var <= VARIANCE_FLOOR) & (mean > 0.0)).any():
+        if ((flat := var <= self.floor) & (mean > 0.0)).any():
             raise NumericalError(UNBOUNDED)
         sd = np.sqrt(var := np.where(flat, 1.0, var))  # flat rows score −∞ below
         value = mean / sd
@@ -190,7 +199,7 @@ class _Objective(NamedTuple):
         f(w); −∞ where ``new`` has zero variance (raising in a ``live``
         row whose mean is positive there)."""
         new_var = np.vecdot(np.vecmat(new, self.sigma), new)
-        if ((flat := new_var <= VARIANCE_FLOOR) & live & (np.vecdot(new, self.mu) > 0.0)).any():
+        if ((flat := new_var <= self.floor) & live & (np.vecdot(new, self.mu) > 0.0)).any():
             raise NumericalError(UNBOUNDED)
         step = new - w
         step -= step.sum(axis=-1, keepdims=True) / step.shape[-1]  # off the plane by rounding only
@@ -270,7 +279,7 @@ def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int) -> np.ndarray | None:
 def _tangency(law: GaussianDist) -> np.ndarray | None:
     """Exact unanchored optimum for the law's Σ = LL' (see the module
     docstring), or None when the active set cycles."""
-    mu, sigma, chol = law.mean, law.cov, law.chol
+    mu, sigma, chol, floor = law.mean, law.cov, law.chol, _floor(law)
     b = np.linalg.solve(chol, mu)
     y = np.linalg.solve(chol.T, b)
     if y.min() < 0.0 and (y := _nnls(chol.T, b, 3 * mu.shape[0])) is None:
@@ -279,9 +288,9 @@ def _tangency(law: GaussianDist) -> np.ndarray | None:
         w = y / y.sum()
     else:  # no positive mean: the Sharpe ratio is quasi-convex, a vertex wins
         sd = np.sqrt(np.diag(sigma))
-        ratios = np.where(sd > math.sqrt(VARIANCE_FLOOR), mu / sd, -math.inf)
+        ratios = np.where(sd > math.sqrt(floor), mu / sd, -math.inf)
         w = np.eye(mu.shape[0])[int(np.argmax(ratios))]
-    if float(w @ sigma @ w) <= VARIANCE_FLOOR:
+    if float(w @ sigma @ w) <= floor:
         raise NumericalError("the maximum-Sharpe portfolio has zero variance")
     return w
 
@@ -301,14 +310,14 @@ def sharpe_optimize(law: GaussianDist, anchor: Portfolio | None = None,
     A penalty outside [0, MAX_PENALTY] is a ValidationError; an ascent
     whose every start stops at MAX_ITER is a NumericalError.
     """
-    mu, sigma, d = law.mean, law.cov, law.dim
+    mu, sigma, d, floor = law.mean, law.cov, law.dim, _floor(law)
     if not 0.0 <= penalty <= MAX_PENALTY:
         raise ValidationError(f"penalty must lie in [0, {MAX_PENALTY:g}], got {penalty}")
     if anchor is not None and anchor.n_assets != d:
         raise ValidationError("anchor dimension does not match mu")
 
     # a zero-variance vertex with positive mean makes the ratio unbounded
-    if np.any((np.diag(sigma) <= VARIANCE_FLOOR) & (mu > 0.0)):
+    if np.any((np.diag(sigma) <= floor) & (mu > 0.0)):
         raise NumericalError(
             "an asset with zero variance and positive mean makes the Sharpe "
             "objective unbounded")
@@ -316,7 +325,7 @@ def sharpe_optimize(law: GaussianDist, anchor: Portfolio | None = None,
     if anchor is None and law.chol is not None and (w := _tangency(law)) is not None:
         return Portfolio(w)
 
-    obj = _Objective(mu, sigma, None if anchor is None else anchor.weights, penalty)
+    obj = _Objective(mu, sigma, None if anchor is None else anchor.weights, penalty, floor)
     starts = [np.full(d, 1.0 / d), *np.eye(d)] + ([] if anchor is None else [anchor.weights])
     ends, stops = _spg(obj, np.array(starts))
     if (stops == CAPPED).all():

@@ -15,6 +15,10 @@ best unpenalized intercept there is exactly zero.
 Evaluation reports mean squared error, R², and the Pearson correlation
 between predictions and realized targets; the correlation is flagged
 undefined (and reported as 0) when either side is constant.
+
+``signature_dataset`` builds the datasets the return-prediction
+pipelines fit: windowed signature features of a log price and volume
+path, each paired with the next period's log return.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 from .divergence import wp_empirical_1d
 from .errors import ValidationError
 from .gaussian import cholesky_with_jitter, chol_solve
+from .signature import windowed_signature_features
 
 DEFAULT_SOURCE_LAMBDA = 1.0
 DEFAULT_TRANSFER_LAMBDA = 5.0
@@ -77,6 +82,28 @@ def concat_datasets(datasets) -> RegressionDataset:
         np.vstack([d.features for d in datasets]),
         np.concatenate([d.targets for d in datasets]),
     )
+
+
+class SignatureDataset(NamedTuple):
+    """Windowed signature features of one asset and the regression they feed."""
+
+    features: np.ndarray        # one row per window
+    data: RegressionDataset     # every window but the last, with its next log return
+    end_dates: list             # the window-end date of each row of ``data``
+
+
+def signature_dataset(log_pv: np.ndarray, lag: int, order: int,
+                      dates=None) -> SignatureDataset:
+    """Windowed signature features paired with next-period log returns.
+
+    The feature row of the window ending at t predicts the return over
+    (t, t+1].  ``dates``, one per row of ``log_pv``, gives the rows'
+    window-end dates; without it ``end_dates`` is empty.
+    """
+    features = windowed_signature_features(log_pv, lag, order)
+    y = np.diff(log_pv[:, 0])[lag - 1:]
+    end_dates = [] if dates is None else dates[lag - 1:len(dates) - 1]
+    return SignatureDataset(features, RegressionDataset(features[:-1], y), end_dates)
 
 
 class Standardizer:

@@ -11,30 +11,16 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm, t as student_t
 
-from transrisk import (
+from transrisk.gaussian import fit_optimal_affine, pushforward_affine
+from transrisk.risk import (
     OFFICE31_COMBINER,
     OFFICE31_TABLE,
     RiskPair,
-    SeededStream,
-    basic_output_risk_kl,
-    basic_output_risk_w,
     continuity_probe_input,
-    feature_aug_risk,
-    fit_optimal_affine,
-    kl_quadrature_1d,
-    loss_gap_cubature,
-    mc_w2_1d,
-    neutralizing_initialization,
-    output_aug_risk,
     poly_risk,
-    pushforward_affine,
-    regret_risk_identity,
-    signature_dim,
-    signature_of_path,
-    chen_product,
-    PiecewisePath,
 )
-from transrisk.mc import W2_SHARDS
+from transrisk.signature import PiecewisePath, chen_product, signature_dim, signature_of_path
+from transrisk.mc import SeededStream, W2_SHARDS, kl_quadrature_1d, loss_gap_cubature, mc_w2_1d
 from transrisk.benchmarks import (
     portfolio_transfer_study,
     random_basic_pair,
@@ -46,7 +32,13 @@ from transrisk.gauss_transfer import (
     FeatureAugmentedPair,
     GaussianJointTask,
     OutputAugmentedPair,
+    basic_output_risk_kl,
+    basic_output_risk_w,
     convex_rate,
+    feature_aug_risk,
+    neutralizing_initialization,
+    output_aug_risk,
+    regret_risk_identity,
     uncorrelated_aug_ratio,
 )
 
@@ -176,7 +168,7 @@ def _random_output_aug_pair(rng, neutral):
     src = GaussianJointTask(d, l, tgt.mean[: d + l], tgt.cov[: d + l, : d + l])
     init = neutralizing_initialization(src, tgt.cov_xy[:, l:], tgt.mean_y[l:])
     if not neutral:
-        from transrisk import AffineModel
+        from transrisk.gaussian import AffineModel
         init = AffineModel(init.weight + rng.normal(size=init.weight.shape),
                            init.intercept + rng.normal(size=init.intercept.shape))
     return OutputAugmentedPair(src, tgt, init)

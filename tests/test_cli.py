@@ -109,15 +109,22 @@ class TestGaussianRisk:
 
     def test_verify_evaluates_each_closed_form_once(self, tmp_path, capsys, monkeypatch):
         """The oracle entries take their closed-form sides from the results
-        block, so --verify costs no second evaluation of any basic form."""
-        from transrisk import cli
+        block, so --verify costs no second evaluation of any basic form.
+        Only the command's own calls count, not the ones a closed form
+        makes of another (``regret_risk_identity`` reads ``basic_output_risk_w``)."""
+        from transrisk import gauss_transfer
 
-        calls = {}
+        calls, depth = {}, [0]
         for name in ("basic_output_risk_w", "regret_risk_identity", "basic_output_risk_kl"):
-            def counting(pair, _name=name, _fn=getattr(cli, name)):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _fn(pair)
-            monkeypatch.setattr(cli, name, counting)
+            def counting(pair, _name=name, _fn=getattr(gauss_transfer, name)):
+                if depth[0] == 0:
+                    calls[_name] = calls.get(_name, 0) + 1
+                depth[0] += 1
+                try:
+                    return _fn(pair)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(gauss_transfer, name, counting)
         spec = write_spec(tmp_path, BASIC_SPEC)
         code, report = run_report(capsys, ["gaussian-risk", spec, "--verify", "--seed", "7"])
         assert code == 0
@@ -151,15 +158,15 @@ class TestGaussianRisk:
         """A regret closed form that drops its mean-gap term, or scales its
         variance term by 1 + 1e-6, fails the cubature gate and exits 4;
         the other entries stay within."""
-        from transrisk import cli, regret_closed_form
+        from transrisk import gauss_transfer
 
-        def planted(pair, _identity=cli.regret_risk_identity):
+        def planted(pair, _identity=gauss_transfer.regret_risk_identity):
             identity = _identity(pair)
-            _, variance, bias = regret_closed_form(pair)
+            _, variance, bias = gauss_transfer.regret_closed_form(pair)
             regret = variance if fault == "drop_gap_sq" else variance * (1.0 + 1e-6) + bias
             return identity._replace(regret=regret, residual=regret - identity.risk_w)
 
-        monkeypatch.setattr(cli, "regret_risk_identity", planted)
+        monkeypatch.setattr(gauss_transfer, "regret_risk_identity", planted)
         spec = write_spec(tmp_path, SPECS["basic"])
         code, report = run_report(capsys, ["gaussian-risk", spec, "--verify"])
         assert code == 4
@@ -171,13 +178,13 @@ class TestGaussianRisk:
         """A KL closed form scaled by 1 + 1e-7 fails the relative cubature
         gate and exits 4, with only the KL entry out; an absolute 1e-6
         gate let this spec's 2.4e-8 gap pass."""
-        from transrisk import cli
+        from transrisk import gauss_transfer
         from transrisk.gaussian import RiskSplit
 
-        def planted(pair, _kl=cli.basic_output_risk_kl):
+        def planted(pair, _kl=gauss_transfer.basic_output_risk_kl):
             return RiskSplit(*(term * (1.0 + 1e-7) for term in _kl(pair)))
 
-        monkeypatch.setattr(cli, "basic_output_risk_kl", planted)
+        monkeypatch.setattr(gauss_transfer, "basic_output_risk_kl", planted)
         spec = write_spec(tmp_path, SPECS["basic"])
         code, report = run_report(capsys, ["gaussian-risk", spec, "--verify"])
         assert code == 4
@@ -730,7 +737,7 @@ class TestPortfolio:
                                                        monkeypatch):
         """One job is one ``transfer_portfolio`` call, which estimates the
         moments of each of its three return histories once."""
-        from transrisk import cli, portfolio
+        from transrisk import portfolio
 
         calls = {"estimate_moments": 0, "transfer_portfolio": 0}
 
@@ -741,7 +748,7 @@ class TestPortfolio:
             monkeypatch.setattr(module, name, counted)
 
         counting(portfolio, "estimate_moments")
-        counting(cli, "transfer_portfolio")
+        counting(portfolio, "transfer_portfolio")
         code, _ = run_report(capsys, ["portfolio", self.make_job(tmp_path)])
         assert code == 0
         assert calls == {"estimate_moments": 3, "transfer_portfolio": 1}
@@ -900,12 +907,12 @@ class TestVerifyProps:
     def test_scale_above_cap_exit_2(self, capsys, monkeypatch, scale):
         """A --scale above 1000, whose largest sweep would exceed 10^7
         trials, exits 2 with one line before any sweep starts."""
-        from transrisk import cli
+        from transrisk import benchmarks
 
         def no_sweep(*args, **kwargs):
             raise AssertionError("a sweep started")
 
-        monkeypatch.setattr(cli, "run_property_sweeps", no_sweep)
+        monkeypatch.setattr(benchmarks, "run_property_sweeps", no_sweep)
         assert main(["verify-props", f"--scale={scale}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -914,10 +921,10 @@ class TestVerifyProps:
             f"a sweep), got {float(scale)}"]
 
     def test_scale_at_cap_is_accepted(self, tmp_path, monkeypatch):
-        from transrisk import cli
+        from transrisk import benchmarks
 
         scales = []
-        monkeypatch.setattr(cli, "run_property_sweeps",
+        monkeypatch.setattr(benchmarks, "run_property_sweeps",
                             lambda seed, trials_scale: scales.append(trials_scale) or [])
         assert main(["verify-props", "--scale=1000", "--out", str(tmp_path / "r.json")]) == 0
         assert scales == [1000.0]

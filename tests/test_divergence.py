@@ -7,10 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from transrisk import (
+from transrisk.divergence import (
     DiscreteDist,
     EmpiricalSample1D,
-    GaussianDist,
     cross_entropy,
     cross_entropy_gap_bounds,
     entropy,
@@ -18,6 +17,7 @@ from transrisk import (
     talagrand_diagnostic,
     wp_empirical_1d,
 )
+from transrisk.gaussian import GaussianDist
 from transrisk.errors import ValidationError
 
 

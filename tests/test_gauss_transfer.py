@@ -7,28 +7,30 @@ import math
 import numpy as np
 import pytest
 
-from transrisk import (
+from transrisk.gaussian import (
     AffineModel,
+    GaussianJointTask,
+    fit_optimal_affine,
+    kl_gaussian,
+    pushforward_affine,
+    w2_gaussian_sq,
+)
+from transrisk.mc import kl_quadrature_1d, loss_gap_cubature
+from transrisk.gauss_transfer import (
     BasicCasePair,
     FeatureAugmentedPair,
-    GaussianJointTask,
     OutputAugmentedPair,
     basic_output_risk_kl,
     basic_output_risk_w,
+    convex_rate,
     feature_aug_risk,
-    fit_optimal_affine,
-    kl_gaussian,
-    kl_quadrature_1d,
-    loss_gap_cubature,
     neutralizing_initialization,
     output_aug_risk,
-    pushforward_affine,
+    output_laws,
     regret_closed_form,
     regret_risk_identity,
     uncorrelated_aug_ratio,
-    w2_gaussian_sq,
 )
-from transrisk.gauss_transfer import convex_rate, output_laws
 from transrisk.benchmarks import random_basic_pair
 from transrisk.errors import NumericalError, ValidationError
 
@@ -91,7 +93,7 @@ class TestBasicCaseKL:
         total, variance, bias = basic_output_risk_kl(WORKED)
         np.testing.assert_allclose(variance, 0.3100, atol=5e-5)
         assert bias == 0.0
-        from transrisk import GaussianDist
+        from transrisk.gaussian import GaussianDist
         oracle = kl_quadrature_1d(GaussianDist([0.0], [[0.64]]),
                                   GaussianDist([0.0], [[0.25]]))
         np.testing.assert_allclose(total, oracle, atol=1e-10)
@@ -342,7 +344,7 @@ class TestFeatureAugmentation:
 
     def test_worked_example_against_quadrature(self):
         """Full (d+k) fit plus quadrature KL between the output laws."""
-        from transrisk import GaussianDist
+        from transrisk.gaussian import GaussianDist
 
         pair = self.augmented_pair(rho_cross=0.0, rho_new=0.3)
         tgt = pair.target

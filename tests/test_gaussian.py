@@ -5,24 +5,22 @@ an independent oracle."""
 import numpy as np
 import pytest
 
-from transrisk import (
-    AffineModel,
-    GaussianDist,
-    GaussianJointTask,
-    SeededStream,
-    compose_affine,
-    fit_optimal_affine,
-    kl_gaussian,
-    pushforward_affine,
-    w2_gaussian_sq,
-)
+from transrisk.mc import SeededStream
 from transrisk.errors import NumericalError, ValidationError
 from transrisk.gaussian import (
+    AffineModel,
     CHOLESKY_JITTER,
+    GaussianDist,
+    GaussianJointTask,
     RANK_REL_TOL,
     chol_solve,
     cholesky_with_jitter,
+    compose_affine,
+    fit_optimal_affine,
+    kl_gaussian,
     kl_split,
+    pushforward_affine,
+    w2_gaussian_sq,
     w2_split,
 )
 
@@ -81,6 +79,12 @@ class TestConstruction:
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(ValidationError, match="min eigenvalue"):
             GaussianDist([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_empty_law_rejected(self):
+        """A zero-dimensional law is a ValidationError, not an IndexError
+        from its empty spectrum."""
+        with pytest.raises(ValidationError, match="cov is empty"):
+            GaussianDist(np.zeros(0), np.zeros((0, 0)))
 
     def test_rank_deficient_covariance_allowed(self):
         GaussianDist([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])

@@ -5,6 +5,7 @@ test-only dependency, the reference some tests check against.  The
 cubature oracles build their points with numpy alone, so neither the
 package nor --verify loads numpy.polynomial.  And only ``gaussian``
 names numpy's matrix decompositions: a law decomposes its covariance.
+Each subcommand loads only the package modules it runs.
 
 Each check runs in a fresh interpreter, because the test process has
 long since imported scipy.
@@ -142,6 +143,36 @@ def passing_runs(tmp_path) -> list[list[str]]:
         ["verify-props", "--scale", "0.01"],
     ]
     return [argv + ["--out", str(tmp_path / f"r{i}.json")] for i, argv in enumerate(runs)]
+
+
+# The package modules each subcommand loads beyond ``import transrisk.cli``
+# (the package root, cli, docio and errors).  Building the parser loads
+# ``mc``, whose sample counts the --verify help states.
+LOADED_BY = {
+    "gaussian-risk": {"gauss_transfer", "gaussian", "mc"},
+    "predict": {"divergence", "gaussian", "mc", "regression", "signature"},
+    "portfolio": {"gaussian", "mc", "portfolio"},
+    "office-table": {"gauss_transfer", "gaussian", "mc", "risk"},
+    "verify-props": {"benchmarks", "divergence", "gauss_transfer", "gaussian", "mc",
+                     "portfolio", "regression", "signature"},
+}
+CLI_IMPORT = {"transrisk", "transrisk.cli", "transrisk.docio", "transrisk.errors"}
+
+
+def test_cli_import_loads_only_docio_and_errors():
+    """The package root re-exports nothing, and cli imports each
+    command's modules when the command runs."""
+    assert set(loaded_after("import transrisk.cli", ["transrisk"])) == CLI_IMPORT
+
+
+@pytest.mark.parametrize("command", list(LOADED_BY))
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
+    """portfolio loads no gauss_transfer, signature or regression; predict
+    no portfolio or gauss_transfer; and only verify-props loads
+    benchmarks."""
+    (argv,) = [argv for argv in passing_runs(tmp_path) if argv[0] == command]
+    loaded = set(cli_loads(argv, watched=("transrisk",)))
+    assert loaded == CLI_IMPORT | {f"transrisk.{name}" for name in LOADED_BY[command]}
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):

@@ -8,21 +8,23 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm, t as student_t
 
-from transrisk import (
+from transrisk.gaussian import (
     AffineModel,
     GaussianDist,
     GaussianJointTask,
-    SeededStream,
-    cubature,
     fit_optimal_affine,
     kl_gaussian,
-    kl_quadrature_1d,
-    loss_gap_cubature,
-    mc_w2_1d,
     w2_gaussian_sq,
 )
 from transrisk.errors import NumericalError, ValidationError
-from transrisk.mc import W2_SHARDS
+from transrisk.mc import (
+    SeededStream,
+    W2_SHARDS,
+    cubature,
+    kl_quadrature_1d,
+    loss_gap_cubature,
+    mc_w2_1d,
+)
 
 
 class TestSeededStream:

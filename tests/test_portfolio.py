@@ -6,18 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from transrisk import (
-    GaussianDist,
+from transrisk.gaussian import GaussianDist
+from transrisk import portfolio
+from transrisk.portfolio import (
+    CAPPED,
+    CONVERGED,
+    DEFAULT_PENALTY,
+    MAX_PENALTY,
+    NO_INCREASE,
     Portfolio,
     ReturnsDataset,
+    _Objective,
+    _spg,
     estimate_moments,
     prescreen_risk_w2,
     project_simplex,
     sharpe_optimize,
     sharpe_ratio,
+    transfer_portfolio,
 )
-from transrisk import portfolio
-from transrisk.portfolio import CAPPED, CONVERGED, MAX_PENALTY, NO_INCREASE, _Objective, _spg
 from transrisk.errors import NumericalError, ValidationError
 
 
@@ -108,6 +115,30 @@ class TestSharpeRatio:
             sharpe_ratio(port, GaussianDist(np.ones(2), np.diag([0.0, 1.0])))
 
 
+class TestScaleInvariance:
+    @pytest.mark.parametrize("scale", [1e-7, 1e-10])
+    def test_rescaled_returns_same_fit(self, scale):
+        """Rescaling every return by ``scale`` leaves the Sharpe transfer
+        unchanged: zero variance is judged relative to the law's largest
+        eigenvalue, so an absolute 1e-14 no longer calls a 1e-7 market
+        riskless.  The exact fits and the Sharpe ratios agree to 1e-9
+        relative.  The anchored fit stops wherever its ascent meets the
+        1e-8 stationarity test, so it agrees to 1e-7."""
+        def fit(s):
+            rng = np.random.default_rng(0)
+            return transfer_portfolio(*(ReturnsDataset(s * rng.normal(1.0, 1.0, size=(n, 3)))
+                                        for n in (300, 120, 150)), DEFAULT_PENALTY)
+
+        base, scaled = fit(1.0), fit(scale)
+        np.testing.assert_allclose(base.direct.weights, [0.1955, 0.4466, 0.3579], atol=5e-5)
+        for name, rtol in (("pretrained", 1e-9), ("direct", 1e-9), ("transferred", 1e-7)):
+            np.testing.assert_allclose(getattr(scaled, name).weights,
+                                       getattr(base, name).weights, rtol=rtol, err_msg=name)
+        assert scaled.sharpe.keys() == base.sharpe.keys()
+        for key, value in base.sharpe.items():
+            np.testing.assert_allclose(scaled.sharpe[key], value, rtol=1e-9, err_msg=key)
+
+
 def best_sharpe_by_supports(mu, sigma):
     """Largest Sharpe ratio on the simplex, by trying every support.
 
@@ -129,9 +160,14 @@ def best_sharpe_by_supports(mu, sigma):
     return max(float(mu @ w) / math.sqrt(float(w @ sigma @ w)) for w in candidates)
 
 
+def objective(mu, sigma, anchor, penalty):
+    """The solver's objective on the market (mu, sigma), with its floor."""
+    return _Objective(mu, sigma, anchor, penalty, portfolio._floor(GaussianDist(mu, sigma)))
+
+
 def stationarity(w, mu, sigma, anchor=None, penalty=0.0):
     """‖P(w + 1e-2·∇f) − w‖ / 1e-2, the step-normalized projected gradient."""
-    grad = _Objective(mu, sigma, anchor, penalty).value_and_gradient(w)[1]
+    grad = objective(mu, sigma, anchor, penalty).value_and_gradient(w)[1]
     return np.linalg.norm(project_simplex(w + 1e-2 * grad) - w) / 1e-2
 
 
@@ -204,7 +240,7 @@ class TestSharpeOptimize:
         sigma = a @ a.T + 0.02 * np.eye(4)
         for penalty in (1.0, 10.0, MAX_PENALTY):
             w = sharpe_optimize(GaussianDist(mu, sigma), anchor=anchor, penalty=penalty).weights
-            sharpe_grad = _Objective(mu, sigma, None, 0.0).value_and_gradient(w)[1]
+            sharpe_grad = objective(mu, sigma, None, 0.0).value_and_gradient(w)[1]
             assert (np.linalg.norm(w - anchor.weights)
                     <= np.linalg.norm(sharpe_grad) / (2.0 * penalty)), penalty
             assert stationarity(w, mu, sigma, anchor.weights, penalty) <= 1e-7, penalty
@@ -228,7 +264,7 @@ class TestSharpeOptimize:
             sigma = a @ a.T + 0.02 * np.eye(d)
             anchor = Portfolio(project_simplex(rng.normal(size=d)))
             port = sharpe_optimize(GaussianDist(mu, sigma), anchor=anchor, penalty=0.2)
-            obj = _Objective(mu, sigma, anchor.weights, 0.2)
+            obj = objective(mu, sigma, anchor.weights, 0.2)
             assert obj.value(port.weights) >= obj.value(anchor.weights) - 1e-9
             uniform = np.full(d, 1.0 / d)
             assert obj.value(port.weights) >= obj.value(uniform) - 1e-9
@@ -426,7 +462,7 @@ def anchored_problems(seed, count):
         d = int(rng.integers(2, 7))
         mu = rng.uniform(-0.05, 0.2, size=d)
         anchor = project_simplex(rng.normal(size=d))
-        yield (_Objective(mu, random_market(rng, d), anchor, 0.2),
+        yield (objective(mu, random_market(rng, d), anchor, 0.2),
                np.array([np.full(d, 1.0 / d), *np.eye(d), anchor]))
 
 
@@ -590,7 +626,7 @@ class TestPrescreenRisk:
     def test_matches_closed_form_at_scale(self):
         """Moment estimates from 10^5 draws land near the population
         squared-W2 between the true Gaussians."""
-        from transrisk import w2_gaussian_sq
+        from transrisk.gaussian import w2_gaussian_sq
 
         rng = np.random.default_rng(13)
         mu_a, mu_b = np.array([0.05, 0.0]), np.array([0.02, 0.03])

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from transrisk import (
+from transrisk.divergence import wp_empirical_1d
+from transrisk.regression import (
     RegressionDataset,
     Standardizer,
+    concat_datasets,
     evaluate,
+    predict,
     ridge_fit,
+    ridge_transfer,
     transfer_output_risk,
-    wp_empirical_1d,
 )
-from transrisk.regression import concat_datasets, predict, ridge_transfer
 from transrisk.errors import ValidationError
 
 

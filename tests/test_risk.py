@@ -4,15 +4,14 @@ continuity probes."""
 import numpy as np
 import pytest
 
-from transrisk import (
-    AffineModel,
-    BasicCasePair,
-    GaussianJointTask,
+from transrisk.gauss_transfer import BasicCasePair
+from transrisk.gaussian import AffineModel, GaussianJointTask
+from transrisk.mc import SeededStream
+from transrisk.risk import (
     OFFICE31_COMBINER,
     OFFICE31_TABLE,
     PolyCombiner,
     RiskPair,
-    SeededStream,
     affine_sup_distance,
     continuity_probe_input,
     continuity_probe_model,

@@ -4,7 +4,7 @@ identities, and the rolling-window feature builder."""
 import numpy as np
 import pytest
 
-from transrisk import (
+from transrisk.signature import (
     PiecewisePath,
     chen_product,
     signature_dim,

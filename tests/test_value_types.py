@@ -6,20 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from transrisk import (
-    AffineModel,
-    DiscreteDist,
-    EmpiricalSample1D,
-    GaussianDist,
-    GaussianJointTask,
-    PiecewisePath,
-    PolyCombiner,
-    Portfolio,
-    RegressionDataset,
-    ReturnsDataset,
-    TruncatedSignature,
-    source_task_distance,
-)
+from transrisk.divergence import DiscreteDist, EmpiricalSample1D
+from transrisk.gaussian import AffineModel, GaussianDist, GaussianJointTask
+from transrisk.portfolio import Portfolio, ReturnsDataset
+from transrisk.regression import RegressionDataset
+from transrisk.risk import PolyCombiner, source_task_distance
+from transrisk.signature import PiecewisePath, TruncatedSignature
 from transrisk.errors import ValidationError
 
 # name -> (the caller's arrays, a constructor taking them, the stored arrays)
