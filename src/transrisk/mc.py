@@ -19,7 +19,10 @@ take the joint law's own factor rather than decompose a matrix.
 Randomness: a single documented generator, ``SeededStream``, built on
 the Philox 4x64 counter-based engine with normals drawn by numpy's
 ziggurat ``standard_normal`` (Marsaglia & Tsang, 2000).  Substreams are
-split by (seed, index) keying so parallel shards never overlap.  One
+split by (seed, index) keying so parallel shards never overlap.  A
+draw constructs no generator: each thread keeps one Philox, and
+``normals`` and ``uniforms`` rewind it to key (seed, index) and counter
+0, which yields the stream a fresh ``Philox(key=...)`` would.  One
 seed gives the same stream on every run on one machine.  Across
 machines with the same numpy release, most draws are exact products of
 integer draws and table values, but the rare wedge and tail branches
@@ -38,6 +41,7 @@ phrased in standard-error units.  ``gaussian-risk --verify`` runs it on
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +52,33 @@ from .gaussian import AffineModel, GaussianDist, GaussianJointTask
 STREAM_ALGORITHM = "philox4x64/ziggurat"
 W2_SHARDS = 40   # batch-means shards of the sampled W2 oracle
 W2_ROWS = 200_000   # rows of the sampled W2 oracle behind gaussian-risk --verify
+
+
+class _Rewound(threading.local):
+    """One Philox generator per thread, rewound to a stream's start by
+    every draw.  Rewinding sets the key, the counter and the output
+    buffer; constructing a Philox would first gather OS entropy for a
+    ``SeedSequence`` that the key then overrides, at about four times
+    the cost.  The generator is built at a thread's first draw, so a
+    command that never samples does not load ``numpy.random``."""
+
+    generator: np.random.Generator | None = None
+
+    def at(self, seed: int, index: int) -> np.random.Generator:
+        if self.generator is None:
+            self.key = np.zeros(2, dtype=np.uint64)
+            self.start = {"bit_generator": "Philox",
+                          "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self.key},
+                          "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                          "has_uint32": 0, "uinteger": 0}
+            self.generator = np.random.Generator(np.random.Philox(0))  # a seed skips OS entropy
+        self.key[0], self.key[1] = seed % (1 << 64), index % (1 << 64)
+        self.generator.bit_generator.state = self.start
+        return self.generator
+
+
+_REWOUND = _Rewound()
+
 
 @dataclass(frozen=True)
 class SeededStream:
@@ -66,7 +97,9 @@ class SeededStream:
     _MIX = 0x9E3779B97F4A7C15  # odd multiplier; keeps nested splits disjoint
 
     def generator(self) -> np.random.Generator:
-        """A fresh numpy generator at the start of this stream."""
+        """A fresh numpy generator at the start of this stream, for a
+        caller that keeps drawing from it; ``normals`` and ``uniforms``
+        draw the same values without building one."""
         return np.random.Generator(np.random.Philox(key=np.array(
             [self.seed % (1 << 64), self.index % (1 << 64)], dtype=np.uint64)))
 
@@ -76,12 +109,12 @@ class SeededStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in (0, 1), clipped away from the endpoints."""
-        u = self.generator().random(n)
+        u = _REWOUND.at(self.seed, self.index).random(n)
         return np.clip(u, 1e-15, 1.0 - 1e-15)
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals by the ziggurat method."""
-        return self.generator().standard_normal(n)
+        return _REWOUND.at(self.seed, self.index).standard_normal(n)
 
 
 def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int,
@@ -100,6 +133,13 @@ def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int,
     substream and uses the antithetic rows concat(z, −z)[:m].  The shard
     means are i.i.d., so their mean comes back with the batch-means
     standard error, a Student t with W2_SHARDS − 1 degrees of freedom.
+
+    Each shard's draw rewinds the thread's generator (see
+    ``SeededStream``), so a call constructs no bit generator, and the
+    shards reuse three m-row buffers.  The arithmetic is the formula
+    above in its order, (μ_p + σ_p·z) − (μ_q + σ_q·z), squared and
+    averaged, so the result is bit-identical to evaluating it on fresh
+    arrays.
     """
     if p.dim != 1 or q.dim != 1:
         raise ValidationError("sampled W2 oracle is 1-D only")
@@ -107,15 +147,17 @@ def mc_w2_1d(p: GaussianDist, q: GaussianDist, n: int,
     if rest or m < 2:
         raise ValidationError(f"need n a multiple of {W2_SHARDS} and n >= {2 * W2_SHARDS}, "
                               f"got {n}")
-    sd_p = math.sqrt(max(p.cov[0, 0], 0.0))
-    sd_q = math.sqrt(max(q.cov[0, 0], 0.0))
+    mu_p, sd_p = float(p.mean[0]), math.sqrt(max(p.cov[0, 0], 0.0))
+    mu_q, sd_q = float(q.mean[0]), math.sqrt(max(q.cov[0, 0], 0.0))
+    half = (m + 1) // 2
+    z, a, b = np.empty(m), np.empty(m), np.empty(m)
     estimates = np.empty(W2_SHARDS)
     for k in range(W2_SHARDS):
-        z = stream.substream(k).normals((m + 1) // 2)
-        z = np.concatenate([z, -z])[:m]
-        a = p.mean[0] + sd_p * z
-        b = q.mean[0] + sd_q * z
-        estimates[k] = float(np.mean((a - b) ** 2))
+        z[:half] = stream.substream(k).normals(half)
+        np.negative(z[:m - half], out=z[half:])
+        np.add(np.multiply(z, sd_p, out=a), mu_p, out=a)
+        np.add(np.multiply(z, sd_q, out=b), mu_q, out=b)
+        estimates[k] = np.add.reduce(np.square(np.subtract(a, b, out=a), out=a)) / m
     return float(np.mean(estimates)), float(np.std(estimates, ddof=1) / math.sqrt(W2_SHARDS))
 
 

@@ -19,21 +19,26 @@ The continuity probes quantify, for concrete Gaussian basic-case pairs,
 how the Wasserstein transfer risk responds to small perturbations of
 the source input distribution and of the pretrained model weights; the
 observed ratios stay bounded as the perturbation shrinks, which is what
-makes the risk usable for prescreening nearby source tasks.
+makes the risk usable for prescreening nearby source tasks.  Only the
+probes compute Gaussian risks, so they import ``gauss_transfer`` and
+``gaussian`` when they run, and a caller that only combines risk pairs
+(``office-table``) does not load them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .gauss_transfer import BasicCasePair, basic_output_risk_w, output_laws
-from .gaussian import AffineModel, GaussianJointTask, fit_optimal_affine, pushforward_affine, w2_gaussian_sq
-from .mc import SeededStream
+
+if TYPE_CHECKING:
+    from .gauss_transfer import BasicCasePair
+    from .gaussian import AffineModel
+    from .mc import SeededStream
 
 
 @dataclass(frozen=True)
@@ -162,13 +167,6 @@ def source_task_distance(input_distance: float, model_distance: float) -> float:
 
 # --- continuity probes -------------------------------------------------
 
-def _with_source_mean_x(pair: BasicCasePair, new_mean_x: np.ndarray) -> BasicCasePair:
-    src = pair.source
-    mean = np.concatenate([new_mean_x, src.mean_y])
-    shifted = GaussianJointTask(src.dim_x, src.dim_y, mean, src.cov)
-    return BasicCasePair(shifted, pair.target)
-
-
 def continuity_probe_input(pair: BasicCasePair, delta: float, trials: int,
                            stream: SeededStream) -> float:
     """Sensitivity of the W2 transfer risk to the source input mean.
@@ -186,9 +184,13 @@ def continuity_probe_input(pair: BasicCasePair, delta: float, trials: int,
         return 0.0
     if trials < 1:
         raise ValidationError("need at least one trial")
+    from .gauss_transfer import BasicCasePair, basic_output_risk_w
+    from .gaussian import GaussianJointTask, w2_gaussian_sq
+
+    src = pair.source
     base = basic_output_risk_w(pair).total
-    d = pair.source.dim_x
-    source_inputs = pair.source.input_marginal()
+    d = src.dim_x
+    source_inputs = src.input_marginal()
     worst = 0.0
     for k in range(trials):
         direction = stream.substream(k).normals(d)
@@ -196,7 +198,9 @@ def continuity_probe_input(pair: BasicCasePair, delta: float, trials: int,
         if norm == 0.0:
             continue
         shift = direction * (delta / norm)
-        moved = _with_source_mean_x(pair, pair.source.mean_x + shift)
+        mean = np.concatenate([src.mean_x + shift, src.mean_y])
+        moved = BasicCasePair(GaussianJointTask(src.dim_x, src.dim_y, mean, src.cov),
+                              pair.target)
         risk = basic_output_risk_w(moved).total
         input_distance = math.sqrt(w2_gaussian_sq(moved.source.input_marginal(),
                                                   source_inputs))
@@ -221,6 +225,9 @@ def continuity_probe_model(pair: BasicCasePair, delta: float, trials: int,
         return 0.0
     if trials < 1:
         raise ValidationError("need at least one trial")
+    from .gauss_transfer import output_laws
+    from .gaussian import AffineModel, fit_optimal_affine, pushforward_affine, w2_gaussian_sq
+
     target_inputs = pair.target.input_marginal()
     source_model = fit_optimal_affine(pair.source)
     target_law = output_laws(pair)[0]

@@ -64,6 +64,12 @@ def test_package_import_loads_no_numpy_polynomial():
     assert loaded_after("import transrisk, transrisk.cli", ["numpy.polynomial"]) == []
 
 
+def test_mc_import_loads_no_numpy_random():
+    """The parser imports mc for every command; numpy.random loads at
+    the first draw, not at import."""
+    assert loaded_after("import transrisk.cli, transrisk.mc", ["numpy.random"]) == []
+
+
 def test_stream_normals_load_no_scipy():
     """The oracle normals are numpy's ziggurat, not scipy's inverse CDF."""
     assert scipy_modules(loaded_after(
@@ -152,7 +158,7 @@ LOADED_BY = {
     "gaussian-risk": {"gauss_transfer", "gaussian", "mc"},
     "predict": {"divergence", "gaussian", "mc", "regression", "signature"},
     "portfolio": {"gaussian", "mc", "portfolio"},
-    "office-table": {"gauss_transfer", "gaussian", "mc", "risk"},
+    "office-table": {"gaussian", "mc", "risk"},
     "verify-props": {"benchmarks", "divergence", "gauss_transfer", "gaussian", "mc",
                      "portfolio", "regression", "signature"},
 }
@@ -168,8 +174,9 @@ def test_cli_import_loads_only_docio_and_errors():
 @pytest.mark.parametrize("command", list(LOADED_BY))
 def test_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
     """portfolio loads no gauss_transfer, signature or regression; predict
-    no portfolio or gauss_transfer; and only verify-props loads
-    benchmarks."""
+    no portfolio or gauss_transfer; office-table no gauss_transfer, whose
+    closed forms only risk's continuity probes run; and only verify-props
+    loads benchmarks."""
     (argv,) = [argv for argv in passing_runs(tmp_path) if argv[0] == command]
     loaded = set(cli_loads(argv, watched=("transrisk",)))
     assert loaded == CLI_IMPORT | {f"transrisk.{name}" for name in LOADED_BY[command]}

@@ -3,6 +3,8 @@ consistency ladder, and the exactness of the cubature oracles."""
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from transrisk.gaussian import (
 from transrisk.errors import NumericalError, ValidationError
 from transrisk.mc import (
     SeededStream,
+    W2_ROWS,
     W2_SHARDS,
     cubature,
     kl_quadrature_1d,
@@ -58,6 +61,80 @@ class TestSeededStream:
         np.testing.assert_allclose(
             got, [0.03674125380393216, -0.588885431018047, -1.361403659119672],
             rtol=0, atol=1e-15)
+
+
+def fresh(seed: int, index: int = 0) -> np.random.Generator:
+    """A generator built the documented way, at the start of (seed, index)."""
+    key = np.array([seed % (1 << 64), index % (1 << 64)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def fresh_uniforms(seed: int, index: int, n: int) -> np.ndarray:
+    return np.clip(fresh(seed, index).random(n), 1e-15, 1.0 - 1e-15)
+
+
+class TestRewoundDraws:
+    """``normals`` and ``uniforms`` rewind one generator per thread
+    instead of building one; every draw must still equal a fresh
+    ``Philox(key=[seed mod 2⁶⁴, index mod 2⁶⁴])`` stream."""
+
+    @pytest.mark.parametrize("seed", [0, 2024, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5,
+                                      -1, -(2 ** 63), -(2 ** 64) - 3])
+    @pytest.mark.parametrize("index", [0, 3, 2 ** 63 + 1, -1])
+    def test_draws_equal_a_fresh_generator(self, seed, index):
+        stream = SeededStream(seed, index)
+        np.testing.assert_array_equal(stream.normals(257), fresh(seed, index).standard_normal(257))
+        np.testing.assert_array_equal(stream.uniforms(257), fresh_uniforms(seed, index, 257))
+
+    def test_interleaved_streams(self):
+        """Odd counts leave Philox's four-word output buffer part used;
+        the next draw, of any stream, must not read what is left."""
+        streams = [SeededStream(11), SeededStream(11, 1), SeededStream(2 ** 63 + 11).substream(4)]
+        for n in (1, 5, 3, 1000, 7):
+            for s in streams:
+                np.testing.assert_array_equal(s.normals(n),
+                                              fresh(s.seed, s.index).standard_normal(n))
+                np.testing.assert_array_equal(s.uniforms(n), fresh_uniforms(s.seed, s.index, n))
+
+    def test_held_generator_is_not_disturbed(self):
+        """``generator()`` stays a generator of its own: draws of other
+        streams, and of its own stream, between two of its draws leave it
+        where it was."""
+        held = SeededStream(3).generator()
+        first = held.standard_normal(10)
+        SeededStream(4).normals(100)
+        SeededStream(3).normals(7)
+        SeededStream(3).uniforms(5)
+        rest = held.standard_normal(10)
+        np.testing.assert_array_equal(np.concatenate([first, rest]),
+                                      fresh(3).standard_normal(20))
+
+    def test_threads_draw_their_own_streams(self):
+        """Four threads (more than the two cores this suite assumes) draw
+        different streams at once, with thread switches forced every
+        microsecond; a generator shared between threads would hand one
+        thread another's rewound stream."""
+        want = {t: fresh(77, t).standard_normal(64) for t in range(4)}
+        wrong, start = [], threading.Barrier(4, timeout=30)
+
+        def draw(t):
+            start.wait()
+            for _ in range(2000):
+                if not np.array_equal(SeededStream(77, t).normals(64), want[t]):
+                    wrong.append(t)
+
+        threads = [threading.Thread(target=draw, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestCubature:
@@ -179,6 +256,48 @@ class TestMCW2:
         a = 0.3 + math.sqrt(1.3) * z
         b = -0.5 + math.sqrt(0.6) * z
         np.testing.assert_allclose(est, np.mean((a - b) ** 2), rtol=1e-13)
+
+    @staticmethod
+    def per_shard_formula(p, q, n, stream):
+        """The oracle as first written: fresh arrays per shard, normals
+        from a freshly built generator, and ``np.mean`` of the squares."""
+        m = n // W2_SHARDS
+        estimates = np.empty(W2_SHARDS)
+        for k in range(W2_SHARDS):
+            z = stream.substream(k).generator().standard_normal((m + 1) // 2)
+            z = np.concatenate([z, -z])[:m]
+            a = p.mean[0] + math.sqrt(p.cov[0, 0]) * z
+            b = q.mean[0] + math.sqrt(q.cov[0, 0]) * z
+            estimates[k] = float(np.mean((a - b) ** 2))
+        return float(np.mean(estimates)), float(np.std(estimates, ddof=1) / math.sqrt(W2_SHARDS))
+
+    @pytest.mark.parametrize("n", [W2_ROWS, W2_SHARDS * 25, W2_SHARDS * 2])
+    @pytest.mark.parametrize("laws", [((0.3, 1.3), (-0.5, 0.6)), ((1e3, 1e-4), (-2.5, 1e4)),
+                                      ((-1e3, 1e4), (1e3, 1e-4)), ((7.0, 1.0), (7.0, 1.0))])
+    def test_bit_identical_to_per_shard_formula(self, n, laws):
+        """Reused buffers and ``out=`` ufuncs change no bit of the estimate
+        or its standard error, at the CLI's rows, an odd shard (m = 25)
+        and the smallest one (m = 2)."""
+        p, q = (GaussianDist([mean], [[var]]) for mean, var in laws)
+        assert mc_w2_1d(p, q, n, SeededStream(31)) == self.per_shard_formula(p, q, n, SeededStream(31))
+
+    def test_repeat_call_builds_no_bit_generator(self, monkeypatch):
+        """Once a thread has drawn, a call rewinds its generator for each
+        of the 40 shards instead of constructing a Philox for each."""
+        p, q = GaussianDist([0.3], [[1.3]]), GaussianDist([-0.5], [[0.6]])
+        mc_w2_1d(p, q, W2_SHARDS * 2, SeededStream(8))
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        mc_w2_1d(p, q, W2_ROWS, SeededStream(9))
+        assert built == []
+        SeededStream(9).generator()  # the counter sees a construction
+        assert built == [1]
 
     def test_consistency_ladder(self):
         """Error and standard error both shrink as n grows 10^3 → 10^5.
