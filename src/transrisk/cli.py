@@ -27,7 +27,8 @@ All randomness enters through ``--seed`` and is threaded into
 byte-identical across runs.
 
 Each command imports the modules it runs when it starts, so a process
-loads only those, plus ``mc`` for the ``--verify`` help.
+loads only those; ``gaussian-risk`` loads the oracles of ``mc`` only
+under ``--verify``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 CUBATURE_ORACLE_RTOL = 1e-9   # KL and regret gate, relative to max(1, |closed form|)
-DIVERGENCE_ORACLE_TOL = 1e-10
 MAX_SCALE = 1000.0   # verify-props --scale: the largest sweep runs 10000 x scale trials
 
 
@@ -102,19 +102,20 @@ def _split_doc(split) -> dict:
 
 
 def _oracle_entry(name: str, closed: float, oracle: float,
-                  std_error: float | None, tol_abs: float | None) -> dict:
+                  std_error: float | None = None) -> dict:
+    """One ``oracle_check`` entry.  A sampled oracle, which comes with a
+    ``std_error``, is within 3 standard errors of the closed form; an
+    exact one within ``CUBATURE_ORACLE_RTOL``·max(1, |closed form|)."""
     gap = abs(closed - oracle)
-    if std_error is not None:
-        sigma_gap = gap / std_error if std_error > 0.0 else (0.0 if gap == 0.0 else math.inf)
-        within = sigma_gap <= 3.0 or gap <= 1e-12
-        entry = {"name": name, "closed_form": closed, "oracle": oracle,
-                 "std_error": std_error, "abs_gap": gap,
-                 "sigma_gap": min(sigma_gap, 1e6), "within": bool(within)}
-    else:
-        entry = {"name": name, "closed_form": closed, "oracle": oracle,
-                 "abs_gap": gap, "sigma_gap": None,
-                 "within": bool(gap <= tol_abs)}
-    return entry
+    if std_error is None:
+        return {"name": name, "closed_form": closed, "oracle": oracle,
+                "abs_gap": gap, "sigma_gap": None,
+                "within": bool(gap <= CUBATURE_ORACLE_RTOL * max(1.0, abs(closed)))}
+    sigma_gap = gap / std_error if std_error > 0.0 else (0.0 if gap == 0.0 else math.inf)
+    within = sigma_gap <= 3.0 or gap <= 1e-12
+    return {"name": name, "closed_form": closed, "oracle": oracle,
+            "std_error": std_error, "abs_gap": gap,
+            "sigma_gap": min(sigma_gap, 1e6), "within": bool(within)}
 
 
 # --- gaussian-risk -------------------------------------------------------
@@ -136,45 +137,31 @@ def cmd_gaussian_risk(args) -> int:
         output_laws,
         regret_risk_identity,
     )
-    from .gaussian import (
-        AffineModel,
-        GaussianJointTask,
-        fit_optimal_affine,
-        kl_gaussian,
-        w2_gaussian_sq,
-    )
-    from .mc import W2_ROWS, SeededStream, kl_quadrature_1d, loss_gap_cubature, mc_w2_1d
+    from .gaussian import AffineModel, GaussianJointTask, fit_optimal_affine
 
-    def oracle_entries(results: dict, pair, laws, stream: SeededStream) -> list[dict]:
-        """Check the closed forms already in ``results`` against ``laws``, the
-        pair's target and intermediate output laws: KL by quadrature and W2
-        by sampling ``W2_ROWS`` rows for 1-D laws, both by the generic
-        Gaussian divergences for wider ones, and in the basic case regret by
-        the loss gap's cubature."""
-        scalar = laws[0].dim == 1
+    def oracle_entries(results: dict, pair, seed: int) -> list[dict]:
+        """Check the closed forms already in ``results`` against the oracles
+        of ``mc``, on the pair's 1-D target and intermediate output laws: KL
+        by quadrature, W2 by sampling ``W2_ROWS`` rows, and in the basic
+        case regret by the loss gap's cubature.  The wider
+        output-augmentation laws have no independent oracle, so that case
+        gets no entry."""
+        if isinstance(pair, OutputAugmentedPair):
+            return []
+        from .mc import W2_ROWS, SeededStream, kl_quadrature_1d, loss_gap_cubature, mc_w2_1d
+
+        laws = output_laws(pair)
         entries = []
         if results.get("kl") is not None:
-            closed = results["kl"]["total"]
-            if scalar:
-                entries.append(_oracle_entry("kl_vs_quadrature", closed, kl_quadrature_1d(*laws),
-                                             None, CUBATURE_ORACLE_RTOL * max(1.0, abs(closed))))
-            else:
-                entries.append(_oracle_entry("kl_vs_generic_divergence", closed,
-                                             kl_gaussian(*laws), None, DIVERGENCE_ORACLE_TOL))
+            entries.append(_oracle_entry("kl_vs_quadrature", results["kl"]["total"],
+                                         kl_quadrature_1d(*laws)))
         if "w" in results:
-            closed = results["w"]["total"]
-            if scalar:
-                est, se = mc_w2_1d(*laws, W2_ROWS, stream.substream(1))
-                entries.append(_oracle_entry("w2_vs_sampling", closed, est, se, None))
-            else:
-                entries.append(_oracle_entry("w2_vs_generic_divergence", closed,
-                                             w2_gaussian_sq(*laws), None, DIVERGENCE_ORACLE_TOL))
+            est, se = mc_w2_1d(*laws, W2_ROWS, SeededStream(seed).substream(1))
+            entries.append(_oracle_entry("w2_vs_sampling", results["w"]["total"], est, se))
         if "regret" in results:
             src_model, tgt_model = fit_optimal_affine(pair.source), fit_optimal_affine(pair.target)
-            closed = results["regret"]
-            entries.append(_oracle_entry("regret_vs_loss_gap", closed,
-                                         loss_gap_cubature(src_model, tgt_model, pair.target), None,
-                                         CUBATURE_ORACLE_RTOL * max(1.0, abs(closed))))
+            entries.append(_oracle_entry("regret_vs_loss_gap", results["regret"],
+                                         loss_gap_cubature(src_model, tgt_model, pair.target)))
         return entries
 
     doc = _load_spec(args.spec, "gaussian_pair")
@@ -196,11 +183,10 @@ def cmd_gaussian_risk(args) -> int:
         init = AffineModel(np.asarray(doc["init_model"]["weight"]),
                            np.asarray(doc["init_model"]["intercept"]))
         pair = OutputAugmentedPair(source, target, init)
-        risk_of = lambda variant: output_aug_risk(pair, variant)
-    laws = output_laws(pair) if case == "output_aug" or args.verify else None
-    if case == "output_aug":
+        laws = output_laws(pair)
         for key, law in zip(("target_law", "intermediate_law"), laws):
             results[key] = {"mean": law.mean.tolist(), "cov": law.cov.tolist()}
+        risk_of = lambda variant: output_aug_risk(laws, variant)
 
     for variant in ("kl", "w") if args.variant == "both" else (args.variant,):
         split = risk_of(variant)
@@ -218,7 +204,7 @@ def cmd_gaussian_risk(args) -> int:
 
     check = None
     if args.verify:
-        entries = oracle_entries(results, pair, laws, SeededStream(args.seed))
+        entries = oracle_entries(results, pair, args.seed)
         check = {"entries": entries, "all_within": all(e["within"] for e in entries)}
     _emit("gaussian_risk_report", doc, results, args.seed, args.out, oracle_check=check)
     if check is not None and not check["all_within"]:
@@ -432,10 +418,7 @@ def cmd_verify_props(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; each ``parse_args`` call
-    returns a fresh namespace.  Building it loads ``mc`` for the sample
-    counts that the ``--verify`` help states."""
-    from .mc import W2_ROWS, W2_SHARDS
-
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="transrisk",
         description="Transfer risk, regret, and transfer-learning pipelines "
@@ -447,9 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="task-pair spec document (JSON)")
     p.add_argument("--variant", choices=["kl", "w", "both"], default="both")
     p.add_argument("--verify", action="store_true",
-                   help="cross-check closed forms against the independent oracles; "
-                        f"the sampled W2 oracle draws {W2_ROWS} rows as antithetic "
-                        f"pairs (z, -z) in {W2_SHARDS} shards")
+                   help="cross-check the 1-D closed forms and the basic-case regret "
+                        "against the independent oracles of transrisk.mc")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_gaussian_risk)

@@ -27,13 +27,13 @@ Wasserstein risk is always a lower bound on regret and can prescreen
 source tasks without fitting anything.
 
 ``output_laws`` builds the two output laws of any of the three pairs:
-the output-augmentation report carries them, and ``--verify`` hands
-them to its oracles.  The output-augmentation closed form *is* the
-generic split (``kl_split``, ``w2_split`` in ``gaussian``) on those
-laws.  The scalar closed forms of the other two cases are cross-checked
-in the test suite against the same generic divergences on explicitly
-constructed pushforward laws, and against the sampling and cubature
-oracles in ``mc``.
+the output-augmentation report carries them, its closed form
+``output_aug_risk`` *is* the generic split (``kl_split``, ``w2_split``
+in ``gaussian``) on them, and ``--verify`` hands the 1-D laws of the
+other two cases to its oracles.  Those scalar closed forms are
+cross-checked in the test suite against the same generic divergences on
+explicitly constructed pushforward laws, and against the sampling and
+cubature oracles in ``mc``.
 """
 
 from __future__ import annotations
@@ -351,10 +351,10 @@ def output_laws(pair: BasicCasePair | FeatureAugmentedPair | OutputAugmentedPair
     return target_law, pushforward_affine(model, inputs)
 
 
-def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> RiskSplit:
+def output_aug_risk(laws: tuple[GaussianDist, GaussianDist], variant: str = KL) -> RiskSplit:
     """Output risk under output augmentation: the generic ``kl_split`` or
-    ``w2_split`` of the target law against the intermediate law, both
-    from ``output_laws(pair)``.
+    ``w2_split`` of the target law against the intermediate law, the
+    ``laws`` that ``output_laws`` builds for an ``OutputAugmentedPair``.
 
     The mean gap is supported entirely on the new output block: the
     transferred block contributes no bias.  The risk vanishes exactly
@@ -363,7 +363,6 @@ def output_aug_risk(pair: OutputAugmentedPair, variant: str = KL) -> RiskSplit:
     density, so its KL raises NumericalError.
     """
     _check_variant(variant)
-    laws = output_laws(pair)
     if variant == WASSERSTEIN:
         return w2_split(*laws)
     try:

@@ -5,10 +5,10 @@ cross-checked against estimators in this module that share no code path
 with them: 1-D squared-W2 through common-quantile coupling, and the loss
 gap and the 1-D KL through Stroud's degree-3 cubature rule (Stroud,
 1971) in the standard normal variable z.  The wider output-augmentation
-laws have no oracle here: their ``*_vs_generic_divergence`` entries
-recompute the same generic split that produced the closed form.  The
-module needs numpy alone, and is shipped (not test-only) so downstream
-users can re-verify any number they get.
+laws have no oracle here, so ``--verify`` reports no entry for them.
+Only ``gaussian-risk --verify`` on 1-D laws and ``verify-props`` load
+this module.  It needs numpy alone, and is shipped (not test-only) so
+downstream users can re-verify the numbers it covers.
 
 The cubature oracles are exact, not sampled: the loss gap and the KL
 log-ratio are quadratics in z, and the rule integrates every polynomial
@@ -49,7 +49,6 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gaussian import AffineModel, GaussianDist, GaussianJointTask
 
-STREAM_ALGORITHM = "philox4x64/ziggurat"
 W2_SHARDS = 40   # batch-means shards of the sampled W2 oracle
 W2_ROWS = 200_000   # rows of the sampled W2 oracle behind gaussian-risk --verify
 
@@ -87,8 +86,9 @@ class SeededStream:
     Identical (seed, index) pairs reproduce identical sequences on one
     machine (see the module docstring for what holds across machines).
     ``substream(i)`` derives an independent shard for parallel work
-    without sharing state with the parent.  Every stream uses the one
-    algorithm named by ``STREAM_ALGORITHM``.
+    without sharing state with the parent.  Every stream draws by the
+    one algorithm of the module docstring: Philox 4x64, with ziggurat
+    normals.
     """
 
     seed: int

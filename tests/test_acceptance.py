@@ -38,6 +38,7 @@ from transrisk.gauss_transfer import (
     feature_aug_risk,
     neutralizing_initialization,
     output_aug_risk,
+    output_laws,
     regret_risk_identity,
     uncorrelated_aug_ratio,
 )
@@ -191,7 +192,7 @@ def test_criterion_4_augmentation_structure():
     for _ in range(50):
         pair = _random_output_aug_pair(rng, neutral=True)
         for variant in ("kl", "w"):
-            neutral_worst = max(neutral_worst, output_aug_risk(pair, variant).total)
+            neutral_worst = max(neutral_worst, output_aug_risk(output_laws(pair), variant).total)
 
     ratio_worst = 0.0
     for _ in range(200):

@@ -423,7 +423,7 @@ class TestGaussianRisk:
         """The new output is exactly twice the old one, so the target
         output law is singular against a full-rank intermediate law: KL
         is infinite and reported as null with its note, as in the basic
-        case, while the W2 entry still runs under --verify."""
+        case.  The wide laws have no oracle, so --verify adds no entry."""
         doc = {
             "version": 1, "kind": "gaussian_pair", "case": "output_aug",
             "source": {"dim_x": 2, "dim_y": 1, "mean": [0.0, 0.0, 0.0],
@@ -440,9 +440,18 @@ class TestGaussianRisk:
         assert results["kl"] is None
         assert results["kl_note"] == "infinite: the target output law is degenerate"
         assert results["w"]["total"] > 0.0
-        entries = report["oracle_check"]["entries"]
-        assert [e["name"] for e in entries] == ["w2_vs_generic_divergence"]
-        assert report["oracle_check"]["all_within"]
+        assert report["oracle_check"] == {"entries": [], "all_within": True}
+
+    def test_output_aug_verify_has_no_oracle_entry(self, tmp_path, capsys):
+        """An output_aug --verify run exits 0 with an empty oracle block,
+        and its results are those of the run without --verify."""
+        spec = write_spec(tmp_path, SPECS["output_aug"])
+        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify"])
+        assert code == 0
+        assert report["oracle_check"] == {"entries": [], "all_within": True}
+        code, plain = run_report(capsys, ["gaussian-risk", spec])
+        assert code == 0
+        assert report["results"] == plain["results"] and "oracle_check" not in plain
 
     def test_output_aug_requires_init_model(self, tmp_path):
         doc = {
@@ -516,6 +525,22 @@ class TestOfficeTable:
         path = tmp_path / "rows.csv"
         path.write_text("label,input_risk,output_risk\nbad,-0.1,0.4\n")
         assert main(["office-table", "--csv", str(path)]) == 2
+
+    def test_builtin_deviation_exit_4(self, capsys, monkeypatch):
+        """A builtin row whose published risk is 0.01 off the combiner's
+        still gets its report, marked not within, and the run exits 4."""
+        from transrisk import risk
+
+        label, ei, eo, published = risk.OFFICE31_TABLE[0]
+        monkeypatch.setattr(risk, "OFFICE31_TABLE",
+                            ((label, ei, eo, published + 0.01),) + risk.OFFICE31_TABLE[1:])
+        code = main(["office-table", "--builtin"])
+        captured = capsys.readouterr()
+        assert code == 4
+        results = parse_document(captured.out)["results"]
+        assert not results["all_within"] and results["max_deviation"] > 0.0025
+        assert captured.err == (f"builtin table deviation {results['max_deviation']} "
+                                "exceeds 0.0025\n")
 
 
 @pytest.fixture(scope="module")
@@ -626,6 +651,29 @@ class TestPredict:
         spec = write_spec(tmp_path, job, "bad_job.json")
         assert main(["predict", spec]) == 2
 
+    def test_constant_closes_standardize_by_unit_std(self, tmp_path, capsys):
+        """Every close is 100, so every return target is 0: the target
+        train std is 0, which standardization takes as 1, and the run
+        exits 0."""
+        import datetime as dt
+
+        def constant_close_csv(path, seed):
+            rng = np.random.default_rng(seed)
+            days = [dt.date(2023, 1, 2) + dt.timedelta(days=i) for i in range(160)]
+            volumes = 1e6 * np.exp(np.cumsum(rng.normal(scale=0.05, size=160)))
+            path.write_text("date,close,volume\n" + "".join(
+                f"{day.isoformat()},100.0,{v:.2f}\n" for day, v in zip(days, volumes)))
+            return str(path)
+
+        job = {"version": 1, "kind": "regression_job",
+               "source_csvs": [constant_close_csv(tmp_path / "src.csv", 1)],
+               "target_csv": constant_close_csv(tmp_path / "target.csv", 2),
+               "lag": 2, "order": 2, "split_date": "2023-04-15"}
+        code, report = run_report(capsys, ["predict", write_spec(tmp_path, job, "job.json")])
+        assert code == 0
+        (cell,) = report["results"]["grid"]
+        assert cell["target_standardization"] == {"mean": 0.0, "std": 1.0}
+
 
 class TestPortfolio:
     @staticmethod
@@ -732,6 +780,28 @@ class TestPortfolio:
                "target_train_csv": target, "target_test_csv": target}
         assert main(["portfolio", write_spec(tmp_path, job, "short.json")]) == 3
         assert "numerical error" in capsys.readouterr().err
+
+    def test_zero_variance_start_exit_3(self, tmp_path, capsys):
+        """Train rows (0.125 + e, 0.125 − e), e = ±1/64 sixty times each
+        and 0 once: binary fractions, so the CSV round trip and the moments
+        are exact, and Σ = [[v, −v], [−v, v]] with v = 1/64², which has no
+        Cholesky factor.  The uniform portfolio returns 0.125 in every
+        period, so the ascent's first start already has zero variance and
+        positive mean: the objective is unbounded, and the run exits 3."""
+        from transrisk.portfolio import UNBOUNDED
+
+        rng = np.random.default_rng(4)
+        e = rng.permutation([1 / 64] * 60 + [-1 / 64] * 60 + [0.0])
+        returns = lambda n: rng.normal(0.0005, 0.01, size=(n, 2))
+        job = {"version": 1, "kind": "portfolio_job",
+               "source_csv": write_returns_csv(tmp_path / "source.csv", returns(300)),
+               "target_train_csv": write_returns_csv(tmp_path / "train.csv",
+                                                     np.column_stack([0.125 + e, 0.125 - e])),
+               "target_test_csv": write_returns_csv(tmp_path / "test.csv", returns(150))}
+        assert main(["portfolio", write_spec(tmp_path, job, "flat.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical error: {UNBOUNDED}\n"
 
     def test_one_pipeline_estimates_each_history_once(self, tmp_path, capsys,
                                                        monkeypatch):

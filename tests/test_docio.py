@@ -256,7 +256,8 @@ def changed(doc, path, value):
 def report_variants(report):
     """Hand-mutated copies of one report: each required field dropped,
     an extra field, and wrong types or values in the envelope, the
-    provenance and the oracle block (given one if it has none)."""
+    provenance and the oracle block (given one with ``ORACLE_ENTRY`` if
+    it has no entry)."""
     changes = [((key,), DROP) for key in report]
     changes += [(("provenance", key), DROP) for key in report["provenance"]]
     changes += [(("version",), value) for value in (True, 1.0, "1", 2, None)]
@@ -266,8 +267,9 @@ def report_variants(report):
     changes += [(("provenance", key), value) for key, value in [
         ("seed", True), ("seed", 1.5), ("seed", "3"), ("seed", 2 ** 70), ("tool", "other"),
         ("tool_version", 1), ("oops", None)]]
-    with_block = dict(report, oracle_check=report.get("oracle_check")
-                      or {"entries": [ORACLE_ENTRY], "all_within": True})
+    block = report.get("oracle_check")
+    with_block = dict(report, oracle_check=block if block and block["entries"]
+                      else {"entries": [ORACLE_ENTRY], "all_within": True})
     entry = ("oracle_check", "entries", 0)
     block_changes = [(entry + (key,), value) for key, value in [
         ("within", 1), ("within", False), ("sigma_gap", "x"), ("sigma_gap", None),

@@ -456,7 +456,7 @@ class TestOutputAugmentation:
         for _ in range(20):
             pair = output_aug_fixture(rng, neutral=True)
             for variant in ("kl", "w"):
-                risk = output_aug_risk(pair, variant)
+                risk = output_aug_risk(output_laws(pair), variant)
                 assert risk.total <= 1e-10
             law_t, law_i = output_laws(pair)
             np.testing.assert_allclose(law_t.mean, law_i.mean, atol=1e-10)
@@ -469,7 +469,7 @@ class TestOutputAugmentation:
         rng = np.random.default_rng(12)
         shift = np.array([0.4])
         pair = output_aug_fixture(rng, bias_shift=shift)
-        risk = output_aug_risk(pair, "kl")
+        risk = output_aug_risk(output_laws(pair), "kl")
         law_t, law_i = output_laws(pair)
         assert risk.variance_term <= 1e-10
         diff = law_t.mean - law_i.mean
@@ -493,11 +493,11 @@ class TestOutputAugmentation:
         rng = np.random.default_rng(14)
         for _ in range(30):
             pair = output_aug_fixture(rng)
-            kl_risk = output_aug_risk(pair, "kl")
+            kl_risk = output_aug_risk(output_laws(pair), "kl")
             law_t, law_i = output_laws(pair)
             np.testing.assert_allclose(kl_risk.total, kl_gaussian(law_t, law_i),
                                        atol=1e-10 * max(1.0, kl_risk.total))
-            w_risk = output_aug_risk(pair, "w")
+            w_risk = output_aug_risk(output_laws(pair), "w")
             np.testing.assert_allclose(w_risk.total, w2_gaussian_sq(law_t, law_i),
                                        atol=1e-9 * max(1.0, w_risk.total))
 
@@ -505,7 +505,7 @@ class TestOutputAugmentation:
         """½Σ(λᵢ − log λᵢ − 1) over the eigenvalues of Σ₂⁻¹Σ₁."""
         rng = np.random.default_rng(15)
         pair = output_aug_fixture(rng)
-        risk = output_aug_risk(pair, "kl")
+        risk = output_aug_risk(output_laws(pair), "kl")
         law_t, law_i = output_laws(pair)
         lam = np.linalg.eigvals(np.linalg.solve(law_i.cov, law_t.cov))
         lam = np.real(lam)

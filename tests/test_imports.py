@@ -65,8 +65,7 @@ def test_package_import_loads_no_numpy_polynomial():
 
 
 def test_mc_import_loads_no_numpy_random():
-    """The parser imports mc for every command; numpy.random loads at
-    the first draw, not at import."""
+    """numpy.random loads at mc's first draw, not when mc is imported."""
     assert loaded_after("import transrisk.cli, transrisk.mc", ["numpy.random"]) == []
 
 
@@ -86,11 +85,12 @@ def test_gaussian_risk_without_verify_skips_oracle_modules(tmp_path):
 @pytest.mark.parametrize("case", list(SPECS))
 def test_gaussian_risk_verify_loads_no_scipy(tmp_path, case):
     """Every --verify oracle runs on numpy: the 1-D KL and the regret by
-    cubature, the rest by sampling or the generic divergences."""
+    cubature, the 1-D W2 by sampling.  The output_aug laws are wider and
+    have no oracle, so that run does not load mc."""
     spec, out = write_spec(tmp_path, SPECS[case]), tmp_path / "r.json"
     loaded = cli_loads(["gaussian-risk", spec, "--verify", "--out", str(out)],
-                       ["scipy", "numpy.polynomial"])
-    assert loaded == []
+                       ["scipy", "numpy.polynomial", "transrisk.mc"])
+    assert loaded == ([] if case == "output_aug" else ["transrisk.mc"])
     # the basic and feature_aug laws are 1-D, so their KL oracle ran
     names = {e["name"] for e in json.loads(out.read_text())["oracle_check"]["entries"]}
     assert ("kl_vs_quadrature" in names) == (case != "output_aug")
@@ -135,30 +135,35 @@ def test_portfolio_loads_no_scipy(tmp_path):
     assert scipy_modules(loaded) == []
 
 
-def passing_runs(tmp_path) -> list[list[str]]:
-    """argv of one run of each of the five subcommands that exits 0."""
+def passing_runs(tmp_path) -> dict[str, list[str]]:
+    """argv of runs that exit 0, by label: one of each of the five
+    subcommands, and gaussian-risk with --verify."""
     job = {"version": 1, "kind": "regression_job",
            "source_csvs": [write_price_csv(tmp_path / "src.csv", seed=100)],
            "target_csv": write_price_csv(tmp_path / "target.csv", seed=55),
            "lag": 2, "order": 2, "split_date": "2023-04-15"}
-    runs = [
-        ["gaussian-risk", write_spec(tmp_path, BASIC_SPEC), "--verify"],
-        ["predict", write_spec(tmp_path, job, "job.json")],
-        ["portfolio", portfolio_job(tmp_path)],
-        ["office-table", "--builtin"],
-        ["verify-props", "--scale", "0.01"],
-    ]
-    return [argv + ["--out", str(tmp_path / f"r{i}.json")] for i, argv in enumerate(runs)]
+    spec = write_spec(tmp_path, BASIC_SPEC)
+    runs = {
+        "gaussian-risk": ["gaussian-risk", spec],
+        "gaussian-risk-verify": ["gaussian-risk", spec, "--verify"],
+        "predict": ["predict", write_spec(tmp_path, job, "job.json")],
+        "portfolio": ["portfolio", portfolio_job(tmp_path)],
+        "office-table": ["office-table", "--builtin"],
+        "verify-props": ["verify-props", "--scale", "0.01"],
+    }
+    return {label: argv + ["--out", str(tmp_path / f"r{i}.json")]
+            for i, (label, argv) in enumerate(runs.items())}
 
 
-# The package modules each subcommand loads beyond ``import transrisk.cli``
-# (the package root, cli, docio and errors).  Building the parser loads
-# ``mc``, whose sample counts the --verify help states.
+# The package modules each run loads beyond ``import transrisk.cli`` (the
+# package root, cli, docio and errors).  Only gaussian-risk --verify and
+# verify-props load the sampler, mc.
 LOADED_BY = {
-    "gaussian-risk": {"gauss_transfer", "gaussian", "mc"},
-    "predict": {"divergence", "gaussian", "mc", "regression", "signature"},
-    "portfolio": {"gaussian", "mc", "portfolio"},
-    "office-table": {"gaussian", "mc", "risk"},
+    "gaussian-risk": {"gauss_transfer", "gaussian"},
+    "gaussian-risk-verify": {"gauss_transfer", "gaussian", "mc"},
+    "predict": {"divergence", "gaussian", "regression", "signature"},
+    "portfolio": {"gaussian", "portfolio"},
+    "office-table": {"risk"},
     "verify-props": {"benchmarks", "divergence", "gauss_transfer", "gaussian", "mc",
                      "portfolio", "regression", "signature"},
 }
@@ -171,21 +176,27 @@ def test_cli_import_loads_only_docio_and_errors():
     assert set(loaded_after("import transrisk.cli", ["transrisk"])) == CLI_IMPORT
 
 
-@pytest.mark.parametrize("command", list(LOADED_BY))
-def test_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
-    """portfolio loads no gauss_transfer, signature or regression; predict
-    no portfolio or gauss_transfer; office-table no gauss_transfer, whose
-    closed forms only risk's continuity probes run; and only verify-props
-    loads benchmarks."""
-    (argv,) = [argv for argv in passing_runs(tmp_path) if argv[0] == command]
-    loaded = set(cli_loads(argv, watched=("transrisk",)))
-    assert loaded == CLI_IMPORT | {f"transrisk.{name}" for name in LOADED_BY[command]}
+def test_building_the_parser_loads_only_docio_and_errors():
+    """The --verify help states no sample count, so the parser needs no mc."""
+    loaded = loaded_after("import transrisk.cli\ntransrisk.cli.build_parser()", ["transrisk"])
+    assert set(loaded) == CLI_IMPORT
+
+
+@pytest.mark.parametrize("run", list(LOADED_BY))
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, run):
+    """gaussian-risk loads mc only under --verify; portfolio loads no
+    gauss_transfer, signature or regression; predict no portfolio or
+    gauss_transfer; office-table no gauss_transfer, whose closed forms
+    only risk's continuity probes run; and only verify-props loads
+    benchmarks."""
+    loaded = set(cli_loads(passing_runs(tmp_path)[run], watched=("transrisk",)))
+    assert loaded == CLI_IMPORT | {f"transrisk.{name}" for name in LOADED_BY[run]}
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
     """With ``import scipy`` made to fail, each of the five subcommands
     still exits 0."""
-    runs = passing_runs(tmp_path)
+    runs = passing_runs(tmp_path).values()
     code = "sys.modules['scipy'] = None\nfrom transrisk import cli\n" + "".join(
         f"assert cli.main({argv!r}) == 0\n" for argv in runs)
     loaded_after(code)  # raises unless every call exits 0
@@ -197,7 +208,7 @@ def test_every_subcommand_exits_0_without_jsonschema(tmp_path):
     """Each of the five subcommands validates its spec and report and
     exits 0 without loading jsonschema."""
     code = "from transrisk import cli\n" + "".join(
-        f"assert cli.main({argv!r}) == 0\n" for argv in passing_runs(tmp_path))
+        f"assert cli.main({argv!r}) == 0\n" for argv in passing_runs(tmp_path).values())
     assert loaded_after(code, ["jsonschema"]) == []
 
 
