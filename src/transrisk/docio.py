@@ -11,9 +11,9 @@ Every document kind carries a JSON Schema with
 ``additionalProperties: false`` -- unknown fields are rejected up
 front, before any computation runs.  Reports must be finite
 everywhere: NaN or infinity anywhere in a result is a bug upstream,
-not something to serialize.  A small checker of the keywords the
-schemas use (``_accepts``) passes every valid document; jsonschema is
-imported only when the checker rejects one, to word the error.
+not something to serialize.  One walker of the eleven keywords the
+schemas use (``_errors``) judges every document and words a rejection
+as jsonschema 4.26's ``best_match`` would, so no schema package loads.
 
 CSV files are read in one place, ``_csv_rows``: it opens the file as
 UTF-8, requires a header of the reader's shape and gives every data row
@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-import functools
 import json
 import math
 import numbers
 import operator
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -237,8 +236,6 @@ REPORT_SCHEMA = {
 }
 
 
-_SCHEMAS = {**_SPEC_SCHEMAS, "report": REPORT_SCHEMA}
-
 _IS_TYPE = {
     "object": lambda value: isinstance(value, dict),
     "array": lambda value: isinstance(value, list),
@@ -257,70 +254,89 @@ def _equal(value, const) -> bool:
                               and value == const)
 
 
-def _accepts(schema: dict, value: Any) -> bool:
-    """Whether ``_validator`` would find no error in ``value``, for a
-    schema built from ``type``, ``properties``, ``required``,
-    ``additionalProperties: false``, ``items``, ``minItems``,
-    ``minimum``, ``exclusiveMinimum``, ``const``, ``enum`` and ``anyOf``
-    alone.  Each keyword is judged as jsonschema judges it, so an
-    acceptance is exact; any other keyword rejects, leaving the verdict
-    to jsonschema."""
+class _Error(NamedTuple):
+    """One keyword's failure of ``value`` under ``schema``; an ``anyOf``
+    failure's context is its branches' failures, paths relative to it."""
+
+    path: tuple
+    keyword: str
+    message: str
+    schema: dict
+    value: Any
+    context: tuple = ()
+
+
+def _messages(key: str, arg: Any, value: Any, schema: dict) -> list[str]:
+    """jsonschema 4.26's messages for a keyword that judges ``value`` alone."""
+    if key in ("required", "additionalProperties") and not isinstance(value, dict):
+        return []
+    if key == "required":
+        return [f"{name!r} is a required property" for name in arg if name not in value]
+    if key == "additionalProperties" and arg is False:
+        extras = sorted(set(value) - set(schema.get("properties", ())))
+        return [f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                f"{'was' if len(extras) == 1 else 'were'} unexpected)"] if extras else []
+    if key == "minItems":
+        bad = isinstance(value, list) and len(value) < arg
+        text = "{value!r} should be non-empty" if arg == 1 else "{value!r} is too short"
+    elif key == "minimum":
+        bad = _IS_TYPE["number"](value) and value < arg
+        text = "{value!r} is less than the minimum of {arg!r}"
+    elif key == "exclusiveMinimum":
+        bad = _IS_TYPE["number"](value) and value <= arg
+        text = "{value!r} is less than or equal to the minimum of {arg!r}"
+    elif key == "const":
+        bad, text = not _equal(value, arg), "{arg!r} was expected"
+    else:  # enum, the last keyword the schemas use (tests/test_docio.py pins the set)
+        bad = not any(_equal(value, each) for each in arg)
+        text = "{value!r} is not one of {arg!r}"
+    return [text.format(value=value, arg=arg)] if bad else []
+
+
+def _errors(schema: dict, value: Any, path: tuple, errors: list) -> list[_Error]:
+    """``errors`` with each keyword failure of ``value`` under ``schema``
+    appended in jsonschema 4.26's order (int-only ``integer``): keywords,
+    ``properties`` and ``required`` in schema order, ``items`` by index."""
     for key, arg in schema.items():
         if key == "type":
-            ok = _IS_TYPE[arg](value)
+            if not _IS_TYPE[arg](value):
+                errors.append(_Error(path, key, f"{value!r} is not of type {arg!r}", schema,
+                                     value))
         elif key == "properties":
-            ok = not isinstance(value, dict) or all(
-                _accepts(sub, value[name]) for name, sub in arg.items() if name in value)
-        elif key == "required":
-            ok = not isinstance(value, dict) or all(name in value for name in arg)
-        elif key == "additionalProperties" and arg is False:
-            ok = not isinstance(value, dict) or all(
-                name in schema.get("properties", ()) for name in value)
+            for name, sub in arg.items() if isinstance(value, dict) else ():
+                if name in value:
+                    _errors(sub, value[name], (*path, name), errors)
         elif key == "items":
-            ok = not isinstance(value, list) or all(_accepts(arg, item) for item in value)
-        elif key == "minItems":
-            ok = not isinstance(value, list) or len(value) >= arg
-        elif key == "minimum":
-            ok = not _IS_TYPE["number"](value) or not value < arg
-        elif key == "exclusiveMinimum":
-            ok = not _IS_TYPE["number"](value) or not value <= arg
-        elif key == "const":
-            ok = _equal(value, arg)
-        elif key == "enum":
-            ok = any(_equal(value, each) for each in arg)
+            for i, item in enumerate(value) if isinstance(value, list) else ():
+                _errors(arg, item, (*path, i), errors)
         elif key == "anyOf":
-            ok = any(_accepts(sub, value) for sub in arg)
+            branches = [_errors(sub, value, (), []) for sub in arg]
+            if all(branches):
+                errors.append(_Error(path, key, f"{value!r} is not valid under any of the "
+                                     "given schemas", schema, value, tuple(sum(branches, []))))
         else:
-            ok = False
-        if not ok:
-            return False
-    return True
+            for message in _messages(key, arg, value, schema):
+                errors.append(_Error(path, key, message, schema, value))
+    return errors
 
 
-@functools.cache
-def _validator(name: str):
-    """The jsonschema validator of one schema, built and checked against
-    its metaschema on first use.  Its ``integer`` takes int literals
-    only: a dimension or lag of ``2.0`` would reach code that indexes
-    with it."""
-    import jsonschema
-
-    schema = _SCHEMAS[name]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    checker = cls.TYPE_CHECKER.redefine("integer", lambda _, value: _IS_TYPE["integer"](value))
-    return jsonschema.validators.extend(cls, type_checker=checker)(schema)
+def _relevance(error: _Error) -> tuple:
+    """jsonschema's ``relevance`` key: the larger, the better the match."""
+    typed = "type" in error.schema and _IS_TYPE[error.schema["type"]](error.value)
+    return -len(error.path), error.path, error.keyword != "anyOf", not typed
 
 
-def _first_error(name: str, doc: Any):
-    """None when ``doc`` is valid under schema ``name``; otherwise the
-    error ``jsonschema.validate`` would pick.  A document the checker
-    accepts loads no jsonschema."""
-    if _accepts(_SCHEMAS[name], doc):
-        return None
-    import jsonschema
-
-    return jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+def _first_error(schema: dict, doc: Any) -> _Error | None:
+    """None when ``doc`` is valid under ``schema``, else the error
+    jsonschema's ``best_match`` picks: the most relevant, then down
+    ``anyOf`` branches while the two least relevant differ."""
+    best = max(_errors(schema, doc, (), []), key=_relevance, default=None)
+    while best is not None and best.context:
+        first, *second = sorted(best.context, key=_relevance)[:2]
+        if second and _relevance(first) == _relevance(second[0]):
+            break
+        best = first
+    return best
 
 
 def validate_spec(doc: Any) -> str:
@@ -331,7 +347,7 @@ def validate_spec(doc: Any) -> str:
     if not isinstance(kind, str) or kind not in _SPEC_SCHEMAS:
         raise ValidationError(
             f"unknown spec kind {kind!r}; expected one of {sorted(_SPEC_SCHEMAS)}")
-    error = _first_error(kind, doc)
+    error = _first_error(_SPEC_SCHEMAS[kind], doc)
     if error is not None:
         raise ValidationError(f"spec failed validation: {error.message}")
     return kind
@@ -350,7 +366,7 @@ def _check_finite(obj: Any, path: str = "$") -> None:
 
 def validate_report(doc: Any) -> None:
     """Validate a report document against the published schema."""
-    error = _first_error("report", doc)
+    error = _first_error(REPORT_SCHEMA, doc)
     if error is not None:
         raise ValidationError(f"report failed validation: {error.message}")
     _check_finite(doc)

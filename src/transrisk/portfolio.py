@@ -290,8 +290,9 @@ def _tangency(law: GaussianDist) -> np.ndarray | None:
         sd = np.sqrt(np.diag(sigma))
         ratios = np.where(sd > math.sqrt(floor), mu / sd, -math.inf)
         w = np.eye(mu.shape[0])[int(np.argmax(ratios))]
-    if float(w @ sigma @ w) <= floor:
-        raise NumericalError("the maximum-Sharpe portfolio has zero variance")
+    if float(w @ sigma @ w) <= floor:  # Σ factored, though singular up to rounding
+        raise NumericalError(UNBOUNDED if float(mu @ w) > 0.0
+                             else "the maximum-Sharpe portfolio has zero variance")
     return w
 
 

@@ -192,6 +192,25 @@ class TestGaussianRisk:
         assert within == {"kl_vs_quadrature": False, "w2_vs_sampling": True,
                           "regret_vs_loss_gap": True}
 
+    def test_verify_catches_planted_w2_fault(self, tmp_path, capsys, monkeypatch):
+        """A W closed form scaled by 1 + 5e-3 lands between 3 and 30
+        standard errors off the sampled W2 at the default seed: it fails
+        the 3σ gate and exits 4, with only the W2 entry out."""
+        from transrisk import gauss_transfer
+        from transrisk.gaussian import RiskSplit
+
+        def planted(pair, _w=gauss_transfer.basic_output_risk_w):
+            return RiskSplit(*(term * (1.0 + 5e-3) for term in _w(pair)))
+
+        monkeypatch.setattr(gauss_transfer, "basic_output_risk_w", planted)
+        spec = write_spec(tmp_path, SPECS["basic"])
+        code, report = run_report(capsys, ["gaussian-risk", spec, "--verify"])
+        assert code == 4
+        entries = {e["name"]: e for e in report["oracle_check"]["entries"]}
+        assert 3.0 < entries["w2_vs_sampling"]["sigma_gap"] < 30.0
+        assert {name: e["within"] for name, e in entries.items()} == {
+            "kl_vs_quadrature": True, "w2_vs_sampling": False, "regret_vs_loss_gap": True}
+
     def test_regret_entry_is_deterministic(self, tmp_path, capsys):
         """The regret entry carries no standard error and does not move
         with --seed."""
@@ -802,6 +821,26 @@ class TestPortfolio:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"numerical error: {UNBOUNDED}\n"
+
+    def test_singular_train_history_one_message(self, tmp_path, capsys):
+        """Train rows (0.1 + e, 0.1 − e), e ~ N(0, 0.01²), written at 8
+        decimals: Σ is singular in exact arithmetic and the equal-weight
+        portfolio returns 0.1 in every period, so the objective is
+        unbounded.  Rounding leaves Σ without a Cholesky factor at some
+        seeds and factorable at others; every seed exits 3 with one line."""
+        from transrisk.portfolio import UNBOUNDED
+
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            e = rng.normal(0.0, 0.01, size=120)
+            returns = lambda n: rng.normal(0.0005, 0.01, size=(n, 2))
+            job = {"version": 1, "kind": "portfolio_job",
+                   "source_csv": write_returns_csv(tmp_path / "source.csv", returns(300)),
+                   "target_train_csv": write_returns_csv(tmp_path / "train.csv",
+                                                         np.column_stack([0.1 + e, 0.1 - e])),
+                   "target_test_csv": write_returns_csv(tmp_path / "test.csv", returns(150))}
+            assert main(["portfolio", write_spec(tmp_path, job, "flat.json")]) == 3, seed
+            assert capsys.readouterr() == ("", f"numerical error: {UNBOUNDED}\n"), seed
 
     def test_one_pipeline_estimates_each_history_once(self, tmp_path, capsys,
                                                        monkeypatch):

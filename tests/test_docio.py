@@ -2,8 +2,10 @@
 
 import csv
 import datetime
+import functools
 import json
 import math
+import random
 import warnings
 
 import numpy as np
@@ -146,6 +148,7 @@ GOOD_JOBS = {
 }
 GOOD_REPORT = {"version": 1, "kind": "office_table_report", "inputs": {}, "results": {},
                "provenance": {"tool": "transrisk", "tool_version": "0.1.0", "seed": None}}
+SCHEMAS = {**docio._SPEC_SCHEMAS, "report": docio.REPORT_SCHEMA}
 ORACLE_ENTRY = {"name": "x", "closed_form": 1.0, "oracle": 1.0, "abs_gap": 0.0,
                 "sigma_gap": 0.0, "within": True}
 
@@ -187,11 +190,13 @@ class TestValidationMessages:
         dict(GOOD_JOBS["regression_job"], source_csvs=[]),
         dict(GOOD_JOBS["regression_job"], lambda_source=0),
         dict(GOOD_JOBS["portfolio_job"], seed=None),
+        dict(GOOD_SPEC, zeta=1, alpha=2, mid=3, beta=4),
+        {k: v for k, v in GOOD_SPEC.items() if k not in ("case", "target")},
     ])
     def test_bad_spec(self, bad):
         with pytest.raises(ValidationError) as info:
             validate_spec(bad)
-        expected = self.stock_message(bad, docio._SCHEMAS[bad["kind"]])
+        expected = self.stock_message(bad, SCHEMAS[bad["kind"]])
         assert str(info.value) == f"spec failed validation: {expected}"
 
     @pytest.mark.parametrize("change", [
@@ -213,7 +218,7 @@ class TestValidationMessages:
         assert str(info.value) == f"report failed validation: {expected}"
 
 
-# the keywords docio._accepts judges, and the type names it knows
+# the keywords docio._errors judges, and the type names it knows
 CHECKED_KEYWORDS = {"type", "properties", "required", "additionalProperties", "items",
                     "minItems", "minimum", "exclusiveMinimum", "const", "enum", "anyOf"}
 TYPE_NAMES = {"object", "array", "string", "boolean", "null", "integer", "number"}
@@ -227,12 +232,30 @@ def subschemas(schema):
         yield from subschemas(sub)
 
 
+@functools.cache
+def reference_validator(name):
+    """jsonschema's validator of schema ``name``, with the int-only ``integer``."""
+    schema = SCHEMAS[name]
+    return int_only_validator(schema)(schema)
+
+
+def agrees(schema, validator, doc) -> bool:
+    """Asserts that docio and jsonschema's ``best_match`` under
+    ``validator`` agree on ``doc`` under ``schema``, in verdict, message
+    and path of the reported error, and returns the verdict."""
+    import jsonschema
+
+    error = docio._first_error(schema, doc)
+    expected = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    assert (error is None) == (expected is None), (schema, doc)
+    if error is not None:
+        assert (error.message, error.path) == (expected.message, tuple(expected.path)), \
+            (schema, doc)
+    return error is None
+
+
 def same_verdict(name, doc) -> bool:
-    """Asserts that the checker and jsonschema agree on ``doc`` under
-    schema ``name``, and returns their verdict."""
-    accepted = docio._accepts(docio._SCHEMAS[name], doc)
-    assert accepted == docio._validator(name).is_valid(doc), f"{name}: {doc!r}"
-    return accepted
+    return agrees(SCHEMAS[name], reference_validator(name), doc)
 
 
 DROP = object()
@@ -303,20 +326,21 @@ def emitted_reports(tmp_path):
 
 
 class TestSchemaChecker:
-    """``docio._accepts`` stands in for jsonschema on valid documents;
-    jsonschema runs only to word a rejection.  These tests hold the
-    checker to jsonschema's verdict and the schemas to its keywords."""
+    """``docio`` validates with its own walker of the schemas' keywords;
+    jsonschema is the test-side reference.  These tests hold the walker
+    to jsonschema's verdict and to the message and path of its
+    ``best_match``, and the schemas to the walker's keywords."""
 
-    @pytest.mark.parametrize("name", sorted(docio._SCHEMAS))
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
     def test_schema_passes_its_metaschema(self, name):
         import jsonschema
 
-        schema = docio._SCHEMAS[name]
+        schema = SCHEMAS[name]
         jsonschema.validators.validator_for(schema).check_schema(schema)
 
-    @pytest.mark.parametrize("name", sorted(docio._SCHEMAS))
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
     def test_schema_uses_only_checked_keywords(self, name):
-        for schema in subschemas(docio._SCHEMAS[name]):
+        for schema in subschemas(SCHEMAS[name]):
             assert set(schema) <= CHECKED_KEYWORDS, schema
             assert schema.get("type", "null") in TYPE_NAMES, schema
             assert schema.get("additionalProperties", False) is False, schema
@@ -343,6 +367,47 @@ class TestSchemaChecker:
             verdicts.append(same_verdict(name, doc))
         assert len(verdicts) >= 10_000
         assert verdicts.count(True) >= 3_000 and verdicts.count(False) >= 3_000
+
+    def test_agrees_with_jsonschema_on_random_schemas(self):
+        """5,000 random schemas of the eleven keywords, nested up to three
+        deep, each judging a random value: keywords next to ``anyOf``,
+        ``anyOf`` inside ``anyOf`` and ties between branches, which the
+        package's four schemas do not reach."""
+        rng = random.Random(SEED)
+        leaves = [*({"type": name} for name in sorted(TYPE_NAMES)), {"minimum": 1},
+                  {"exclusiveMinimum": 0}, {"const": 1}, {"const": "a"}, {"enum": ["a", 2]},
+                  {"minItems": 1}, {"minItems": 2}, {"required": ["b", "a"]},
+                  {"additionalProperties": False}]
+
+        def schema(depth):
+            out = {}
+            for _ in range(rng.randint(1, 3)):
+                pick = rng.randrange(4 if depth else 1)
+                if pick == 0:
+                    out.update(rng.choice(leaves))
+                elif pick == 1:
+                    out["properties"] = {key: schema(depth - 1)
+                                         for key in rng.sample("abc", rng.randint(1, 2))}
+                elif pick == 2:
+                    out["items"] = schema(depth - 1)
+                else:
+                    out["anyOf"] = [schema(depth - 1) for _ in range(rng.randint(1, 3))]
+            return out
+
+        def value(depth):
+            pick = rng.randrange(10 if depth else 8)
+            if pick < 8:
+                return [None, True, 0, 1, 2.5, -1, "a", "b"][pick]
+            if pick == 8:
+                return [value(depth - 1) for _ in range(rng.randint(0, 3))]
+            return {key: value(depth - 1) for key in rng.sample("abcd", rng.randint(0, 3))}
+
+        cls = int_only_validator({})
+        verdicts = []
+        for _ in range(5_000):
+            sch = schema(3)
+            verdicts.append(agrees(sch, cls(sch), value(3)))
+        assert verdicts.count(True) >= 1_000 and verdicts.count(False) >= 1_000
 
     def test_agrees_with_jsonschema_on_reports(self, tmp_path):
         """Every report of ``emitted_reports``, its hand-mutated variants

@@ -13,6 +13,7 @@ from transrisk.gaussian import (
     GaussianDist,
     GaussianJointTask,
     RANK_REL_TOL,
+    SYMMETRY_TOL,
     chol_solve,
     cholesky_with_jitter,
     compose_affine,
@@ -256,6 +257,24 @@ class TestPushforward:
         direct = pushforward_affine(compose_affine(outer, inner), law)
         np.testing.assert_allclose(two_steps.mean, direct.mean, atol=1e-10)
         np.testing.assert_allclose(two_steps.cov, direct.cov, atol=1e-10)
+
+    def test_large_weights_push_to_an_exactly_symmetric_law(self):
+        """With weights of scale 1e2, rounding leaves the product WΣWᵀ
+        asymmetric beyond SYMMETRY_TOL in some of 200 draws; the
+        pushforward still accepts each and returns an exactly symmetric
+        covariance."""
+        rng = np.random.default_rng(12)
+        beyond = 0
+        for _ in range(200):
+            d, l = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            a = rng.normal(size=(d, d))
+            law = GaussianDist(rng.normal(size=d), a @ a.T + 0.3 * np.eye(d))
+            weight = 1e2 * rng.normal(size=(l, d))
+            product = weight @ law.cov @ weight.T
+            beyond += float(np.max(np.abs(product - product.T))) > SYMMETRY_TOL
+            out = pushforward_affine(AffineModel(weight, np.zeros(l)), law)
+            assert np.array_equal(out.cov, out.cov.T)
+        assert beyond >= 5
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="model expects inputs of dim 2, got 1"):

@@ -1,5 +1,5 @@
-"""Import surface: no command loads scipy, and jsonschema loads only to
-word the error of a rejected document, never in a run that exits 0.
+"""Import surface: no command loads scipy or jsonschema, whether it
+exits 0 or rejects its spec; docio words its own rejections.
 Every solver, closed form and --verify oracle runs on numpy; scipy is a
 test-only dependency, the reference some tests check against.  The
 cubature oracles build their points with numpy alone, so neither the
@@ -79,7 +79,7 @@ def test_gaussian_risk_without_verify_skips_oracle_modules(tmp_path):
     spec = write_spec(tmp_path, BASIC_SPEC)
     loaded = cli_loads(["gaussian-risk", spec, "--out", str(tmp_path / "r.json")])
     assert scipy_modules(loaded) == []
-    assert "jsonschema" not in loaded  # docio's checker accepted the spec and report
+    assert "jsonschema" not in loaded
 
 
 @pytest.mark.parametrize("case", list(SPECS))
@@ -212,16 +212,34 @@ def test_every_subcommand_exits_0_without_jsonschema(tmp_path):
     assert loaded_after(code, ["jsonschema"]) == []
 
 
-def test_rejected_spec_loads_jsonschema_for_its_message(tmp_path):
-    """A spec the checker rejects exits 2 in a fresh interpreter with
-    jsonschema's message for it, the line the CLI has always printed."""
-    spec = write_spec(tmp_path, dict(BASIC_SPEC, source=dict(BASIC_SPEC["source"], dim_x=2.0)))
-    code = ("import contextlib, io\nfrom transrisk import cli\nerr = io.StringIO()\n"
-            "with contextlib.redirect_stderr(err):\n"
-            f"    assert cli.main(['gaussian-risk', {spec!r}]) == 2\n"
-            "assert err.getvalue() == ('validation error: spec failed validation: '\n"
-            "                          \"2.0 is not of type 'integer'\\n\"), err.getvalue()\n")
-    assert "jsonschema" in loaded_after(code, ["jsonschema"])
+# a spec of each kind that fails its schema, and the message it exits 2 with
+REJECTED = {
+    "gaussian-risk": (dict(BASIC_SPEC, source=dict(BASIC_SPEC["source"], dim_x=2.0)),
+                      "2.0 is not of type 'integer'"),
+    "predict": ({"version": 1, "kind": "regression_job", "source_csvs": ["a.csv"],
+                 "target_csv": "t.csv", "lag": 2, "order": 0.5, "split_date": "2024-01-01"},
+                "0.5 is not valid under any of the given schemas"),
+    "portfolio": ({"version": 1, "kind": "portfolio_job", "source_csv": "s.csv",
+                   "target_train_csv": "tr.csv", "target_test_csv": "te.csv", "seed": -1},
+                  "-1 is less than the minimum of 0"),
+}
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["loadable", "blocked"])
+def test_rejected_specs_exit_2_without_jsonschema(tmp_path, blocked):
+    """A spec of each kind that fails its schema exits 2 with the line
+    jsonschema's ``best_match`` words for it, in a fresh interpreter,
+    and loads no jsonschema, even with ``import jsonschema`` made to
+    fail."""
+    code = ("import contextlib, io\n" + "sys.modules['jsonschema'] = None\n" * blocked
+            + "from transrisk import cli\n")
+    for command, (doc, message) in REJECTED.items():
+        spec = write_spec(tmp_path, doc, f"{command}.json")
+        line = f"validation error: spec failed validation: {message}\n"
+        code += ("err = io.StringIO()\nwith contextlib.redirect_stderr(err):\n"
+                 f"    assert cli.main([{command!r}, {spec!r}]) == 2\n"
+                 f"assert err.getvalue() == {line!r}, err.getvalue()\n")
+    assert loaded_after(code, ["jsonschema"]) == ["jsonschema"] * blocked  # the None entry
 
 
 def imports_of(tree: ast.AST, package: str) -> list[ast.stmt]:
@@ -233,21 +251,12 @@ def imports_of(tree: ast.AST, package: str) -> list[ast.stmt]:
             or isinstance(node, ast.ImportFrom) and node.level == 0 and loads(node.module)]
 
 
-def test_jsonschema_is_imported_only_on_the_reject_path():
-    """``import jsonschema`` is a statement of ``docio._validator`` and of
-    ``docio._first_error``, there after the early return of an accepted
-    document, and appears nowhere else in the package."""
-    places = {}
+def test_no_module_imports_jsonschema():
+    """docio validates and words rejections itself: no module of the
+    package imports jsonschema, anywhere."""
     for path in sorted(Path(SRC, "transrisk").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
-        for node in imports_of(tree, "jsonschema"):
-            owner = next((f for f in funcs if node in f.body), None)
-            assert owner is not None, f"{path.name}:{node.lineno}"
-            places[path.name, owner.name] = owner.body[:owner.body.index(node)]
-    assert sorted(places) == [("docio.py", "_first_error"), ("docio.py", "_validator")]
-    accept = places["docio.py", "_first_error"][-1]
-    assert isinstance(accept, ast.If) and isinstance(accept.body[-1], ast.Return)
+        assert imports_of(tree, "jsonschema") == [], path.name
 
 
 @pytest.mark.parametrize("path", sorted(Path(SRC, "transrisk").glob("*.py")),
@@ -257,13 +266,25 @@ def test_no_module_imports_scipy(path):
     assert imports_of(tree, "scipy") == []
 
 
-def test_scipy_is_a_test_dependency_only():
+def requirement_names(key: str) -> list[str]:
+    """The names of pyproject's requirements under ``key``: "runtime",
+    or an extra."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml")
                             .read_text())["project"]
-    requirement_names = lambda reqs: [re.match(r"[A-Za-z0-9_.-]+", r).group() for r in reqs]
-    assert "scipy" not in requirement_names(project["dependencies"])
-    assert "scipy" in requirement_names(project["optional-dependencies"]["test"])
+    reqs = project["dependencies"] if key == "runtime" else project["optional-dependencies"][key]
+    return [re.match(r"[A-Za-z0-9_.-]+", r).group() for r in reqs]
+
+
+def test_scipy_is_a_test_dependency_only():
+    assert "scipy" not in requirement_names("runtime")
+    assert "scipy" in requirement_names("test")
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """jsonschema is the test-side reference of docio's messages only."""
+    assert requirement_names("runtime") == ["numpy"]
+    assert "jsonschema" in requirement_names("test")
 
 
 DECOMPOSITIONS = {"cholesky", "eigh", "eigvalsh", "slogdet"}

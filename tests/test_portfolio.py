@@ -191,8 +191,7 @@ def assert_outcome_follows_linear_program(rows) -> bool:
     lp = linprog(-mu, A_eq=np.vstack([rows - rows.mean(axis=0), np.ones(d)]),
                  b_eq=[*np.zeros(n), 1.0], bounds=(0.0, None))
     if lp.status == 0 and -lp.fun > 0.0:
-        with pytest.raises(NumericalError, match="objective is unbounded"
-                           "|maximum-Sharpe portfolio has zero variance"):
+        with pytest.raises(NumericalError, match="objective is unbounded"):
             sharpe_optimize(law)
         return True
     w = sharpe_optimize(law).weights
