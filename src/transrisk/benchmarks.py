@@ -228,9 +228,10 @@ def ridge_transfer_study() -> list[RidgeStudyCell]:
         train = RegressionDataset(target.features[:split], target.targets[:split])
         test = RegressionDataset(target.features[split:], target.targets[split:])
 
-        fit = ridge_transfer(concat_datasets(source_sets), train, test)
-        cells.append(RidgeStudyCell(seed, evaluate(fit.direct, fit.test).mse,
-                                    evaluate(fit.transfer, fit.test).mse))
+        (fit,) = ridge_transfer(concat_datasets(source_sets), train, test,
+                                [train.n_features])
+        cells.append(RidgeStudyCell(seed, evaluate(fit.direct, fit.test, fit.test_stats).mse,
+                                    evaluate(fit.transfer, fit.test, fit.test_stats).mse))
     return cells
 
 

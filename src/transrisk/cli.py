@@ -266,23 +266,16 @@ def cmd_predict(args) -> int:
         DEFAULT_SOURCE_LAMBDA,
         DEFAULT_TRANSFER_LAMBDA,
         RegressionDataset,
-        concat_datasets,
         evaluate,
         ridge_transfer,
         signature_dataset,
-        transfer_output_risk,
     )
-    from .signature import signature_dim, write_features_csv
+    from .signature import signature_dim, word_labels, write_features_csv
 
-    def rows(data: RegressionDataset, mask: np.ndarray, dim: int) -> RegressionDataset:
-        """The rows of ``data`` picked by ``mask``, with its first ``dim`` feature columns."""
-        return RegressionDataset(data.features[:, :dim][mask], data.targets[mask])
-
-    def metrics_doc(theta, test: RegressionDataset) -> dict:
-        m = evaluate(theta, test)
-        return {"mse": m.mse, "r2": m.r2, "corr": m.corr,
-                "corr_defined": bool(m.corr_defined),
-                "transfer_risk": transfer_output_risk(theta, test)}
+    def pooled(*parts) -> RegressionDataset:
+        """The rows of each (dataset, mask) part that its mask picks, stacked."""
+        return RegressionDataset(np.vstack([data.features[mask] for data, mask in parts]),
+                                 np.concatenate([data.targets[mask] for data, mask in parts]))
 
     doc = _load_spec(args.job, "regression_job")
     try:
@@ -297,19 +290,25 @@ def cmd_predict(args) -> int:
     # Each CSV is read once, and each (asset, lag) gets one feature matrix
     # at the top order: order m is its first signature_dim(3, m) columns,
     # since level m of a Chen product uses only levels <= m.
-    series: dict = {}    # path -> (dates, log close and volume)
+    series: dict = {}    # path -> (dates, log close and volume, rows before split)
     at_lag: dict = {}    # path -> (signature dataset, rows before split) at this lag
 
     def windows(path: str, lag: int):
         if path not in at_lag:
             if path not in series:
                 dates, closes, volumes = read_price_volume_csv(path)
-                series[path] = dates, np.column_stack([np.log(closes), np.log(volumes)])
-            dates, log_pv = series[path]
-            sig = signature_dataset(log_pv, lag, orders[-1], dates)
-            at_lag[path] = sig, np.array([d < split_date for d in sig.end_dates])
+                series[path] = (dates, np.column_stack([np.log(closes), np.log(volumes)]),
+                                np.array([d < split_date for d in dates]))
+            _, log_pv, before = series[path]
+            # row i of the dataset is the window ending at row lag - 1 + i
+            at_lag[path] = signature_dataset(log_pv, lag, orders[-1]), before[lag - 1:-1]
         return at_lag[path]
 
+    # Each lag pools, cuts and standardizes its rows once, at the top
+    # order, and ridge_transfer factors each ridge system once; every
+    # order reads the leading signature_dim(3, m) columns.
+    dims = [signature_dim(3, order) for order in orders]
+    labels = word_labels(3, orders[-1])
     grid = []
     target_features = None
     for lag in lags:
@@ -327,20 +326,17 @@ def cmd_predict(args) -> int:
         if args.features_out and target_features is None:
             target_features = target.features
 
-        for order in orders:
-            dim = signature_dim(3, order)
-            train = rows(target.data, before, dim)
-            test = rows(target.data, ~before, dim)
-            fit = ridge_transfer(concat_datasets(rows(d, m, dim) for d, m in sources),
-                                 train, test, lam_s, lam_t)
+        train, test = pooled((target.data, before)), pooled((target.data, ~before))
+        fits = ridge_transfer(pooled(*sources), train, test, dims, lam_s, lam_t, labels)
+        for order, dim, fit in zip(orders, dims, fits):
             grid.append({
                 "lag": lag,
                 "order": order,
                 "feature_dim": dim,
                 "train_rows": train.n_rows,
                 "test_rows": test.n_rows,
-                "direct": metrics_doc(fit.direct, fit.test),
-                "transfer": metrics_doc(fit.transfer, fit.test),
+                "direct": evaluate(fit.direct, fit.test, fit.test_stats)._asdict(),
+                "transfer": evaluate(fit.transfer, fit.test, fit.test_stats)._asdict(),
                 "target_standardization": {"mean": fit.y_mean, "std": fit.y_std},
             })
 

@@ -12,9 +12,19 @@ the pipeline standardizes every split by its training statistics, so on
 the training rows the features and the target have mean zero, and the
 best unpenalized intercept there is exactly zero.
 
-Evaluation reports mean squared error, R², and the Pearson correlation
-between predictions and realized targets; the correlation is flagged
-undefined (and reported as 0) when either side is constant.
+``ridge_transfer`` fits several feature widths at once, each a leading
+block of the widest columns (a lower signature order reads the leading
+columns of a higher one).  Column statistics are per column, so each
+split is standardized once, at the widest width; each system
+X'X/T + λI is factored once, and every width solves with the leading
+block of that factor.
+
+Evaluation reports mean squared error, R², the Pearson correlation
+between predictions and realized targets, and the transfer risk (W_2^2
+between their empirical laws), from one set of predictions and from
+statistics of the test targets computed once for every fit scored on
+them; the correlation is flagged undefined (and reported as 0) when
+either side is constant.
 
 ``signature_dataset`` builds the datasets the return-prediction
 pipelines fit: windowed signature features of a log price and volume
@@ -23,12 +33,13 @@ path, each paired with the next period's log return.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import wp_empirical_1d
+from .divergence import EmpiricalSample1D, wp_empirical_1d
 from .errors import ValidationError
 from .gaussian import cholesky_with_jitter, chol_solve
 from .signature import windowed_signature_features
@@ -89,21 +100,18 @@ class SignatureDataset(NamedTuple):
 
     features: np.ndarray        # one row per window
     data: RegressionDataset     # every window but the last, with its next log return
-    end_dates: list             # the window-end date of each row of ``data``
 
 
-def signature_dataset(log_pv: np.ndarray, lag: int, order: int,
-                      dates=None) -> SignatureDataset:
+def signature_dataset(log_pv: np.ndarray, lag: int, order: int) -> SignatureDataset:
     """Windowed signature features paired with next-period log returns.
 
     The feature row of the window ending at t predicts the return over
-    (t, t+1].  ``dates``, one per row of ``log_pv``, gives the rows'
-    window-end dates; without it ``end_dates`` is empty.
+    (t, t+1], so row i of ``data`` is the window ending at row
+    lag − 1 + i of ``log_pv``, for every row but the last.
     """
     features = windowed_signature_features(log_pv, lag, order)
     y = np.diff(log_pv[:, 0])[lag - 1:]
-    end_dates = [] if dates is None else dates[lag - 1:len(dates) - 1]
-    return SignatureDataset(features, RegressionDataset(features[:-1], y), end_dates)
+    return SignatureDataset(features, RegressionDataset(features[:-1], y))
 
 
 class Standardizer:
@@ -111,7 +119,8 @@ class Standardizer:
 
     Constant columns (std below 1e-12) are dropped; ``kept`` records the
     surviving column mask so the same columns can be selected from any
-    later split.  Statistics are learned once and reused, never refit on
+    later split, and ``standardized`` holds the training split itself,
+    transformed.  Statistics are learned once and reused, never refit on
     test data.
     """
 
@@ -120,14 +129,12 @@ class Standardizer:
         if data.ndim != 2 or data.shape[0] < 1:
             raise ValidationError("standardizer needs a nonempty 2-D array")
         mean = data.mean(axis=0)
-        std = data.std(axis=0)
+        centred = data - mean
+        std = np.sqrt(np.mean(centred * centred, axis=0))  # data.std(axis=0), bit for bit
         self.kept = std > 1e-12
         self.mean = mean[self.kept]
         self.std = std[self.kept]
-
-    @property
-    def n_kept(self) -> int:
-        return int(self.kept.sum())
+        self.standardized = centred[:, self.kept] / self.std
 
     def transform(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=float)
@@ -137,78 +144,146 @@ class Standardizer:
         return (data[:, self.kept] - self.mean) / self.std
 
 
-def ridge_fit(data: RegressionDataset, lam: float,
-              anchor: np.ndarray | None = None) -> np.ndarray:
-    """Unique minimizer of the penalized least-squares objective.
+def ridge_fit(data: RegressionDataset, lam: float, widths=None,
+              anchors=None) -> list[np.ndarray]:
+    """Unique minimizers of the penalized least-squares objective on the
+    leading ``widths`` columns of ``data``, one parameter per width.
 
-    Solves (X'X/T + λI)θ = X'y/T + λ·anchor by Cholesky; anchor = 0
-    recovers plain ridge.  The anchor, when given, must have one entry
-    per feature.
+    Width k solves (X'X/T + λI)θ = X'y/T + λ·anchor over the first k
+    columns by Cholesky; anchor = 0 recovers plain ridge.  ``widths``
+    defaults to every column; ``anchors``, when given, holds one anchor
+    per width, with one entry per column of that width.
+
+    Each width's matrix is the leading block of the widest one, and the
+    leading block of a Cholesky factor is the factor of the leading
+    block (Golub & Van Loan, *Matrix Computations*, §4.2), so the widest
+    system is factored once and every width solves with a block of that
+    factor.  Each width's residual is gated on its own system, so a
+    jitter retry on the widest system is judged at every width.
     """
     if not lam > 0.0:
         raise ValidationError(f"lambda must be positive, got {lam}")
-    x = data.features
-    t, d = x.shape
-    if anchor is None:
-        anchor = np.zeros(d)
+    d = data.n_features
+    widths = [d] if widths is None else [int(k) for k in widths]
+    if not widths or not all(0 <= k <= d for k in widths):
+        raise ValidationError(f"widths {widths} do not fit {d} features")
+    if anchors is None:
+        anchors = [np.zeros(k) for k in widths]
     else:
-        anchor = np.asarray(anchor, dtype=float)
-        if anchor.shape != (d,):
-            raise ValidationError(f"anchor must have length {d}, got {anchor.shape}")
-    lhs = x.T @ x / t + lam * np.eye(d)
-    rhs = x.T @ data.targets / t + lam * anchor
-    theta = chol_solve(cholesky_with_jitter(lhs), rhs)
-    residual = float(np.linalg.norm(lhs @ theta - rhs))
-    scale = max(float(np.linalg.norm(rhs)), 1e-30)
-    if residual > 1e-8 * scale:
-        raise ValidationError(
-            f"normal equations solved to relative residual {residual / scale:.3e} only")
-    return theta
+        anchors = [np.asarray(a, dtype=float) for a in anchors]
+        if len(anchors) != len(widths):
+            raise ValidationError(f"{len(anchors)} anchors for {len(widths)} widths")
+        for k, anchor in zip(widths, anchors):
+            if anchor.shape != (k,):
+                raise ValidationError(f"anchor must have length {k}, got {anchor.shape}")
+    top = max(widths)
+    x = data.features[:, :top]
+    t = x.shape[0]
+    lhs = x.T @ x / t + lam * np.eye(top)
+    moment = x.T @ data.targets / t
+    chol = cholesky_with_jitter(lhs)
+    thetas = []
+    for k, anchor in zip(widths, anchors):
+        rhs = moment[:k] + lam * anchor
+        theta = chol_solve(chol[:k, :k], rhs)
+        _gate_residual(lhs[:k, :k] @ theta - rhs, rhs)
+        thetas.append(theta)
+    return thetas
+
+
+def _gate_residual(residual: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise unless ‖residual‖ ≤ 1e-8·‖rhs‖.  Both vectors are divided by
+    max|rhs| before their norms are taken, so that however large λ makes
+    the system, the sums of squares cannot overflow."""
+    scale = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
+    residual, rhs = residual / scale, rhs / scale
+    ratio = math.sqrt(float(residual @ residual) / max(float(rhs @ rhs), 1e-60))
+    if ratio > 1e-8:
+        raise ValidationError(f"normal equations solved to relative residual {ratio:.3e} only")
+
+
+class TargetStats(NamedTuple):
+    """Statistics of a held-out target vector, computed once and shared
+    by every fit scored on it."""
+
+    centred: np.ndarray          # y − mean(y)
+    ss_tot: float                # Σ(y − mean(y))²
+    std: float                   # population standard deviation
+    sample: EmpiricalSample1D    # y, validated once for the transport cost
+
+
+def target_stats(targets: np.ndarray) -> TargetStats:
+    centred = targets - targets.mean()
+    ss_tot = float(centred @ centred)
+    return TargetStats(centred, ss_tot, math.sqrt(ss_tot / targets.shape[0]),
+                       EmpiricalSample1D(targets))
 
 
 class TransferFit(NamedTuple):
-    """Direct and anchored fits of one target; ``test`` and the metrics
-    on it are in units of the target-train standardization."""
+    """Direct and anchored fits of one target at one width; ``test`` and
+    the metrics on it are in units of the target-train standardization,
+    and ``test_stats`` are the statistics of its targets."""
 
     direct: np.ndarray
     transfer: np.ndarray
     test: RegressionDataset
+    test_stats: TargetStats
     y_mean: float
     y_std: float
 
 
-def _standardized(fit: RegressionDataset, *others: RegressionDataset):
-    """``fit`` and ``others`` standardized by ``fit``'s column and target
-    statistics; a target std at or below 1e-12 is taken as 1."""
+def _standardized(fit: RegressionDataset):
+    """``fit`` standardized by its own column and target statistics, with
+    those statistics; a target std at or below 1e-12 is taken as 1."""
     columns = Standardizer(fit.features)
     y_mean = float(fit.targets.mean())
     y_std = float(fit.targets.std())
     if y_std <= 1e-12:
         y_std = 1.0
-    return columns, y_mean, y_std, [
-        RegressionDataset(columns.transform(d.features), (d.targets - y_mean) / y_std)
-        for d in (fit, *others)]
+    return columns, y_mean, y_std, RegressionDataset(columns.standardized,
+                                                     (fit.targets - y_mean) / y_std)
 
 
 def ridge_transfer(source: RegressionDataset, train: RegressionDataset,
-                   test: RegressionDataset, lam_source: float = DEFAULT_SOURCE_LAMBDA,
-                   lam_transfer: float = DEFAULT_TRANSFER_LAMBDA) -> TransferFit:
+                   test: RegressionDataset, widths,
+                   lam_source: float = DEFAULT_SOURCE_LAMBDA,
+                   lam_transfer: float = DEFAULT_TRANSFER_LAMBDA,
+                   labels=None) -> list[TransferFit]:
     """Standardize, pretrain on the pooled source, then fit the target
-    directly and anchored to the pretrained parameter.
+    directly and anchored to the pretrained parameter, once for each of
+    the leading ``widths`` feature columns.
 
     The source is standardized by its own statistics, the target train
-    and test sets by the target train's.  The anchor is plain ridge on the
-    pooled source; the direct fit uses ``lam_source``.
+    and test sets by the target train's.  Statistics are per column, so
+    each split is standardized once and a width's block is the leading
+    kept columns.  The anchor is plain ridge on the pooled source; the
+    direct fit uses ``lam_source``.  Each of the three ridge systems
+    (source at ``lam_source``, train at ``lam_source`` and at
+    ``lam_transfer``) is factored once, by ``ridge_fit``.
+
+    Source and target must keep the same columns, or the anchor would
+    pull on other features; ``labels``, one per column, names the first
+    column they disagree on.
     """
-    src_columns, _, _, (source_std,) = _standardized(source)
-    tgt_columns, y_mean, y_std, (train_std, test_std) = _standardized(train, test)
-    if src_columns.n_kept != tgt_columns.n_kept:
+    top = max(widths)
+    src_columns, _, _, source_std = _standardized(source)
+    tgt_columns, y_mean, y_std, train_std = _standardized(train)
+    src_kept, tgt_kept = src_columns.kept[:top], tgt_columns.kept[:top]
+    if not np.array_equal(src_kept, tgt_kept):
+        i = int(np.flatnonzero(src_kept != tgt_kept)[0])
         raise ValidationError(
-            "source and target standardizers dropped different feature columns")
-    return TransferFit(
-        ridge_fit(train_std, lam_source),
-        ridge_fit(train_std, lam_transfer, anchor=ridge_fit(source_std, lam_source)),
-        test_std, y_mean, y_std)
+            "source and target standardizers dropped different feature columns: "
+            f"{f'column {i}' if labels is None else labels[i]} is kept by the "
+            f"{'source' if src_kept[i] else 'target'} only")
+    kept = [int(tgt_kept[:w].sum()) for w in widths]
+    anchors = ridge_fit(source_std, lam_source, kept)
+    direct = ridge_fit(train_std, lam_source, kept)
+    transfer = ridge_fit(train_std, lam_transfer, kept, anchors)
+    test_x = tgt_columns.transform(test.features)
+    test_y = (test.targets - y_mean) / y_std
+    stats = target_stats(test_y)
+    return [TransferFit(d, t, RegressionDataset(test_x[:, :k], test_y), stats, y_mean, y_std)
+            for k, d, t in zip(kept, direct, transfer)]
 
 
 def predict(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -222,32 +297,37 @@ def predict(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
 
 
 class EvalMetrics(NamedTuple):
+    """``transfer_risk`` is the empirical output transport cost: W_2^2
+    between the empirical laws of the predictions and of the realized
+    targets (a label-anchored surrogate for the unobservable
+    optimal-output law)."""
+
     mse: float
     r2: float
     corr: float
     corr_defined: bool
+    transfer_risk: float
 
 
-def evaluate(theta: np.ndarray, test: RegressionDataset) -> EvalMetrics:
-    """MSE, R², and prediction/target correlation on a held-out set."""
+def evaluate(theta: np.ndarray, test: RegressionDataset,
+             stats: TargetStats | None = None) -> EvalMetrics:
+    """MSE, R², prediction/target correlation and transfer risk on a
+    held-out set, from one set of predictions.
+
+    ``stats``, the statistics of ``test``'s targets, are computed when not
+    given.  The correlation comes from the centred sums, clipped to
+    [−1, 1]."""
+    stats = target_stats(test.targets) if stats is None else stats
     preds = predict(theta, test.features)
+    n = preds.shape[0]
     resid = preds - test.targets
-    mse = float(np.mean(resid ** 2))
-    ss_tot = float(np.sum((test.targets - test.targets.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0.0 else 0.0
-    sp = float(np.std(preds))
-    st = float(np.std(test.targets))
-    if sp <= 1e-15 or st <= 1e-15:
-        return EvalMetrics(mse, r2, 0.0, False)
-    corr = float(np.corrcoef(preds, test.targets)[0, 1])
-    return EvalMetrics(mse, r2, corr, True)
-
-
-def transfer_output_risk(theta: np.ndarray, test: RegressionDataset) -> float:
-    """Empirical output transport cost of a fitted model on a test set.
-
-    W_2^2 between the empirical law of predictions and the empirical law
-    of realized targets (label-anchored surrogate for the unobservable
-    optimal-output law).
-    """
-    return wp_empirical_1d(predict(theta, test.features), test.targets, 2.0)
+    ss_res = float(resid @ resid)
+    mse = ss_res / n
+    r2 = 1.0 - ss_res / stats.ss_tot if stats.ss_tot > 0.0 else 0.0
+    risk = wp_empirical_1d(preds, stats.sample, 2.0)
+    centred = preds - preds.mean()
+    ss_pred = float(centred @ centred)
+    if math.sqrt(ss_pred / n) <= 1e-15 or stats.std <= 1e-15:
+        return EvalMetrics(mse, r2, 0.0, False, risk)
+    corr = float(centred @ stats.centred) / math.sqrt(ss_pred * stats.ss_tot)
+    return EvalMetrics(mse, r2, min(1.0, max(-1.0, corr)), True, risk)

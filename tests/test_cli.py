@@ -693,6 +693,52 @@ class TestPredict:
         (cell,) = report["results"]["grid"]
         assert cell["target_standardization"] == {"mean": 0.0, "std": 1.0}
 
+    @pytest.mark.parametrize("lam", [1e200, 1e308])
+    def test_huge_transfer_lambda_gates_without_overflow(self, prediction_job, capsys, lam):
+        """At λ_transfer = 1e200 the squares of the normal equations'
+        residual and right-hand side overflow; the gate scales both by
+        max|rhs| first, so the run exits 0 with nothing on stderr."""
+        tmp_path, job = prediction_job
+        spec = write_spec(tmp_path, dict(job, lambda_transfer=lam), "huge_lambda.json")
+        code, report = run_report(capsys, ["predict", spec])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        (cell,) = report["results"]["grid"]
+        assert all(math.isfinite(cell["transfer"][key]) for key in ("mse", "r2", "corr"))
+
+    def test_anchor_on_other_columns_exit_2(self, tmp_path, capsys):
+        """The source's volume is flat, and so is the target's close before
+        the split date: each drops nine words and keeps four, but not the
+        same four, so the source parameter would anchor other columns.
+        The first word they disagree on is S_2 (the close increment)."""
+        import datetime as dt
+
+        def price_csv(path, seed, flat_close_before=None, flat_volume=False):
+            rng = np.random.default_rng(seed)
+            day, price, volume, lines = dt.date(2023, 1, 2), 100.0, 1e6, []
+            for _ in range(160):
+                if flat_close_before is None or day >= flat_close_before:
+                    price *= float(np.exp(rng.normal(scale=0.01)))
+                if not flat_volume:
+                    volume *= float(np.exp(rng.normal(scale=0.05)))
+                lines.append(f"{day.isoformat()},{price:.6f},{volume:.2f}")
+                day += dt.timedelta(days=1)
+            path.write_text("date,close,volume\n" + "\n".join(lines) + "\n")
+            return str(path)
+
+        split = dt.date(2023, 4, 15)
+        job = {"version": 1, "kind": "regression_job",
+               "source_csvs": [price_csv(tmp_path / "src.csv", 1, flat_volume=True)],
+               "target_csv": price_csv(tmp_path / "target.csv", 2, flat_close_before=split),
+               "lag": 2, "order": [1, 2], "split_date": split.isoformat()}
+        code = main(["predict", write_spec(tmp_path, job, "job.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "validation error: source and target standardizers dropped different "
+            "feature columns: S_2 is kept by the source only\n")
+
 
 class TestPortfolio:
     @staticmethod

@@ -82,3 +82,27 @@ def test_verify_round_count_is_reported(monkeypatch, tmp_path):
         assert code in (0, 4)
     print(f"verify round 0: {dict(count.calls)} on {len(count.matrices)} distinct matrices, "
           f"{count.per_matrix():.2f} each")
+
+
+def test_predict_factors_each_ridge_system_once_per_lag(monkeypatch, tmp_path):
+    """A bench ``predict`` job, 2 lags × 2 orders: each lag factors the
+    source at λ_source and the target train split at λ_source and at
+    λ_transfer once, and both orders solve with leading blocks of those
+    factors, so the job makes 3 Cholesky factorizations per lag."""
+    inputs = bench_inputs()
+    job = inputs.predict_round(0)[0]
+    sources = []
+    for k, series in enumerate(job.sources):
+        inputs.write_price_csv(tmp_path / f"source{k}.csv", series)
+        sources.append(str(tmp_path / f"source{k}.csv"))
+    inputs.write_price_csv(tmp_path / "target.csv", job.target)
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps({
+        "version": 1, "kind": "regression_job", "source_csvs": sources,
+        "target_csv": str(tmp_path / "target.csv"), "lag": list(inputs.PREDICT_LAGS),
+        "order": list(inputs.PREDICT_ORDERS), "lambda_source": 1.0,
+        "lambda_transfer": 5.0, "split_date": job.split_date.isoformat()}))
+    count = Decompositions(monkeypatch)
+    assert main(["predict", str(spec), "--out", str(tmp_path / "report.json")]) == 0
+    assert (len(inputs.PREDICT_LAGS), len(inputs.PREDICT_ORDERS)) == (2, 2)
+    assert count.calls == Counter(cholesky=6)
